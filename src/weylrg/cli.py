@@ -35,6 +35,12 @@ class ConfigError(ValueError):
     pass
 
 
+#: Largest GridSpec.row_bound() the propagator subcommand accepts.  A row
+#: costs about 233 bytes of CSV and 210 bytes of peak RSS (the README grid:
+#: 1.33M rows, 311 MB of CSV, 278 MB peak), so the cap is about 2 GB of each.
+MAX_PROPAGATOR_ROWS = 2 ** 23
+
+
 _MODEL_KEYS = {"t", "t_perp", "t_prime", "r", "mu", "U", "kappa"}
 _GRID_KEYS = {"L", "beta", "M"}
 _FLOW_KEYS = {"U", "h_min", "n_k", "tol", "max_iter", "damping", "eps0"}
@@ -109,6 +115,23 @@ def _fmt(x) -> str:
     if isinstance(x, (bool, int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+class _HashingFile:
+    """Text sink over a binary file that hashes every byte it writes."""
+
+    def __init__(self, f):
+        self._f = f
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str):
+        data = text.encode()
+        self.sha.update(data)
+        self._f.write(data)
+
+    def tell(self) -> int:
+        """Bytes written so far, as on a file; perfbench's to_csv hook reads it."""
+        return self._f.tell()
 
 
 class RunWriter:
@@ -195,13 +218,15 @@ def _cmd_phase(cfg, w: RunWriter):
 def _cmd_propagator(cfg, w: RunWriter):
     p = _params(cfg)
     grid = _grid(cfg)
+    if grid.row_bound() > MAX_PROPAGATOR_ROWS:
+        raise ConfigError(f"grid L={grid.L}, beta={grid.beta}, M={grid.M} tabulates up to "
+                          f"{grid.row_bound():.3g} rows, above the cap of {MAX_PROPAGATOR_ROWS}")
     pg = build_propagator_grid(grid, p)
-    import io
-    buf = io.StringIO()
-    pg.to_csv(buf)
-    payload = (f"# manifest: {w.hash}\n" + buf.getvalue()).encode()
-    (w.dir / "propagator.csv").write_bytes(payload)
-    w.outputs["propagator.csv"] = hashlib.sha256(payload).hexdigest()
+    with open(w.dir / "propagator.csv", "wb") as f:
+        out = _HashingFile(f)
+        out.write(f"# manifest: {w.hash}\n")
+        pg.to_csv(out)
+    w.outputs["propagator.csv"] = out.sha.hexdigest()
     w.write_json("propagator.json", {
         "rows": len(pg), "conjugation_defect": pg.conjugation_defect(),
         "sup_norm": pg.sup_norm()})

@@ -18,7 +18,7 @@ the phase sign chosen so the equal-time jump S0(0,0+) - S0(0,0-) is +I
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +42,8 @@ class GridSpec:
     M: int = 12
 
     def __post_init__(self):
-        if self.L < 1 or self.beta <= 0 or self.M < 0:
-            raise ValueError("GridSpec requires L >= 1, beta > 0, M >= 0")
+        if self.L < 1 or not 0 < self.beta < math.inf or self.M < 0:
+            raise ValueError("GridSpec requires L >= 1, finite beta > 0, M >= 0")
 
     def spatial_momenta(self) -> np.ndarray:
         """All L^3 momenta as an (L^3, 3) array with components in [0, 2pi)."""
@@ -51,14 +51,26 @@ class GridSpec:
         k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
         return np.stack([k1.ravel(), k2.ravel(), k3.ravel()], axis=1)
 
+    def _n_max(self, M: int) -> int:
+        """Frequencies are scanned over n in [-n_max, n_max)."""
+        return int(2.0 ** (M + 1) * self.beta / (2.0 * np.pi) + 1)
+
     def matsubara_frequencies(self, M: int | None = None) -> np.ndarray:
         """Frequencies (2pi/beta)(n+1/2) inside the chibar support |k0| <= 2^{M+1}."""
         M = self.M if M is None else M
-        kmax = 2.0 ** (M + 1)
-        n_max = int(kmax * self.beta / (2.0 * np.pi) + 1)
+        n_max = self._n_max(M)
         n = np.arange(-n_max, n_max)
         k0 = (2.0 * np.pi / self.beta) * (n + 0.5)
-        return k0[np.abs(k0) <= kmax]
+        return k0[np.abs(k0) <= 2.0 ** (M + 1)]
+
+    def row_bound(self) -> float:
+        """Closed-form upper bound on the rows build_propagator_grid tabulates at
+        M = self.M: L^3 momenta times the 2 n_max scanned frequencies.  Allocates
+        nothing; inf when the count overflows a float."""
+        try:
+            return float(self.L) ** 3 * 2 * self._n_max(self.M)
+        except OverflowError:
+            return math.inf
 
 
 def mass_vector(k1, k2, k3, p: HoppingParams):
@@ -116,10 +128,17 @@ def free_propagator(kk, p: HoppingParams) -> np.ndarray:
 
 def normalize_time(x0: float, beta: float) -> float:
     """Reduce x0 into the fundamental window (-beta, beta] of the 2beta-periodic
-    extension (the propagator is beta-antiperiodic, hence 2beta-periodic)."""
-    while x0 > beta:
+    extension (the propagator is beta-antiperiodic, hence 2beta-periodic).
+
+    fmod is exact, and so is the single shift after it (both operands lie
+    within a factor 2 of each other), so any finite x0 reduces in O(1).
+    """
+    if not (math.isfinite(x0) and math.isfinite(beta)):
+        raise ValueError(f"normalize_time needs finite x0 and beta, got {x0}, {beta}")
+    x0 = math.fmod(x0, 2.0 * beta)
+    if x0 > beta:
         x0 -= 2.0 * beta
-    while x0 <= -beta:
+    elif x0 <= -beta:
         x0 += 2.0 * beta
     return x0
 
@@ -280,6 +299,11 @@ def counterterm_nu_C(grid: GridSpec, p: HoppingParams, v_hat_0: float) -> float:
 
 _CSV_HEADER = ["k0", "k1", "k2", "k3",
                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
+# rows per chunk in the CSV writer and the conjugation check: bounds the
+# temporaries (Python floats, strings, matched pairs) to tens of MB
+_CHUNK_ROWS = 1 << 16
+# 4 float64 fields, so np.searchsorted orders momentum keys lexicographically
+_KEY_DTYPE = np.dtype([(f"k{i}", float) for i in range(4)])
 
 
 @dataclass
@@ -301,70 +325,77 @@ class PropagatorGrid:
         return float(np.max(np.abs(self.values))) if len(self) else 0.0
 
     def conjugation_defect(self) -> float:
-        """max |value(-k0, kbar) - value(k0, kbar)^dagger| over matched rows."""
-        key = {}
-        for i, kk in enumerate(self.momenta):
-            key[tuple(np.round(kk, 12))] = i
+        """max |value(-k0, kbar) - value(k0, kbar)^dagger| over matched rows.
+
+        Rows match on momenta rounded to 12 decimals; when several rows share a
+        key the last one is the match.  Rows without a mirror are ignored, and so
+        are NaN differences.  Works for any row order.
+        """
+        keys = np.round(self.momenta, 12)
+        order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in row order
+        keys = keys[order]
+        table = keys.view(_KEY_DTYPE).ravel()
         worst = 0.0
-        for i, kk in enumerate(self.momenta):
-            mirror = (round(-kk[0], 12), round(kk[1], 12), round(kk[2], 12), round(kk[3], 12))
-            j = key.get(mirror)
-            if j is not None:
-                worst = max(worst, float(np.max(np.abs(
-                    self.values[j] - self.values[i].conj().T))))
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            mirror = keys[lo:lo + _CHUNK_ROWS].copy()
+            mirror[:, 0] = -mirror[:, 0]
+            # the last of equal keys sits just left of the right insertion point
+            pos = np.searchsorted(table, mirror.view(_KEY_DTYPE).ravel(), side="right") - 1
+            hit = (pos >= 0) & np.all(keys[pos] == mirror, axis=1)
+            i, j = order[lo + np.flatnonzero(hit)], order[pos[hit]]
+            diff = self.values[j] - self.values[i].conj().transpose(0, 2, 1)
+            worst = float(np.fmax.reduce(np.abs(diff).max(axis=(1, 2)), initial=worst))
         return worst
 
     def to_csv(self, path_or_buf):
+        """Header plus one CRLF row per momentum, every float written by repr."""
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
         try:
-            w = csv.writer(buf)
-            w.writerow(_CSV_HEADER)
-            for kk, v in zip(self.momenta, self.values):
-                row = [repr(float(c)) for c in kk]
-                for i in range(2):
-                    for j in range(2):
-                        row += [repr(float(v[i, j].real)), repr(float(v[i, j].imag))]
-                w.writerow(row)
+            buf.write(",".join(_CSV_HEADER) + "\r\n")
+            for lo in range(0, len(self), _CHUNK_ROWS):
+                vals = self.values[lo:lo + _CHUNK_ROWS].reshape(-1, 4).view(float)
+                rows = np.concatenate([self.momenta[lo:lo + _CHUNK_ROWS], vals], axis=1)
+                buf.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows.tolist()]))
         finally:
             if buf is not path_or_buf:
                 buf.close()
 
     @classmethod
     def from_csv(cls, path_or_buf, grid: GridSpec) -> "PropagatorGrid":
+        """Read what to_csv wrote, or the CLI's propagator.csv (manifest line first)."""
         buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf, newline="")
         try:
             rows = list(csv.reader(buf))
         finally:
             if buf is not path_or_buf:
                 buf.close()
-        assert rows[0] == _CSV_HEADER, "unexpected propagator CSV header"
-        mom = np.array([[float(c) for c in r[:4]] for r in rows[1:]])
-        vals = np.empty((len(rows) - 1, 2, 2), complex)
-        for n, r in enumerate(rows[1:]):
-            e = [float(c) for c in r[4:]]
-            vals[n] = [[e[0] + 1j * e[1], e[2] + 1j * e[3]],
-                       [e[4] + 1j * e[5], e[6] + 1j * e[7]]]
-        return cls(grid=grid, momenta=mom, values=vals)
+        if rows and rows[0] and rows[0][0].startswith("# manifest:"):
+            rows = rows[1:]
+        if not rows or rows[0] != _CSV_HEADER:
+            raise ValueError("unexpected propagator CSV header")
+        data = np.array([[float(c) for c in r] for r in rows[1:]]).reshape(-1, 12)
+        vals = np.ascontiguousarray(data[:, 4:]).view(complex).reshape(-1, 2, 2)
+        return cls(grid=grid, momenta=data[:, :4].copy(), values=vals)
 
 
 def build_propagator_grid(grid: GridSpec, p: HoppingParams, M: int | None = None) -> PropagatorGrid:
-    """Free propagator tabulated on the full grid inside the UV cutoff support."""
+    """Free propagator tabulated on the full grid inside the UV cutoff support.
+
+    Rows are k0-major: each frequency with a nonzero cutoff weight carries all
+    L^3 spatial momenta in spatial_momenta() order.
+    """
     M = grid.M if M is None else M
     k0 = grid.matsubara_frequencies(M)
-    kbar = grid.spatial_momenta()
     cut = smooth_cutoff(np.abs(k0) / 2.0 ** M)
+    k0, w = k0[cut > 0], cut[cut > 0, None]
+    kbar = grid.spatial_momenta()
     m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
     nk0, nkb = k0.size, kbar.shape[0]
-    mom = np.empty((nk0 * nkb, 4))
-    mom[:, 0] = np.repeat(k0, nkb)
-    mom[:, 1:] = np.tile(kbar, (nk0, 1))
-    a, b, c, d = _ainv_entries(mom[:, 0],
-                               np.tile(m1, nk0), np.tile(m2, nk0), np.tile(m3, nk0))
-    w = np.repeat(cut, nkb)
-    vals = np.empty((mom.shape[0], 2, 2), complex)
-    vals[:, 0, 0] = w * a
-    vals[:, 0, 1] = w * b
-    vals[:, 1, 0] = w * c
-    vals[:, 1, 1] = w * d
-    keep = w > 0
-    return PropagatorGrid(grid=grid, momenta=mom[keep], values=vals[keep])
+    mom = np.empty((nk0, nkb, 4))
+    mom[:, :, 0] = k0[:, None]
+    mom[:, :, 1:] = kbar
+    vals = np.empty((nk0, nkb, 4), complex)  # row-major 2x2 entries a, b, c, d
+    for n, entry in enumerate(_ainv_entries(k0[:, None], m1, m2, m3)):
+        np.multiply(w, entry, out=vals[..., n])
+    return PropagatorGrid(grid=grid, momenta=mom.reshape(-1, 4),
+                          values=vals.reshape(-1, 2, 2))

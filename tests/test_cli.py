@@ -1,8 +1,13 @@
+import hashlib
 import json
+import time
 
+import numpy as np
 import pytest
 
-from weylrg.cli import dispatch
+from weylrg.cli import MAX_PROPAGATOR_ROWS, dispatch
+from weylrg.lattice import build_params
+from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
 
 BASE = {
     "model": {"t": 1.0, "t_perp": 0.5, "t_prime": 2.0, "r": 0.5, "U": 0.05, "kappa": 1.0},
@@ -112,6 +117,38 @@ def test_propagator_output(tmp_path):
     assert len(lines[1].split(",")) == 12
     meta = json.loads((out / "propagator.json").read_text())
     assert meta["conjugation_defect"] < 1e-12
+
+
+def test_propagator_csv_hash_and_roundtrip(tmp_path):
+    cfg = dict(BASE, grid={"L": 2, "beta": 4.0, "M": 3})
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert dispatch(["propagator", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    data = (out / "propagator.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == manifest["outputs"]["propagator.csv"]
+    grid = GridSpec(**cfg["grid"])
+    back = PropagatorGrid.from_csv(out / "propagator.csv", grid)
+    m = cfg["model"]
+    pg = build_propagator_grid(grid, build_params(m["t"], m["t_perp"], m["t_prime"],
+                                                  r=m["r"], U=m["U"], kappa=m["kappa"]))
+    assert np.array_equal(back.momenta, pg.momenta)
+    assert np.array_equal(back.values, pg.values)
+
+
+@pytest.mark.parametrize("grid", [{"L": 4096, "beta": 8.0, "M": 12},
+                                  {"L": 4, "beta": 8.0, "M": 60},
+                                  {"L": 4, "beta": float("inf"), "M": 12}])
+def test_propagator_oversized_grid_fails_fast(tmp_path, grid):
+    path = write_cfg(tmp_path, dict(BASE, grid=grid))
+    t0 = time.perf_counter()
+    assert dispatch(["propagator", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "o" / "propagator.csv").exists()
+
+
+def test_readme_grid_well_under_row_cap():
+    assert GridSpec(L=4, beta=8.0, M=12).row_bound() < MAX_PROPAGATOR_ROWS / 4
 
 
 def test_bounds_check_runs(tmp_path):

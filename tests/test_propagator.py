@@ -1,4 +1,6 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -161,3 +163,81 @@ def test_propagator_grid_csv_roundtrip(p_star):
     back = PropagatorGrid.from_csv(buf, grid)
     assert np.array_equal(back.momenta, pg.momenta)
     assert np.array_equal(back.values, pg.values)
+
+
+def _defect_oracle(pg):
+    """The row-by-row dict definition of the conjugation defect."""
+    key = {tuple(np.round(kk, 12)): i for i, kk in enumerate(pg.momenta)}
+    worst = 0.0
+    for i, kk in enumerate(pg.momenta):
+        mirror = (round(-kk[0], 12), round(kk[1], 12), round(kk[2], 12), round(kk[3], 12))
+        j = key.get(mirror)
+        if j is not None:
+            worst = max(worst, float(np.max(np.abs(pg.values[j] - pg.values[i].conj().T))))
+    return worst
+
+
+def test_conjugation_defect_matches_dict_oracle(p_star):
+    pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(len(pg))
+    shuffled = PropagatorGrid(pg.grid, pg.momenta[perm], pg.values[perm])
+    assert shuffled.conjugation_defect() == _defect_oracle(shuffled) == pg.conjugation_defect()
+    # a known perturbation of one entry is the whole defect
+    delta = 1e-3
+    bumped = PropagatorGrid(pg.grid, shuffled.momenta, shuffled.values.copy())
+    bumped.values[5, 0, 1] += delta
+    assert bumped.conjugation_defect() == _defect_oracle(bumped)
+    assert bumped.conjugation_defect() == pytest.approx(delta, rel=1e-9)
+    # a row with no mirror is ignored, however wrong its value
+    lone = PropagatorGrid(pg.grid, np.vstack([pg.momenta, [[0.123, 0.0, 0.0, 0.0]]]),
+                          np.concatenate([pg.values, np.full((1, 2, 2), 5.0 + 1j)]))
+    assert lone.conjugation_defect() == _defect_oracle(lone) == pg.conjugation_defect()
+    # duplicate keys: the last row is the match (k0 = 0 rows mirror themselves)
+    dup = PropagatorGrid(pg.grid, np.zeros((2, 4)), np.array([np.eye(2), (1 + 1e-3j) * np.eye(2)]))
+    assert dup.conjugation_defect() == _defect_oracle(dup) == pytest.approx(2e-3)
+
+
+def test_to_csv_bytes_match_csv_writer(p_star):
+    pg = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
+    pg.momenta[0] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308]
+    pg.values[1] = [[-0.0 + 3.3e-296j, 1e-310 - 0.0j], [np.pi, -1e300]]
+    expect = io.StringIO(newline="")
+    w = csv.writer(expect)
+    w.writerow(["k0", "k1", "k2", "k3",
+                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"])
+    for kk, v in zip(pg.momenta, pg.values):
+        w.writerow([repr(float(c)) for c in kk]
+                   + [repr(float(f(e))) for e in v.ravel() for f in (np.real, np.imag)])
+    got = io.StringIO(newline="")
+    pg.to_csv(got)
+    assert got.getvalue() == expect.getvalue()
+    assert "-0.0,0.0,5e-324," in got.getvalue()
+
+
+def test_from_csv_rejects_bad_header():
+    with pytest.raises(ValueError):
+        PropagatorGrid.from_csv(io.StringIO("a,b\r\n1,2\r\n"), GRID)
+    with pytest.raises(ValueError):
+        PropagatorGrid.from_csv(io.StringIO(""), GRID)
+
+
+def test_row_bound_closed_form(p_star):
+    for grid in (GridSpec(L=2, beta=4.0, M=3), GridSpec(L=3, beta=8.0, M=5),
+                 GridSpec(L=1, beta=0.3, M=0)):
+        scanned = grid.matsubara_frequencies().size * grid.L ** 3
+        assert len(build_propagator_grid(grid, p_star)) <= scanned <= grid.row_bound()
+        assert grid.row_bound() - 2 * grid.L ** 3 <= scanned
+    assert GridSpec(L=4, beta=8.0, M=2000).row_bound() == math.inf
+
+
+def test_normalize_time_closed_form():
+    assert normalize_time(9.0, 8.0) == -7.0
+    assert normalize_time(8.0, 8.0) == 8.0
+    assert normalize_time(-8.0, 8.0) == 8.0
+    assert normalize_time(1e300, 8.0) == 0.0  # 1e300 is a multiple of 2^944
+    x = normalize_time(-1e300, 3.0)
+    assert -3.0 < x <= 3.0
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            normalize_time(bad, 8.0)
