@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -41,9 +42,16 @@ class ConfigError(ValueError):
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 
+#: Deepest scale the flow subcommands accept.  On a solved flow nu_h is a
+#: rounding residue of nu that doubles at each scale, about 2^(-h-53) |nu|:
+#: 2^-13 |nu| at h = -40, and |nu| itself by h = -53, where the counterterm
+#: no longer bounds the flow in double precision.
+H_MIN_FLOOR = -40
+
+
 _MODEL_KEYS = {"t", "t_perp", "t_prime", "r", "mu", "U", "kappa"}
 _GRID_KEYS = {"L", "beta", "M"}
-_FLOW_KEYS = {"U", "h_min", "n_k", "tol", "max_iter", "damping", "eps0"}
+_FLOW_KEYS = {"U", "h_min", "n_k", "tol", "eps0"}
 _AUDIT_KEYS = {"h_top", "h_bottom", "regime", "N", "x_points"}
 _TREE_KEYS = {"n_max", "l", "regime", "h"}
 _VERIFY_KEYS = {"n_s2", "n_s3", "n_gram"}
@@ -256,18 +264,34 @@ def _cmd_scales(cfg, w: RunWriter):
         "telescoping_worst": worst})
 
 
+def _flow_inputs(f: dict):
+    """(h_min, n_k, tol) of the 'flow' block, checked before any work.
+
+    n_k and h_min must be JSON integers with n_k >= 2 and
+    H_MIN_FLOOR = -40 <= h_min <= 0; tol must be a finite positive number.
+    """
+    h_min, n_k, tol = f.get("h_min", -6), f.get("n_k", 12), f.get("tol", 1e-10)
+    for key, val in (("h_min", h_min), ("n_k", n_k)):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"flow.{key} must be an integer, got {val!r}")
+    if n_k < 2:
+        raise ConfigError(f"flow.n_k = {n_k} is below 2: the bands cannot be resolved")
+    if not H_MIN_FLOOR <= h_min <= 0:
+        raise ConfigError(f"flow.h_min = {h_min} lies outside [{H_MIN_FLOOR}, 0]")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not math.isfinite(tol) or tol <= 0:
+        raise ConfigError(f"flow.tol must be a finite positive number, got {tol!r}")
+    return h_min, n_k, float(tol)
+
+
 def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
     p = _params(cfg)
     f = cfg.get("flow", {})
+    h_min, n_k, tol = _flow_inputs(f)
     U = float(f.get("U", p.U))
-    h_min = int(f.get("h_min", -6))
-    n_k = int(f.get("n_k", 12))
     inter = exponential_interaction(p.kappa)
     if solve:
-        nu, traj = solve_nu(p, U, inter, h_min, n_k=n_k,
-                            tol=float(f.get("tol", 1e-10)),
-                            max_iter=int(f.get("max_iter", 200)),
-                            damping=float(f.get("damping", 0.5)))
+        nu, traj = solve_nu(p, U, inter, h_min, n_k=n_k, tol=tol)
     else:
         nu, traj = 0.0, run_flow(p, U, inter, h_min, n_k=n_k,
                                  eps0=float(f.get("eps0", 0.5)))
@@ -282,9 +306,7 @@ def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
         "termination": traj.termination,
         "max_dimensionless_beta": traj.max_dimensionless_beta,
         "snap_offsets": snap,
-        "solver": {"tol": float(f.get("tol", 1e-10)),
-                   "max_iter": int(f.get("max_iter", 200)),
-                   "damping": float(f.get("damping", 0.5))}})
+        "solver": {"tol": tol}})
 
 
 def _cmd_bounds_check(cfg, w: RunWriter):

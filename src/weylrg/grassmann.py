@@ -41,6 +41,10 @@ class SizeLimitError(ValueError):
     pass
 
 
+class WickMismatchError(ArithmeticError):
+    """The determinant and pairing-expansion values of a Wick expectation differ."""
+
+
 class SignCalibrationError(RuntimeError):
     """bbf_evaluate used before the reference-case sign calibration."""
 
@@ -110,7 +114,9 @@ def wick_expectation(mono, g, method: str = "auto"):
 
     method "det" uses the signed-determinant identity on the interleaved
     order; "expansion" the pairing recursion; "auto" computes the determinant
-    and, for <= 8 fields, asserts agreement with the expansion.
+    and, for <= 8 fields, checks it against the expansion (exactly for
+    Fraction covariances, within 1e-9 max(1, |det|) otherwise), raising
+    WickMismatchError on a disagreement.
     """
     n_minus = sum(1 for f in mono if f[1] == -1)
     n_plus = len(mono) - n_minus
@@ -128,11 +134,10 @@ def wick_expectation(mono, g, method: str = "auto"):
             return d
         if len(mono) <= 8:
             e = wick_expansion(mono, g)
-            if exact:
-                assert e == d, "determinant and expansion paths disagree"
-            else:
-                assert abs(e - d) <= 1e-9 * max(1.0, abs(d)), \
-                    "determinant and expansion paths disagree"
+            agree = e == d if exact else abs(e - d) <= 1e-9 * max(1.0, abs(d))
+            if not agree:
+                raise WickMismatchError(
+                    f"determinant {d!r} and expansion {e!r} disagree on {mono}")
         return d
     if method == "expansion":
         return wick_expansion(mono, g)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,10 +200,27 @@ class BandGrid:
     couplings: RunningCouplings
     params: HoppingParams
     snap_offset: float = 0.0  # regime 2: p_F minus its grid-snapped value
+    k3_origin: float = 0.0    # regime 2: omega p_F, the absolute k3 of k3' = 0
+    _k0_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def support_points(self) -> int:
         return int(np.sum(self.weight > 0))
+
+    def k0_summed(self):
+        """(cell * sum over k0 of entries(), its trace summed over the box).
+
+        The first is a (2, 2, n1, n2, n3) complex array: an instantaneous
+        vertex sees the band only through it.  Both are computed once per
+        weight array.  Assigning a new `weight` recomputes them, and the
+        cached weight is made read-only so it cannot change in place.
+        """
+        if self._k0_cache is None or self._k0_cache[0] is not self.weight:
+            sums = np.stack([f.sum(axis=0) for f in self.entries()])
+            sums = self.cell * sums.reshape((2, 2) + sums.shape[1:])
+            self.weight.flags.writeable = False
+            self._k0_cache = (self.weight, sums, complex(np.sum(sums[0, 0] + sums[1, 1])))
+        return self._k0_cache[1], self._k0_cache[2]
 
     def mass_arrays(self):
         K1, K2, K3 = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")
@@ -309,7 +326,6 @@ def band_grid_r1(h: int, c: RunningCouplings, p: HoppingParams, grid: GridSpec |
     k3s = np.unique(np.round(k3s, 15))
     if k0s.size == 0 or k12.size == 0 or k3s.size == 0:
         weight = np.zeros((max(k0s.size, 0), k12.size, k12.size, k3s.size))
-        bg = BandGrid(h, 1, 1, k0s, k12, k12, k3s, weight, cell, c, p)
     else:
         K1, K2, K3 = np.meshgrid(k12, k12, k3s, indexing="ij")
         m1, m2, m3 = mass_vector_r1(K1, K2, K3, c, p)
@@ -317,7 +333,7 @@ def band_grid_r1(h: int, c: RunningCouplings, p: HoppingParams, grid: GridSpec |
         arg = _chi_arg(h, 1, cutoff) * e
         arg_prev = _chi_arg(h - 1, 1, cutoff) * e
         weight = smooth_cutoff(arg) - smooth_cutoff(arg_prev)
-        bg = BandGrid(h, 1, 1, k0s, k12, k12, k3s, weight, cell, c, p)
+    bg = BandGrid(h, 1, 1, k0s, k12, k12, k3s, weight, cell, c, p)
     if warn_sparse and bg.support_points < MIN_BAND_POINTS:
         warnings.warn(f"band at scale h={h} holds {bg.support_points} grid momenta "
                       f"(< {MIN_BAND_POINTS}); grid too coarse", stacklevel=2)
@@ -361,8 +377,6 @@ def band_grid_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
     snap = wp.p_F - p_F_snap
     if k0s.size == 0 or k12.size == 0 or k3s.size == 0:
         weight = np.zeros((k0s.size, k12.size, k12.size, k3s.size))
-        bg = BandGrid(h, 2, omega, k0s, k12, k12, k3s, weight, cell, c, p,
-                      snap_offset=snap)
     else:
         K1, K2, K3 = np.meshgrid(k12, k12, k3s, indexing="ij")
         m1, m2, m3 = mass_vector_r2(K1, K2, K3, omega, c, p)
@@ -370,8 +384,8 @@ def band_grid_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
         chi = smooth_cutoff(_chi_arg(h, 2, cutoff) * e)
         chi_prev = smooth_cutoff(_chi_arg(h - 1, 2, cutoff) * e)
         weight = chi - chi_prev
-        bg = BandGrid(h, 2, omega, k0s, k12, k12, k3s, weight, cell, c, p,
-                      snap_offset=snap)
+    bg = BandGrid(h, 2, omega, k0s, k12, k12, k3s, weight, cell, c, p,
+                  snap_offset=snap, k3_origin=omega * wp.p_F)
     if warn_sparse and bg.support_points < MIN_BAND_POINTS:
         warnings.warn(f"regime-2 band at h={h} holds {bg.support_points} grid momenta "
                       f"(< {MIN_BAND_POINTS}); grid too coarse", stacklevel=2)
@@ -435,29 +449,6 @@ def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
             raise ConfigurationError(
                 f"chi_(h*-1) support touches the k3=0 plane (max {float(np.max(chi)):g}); "
                 "b0 too small for valley disconnection")
-
-
-def crossover_band(h_star: int, c: RunningCouplings, p: HoppingParams, grid: GridSpec,
-                   cutoff: CutoffSpec) -> BandGrid:
-    """Bridge band at h*: support chi_{h*} - chi_{h*-1} with the two-component
-    lower cutoff evaluated through the valley split (absolute momenta)."""
-    bg = band_grid_r1(h_star, c, p, grid, cutoff, warn_sparse=False)
-    if bg.weight.size == 0:
-        return bg
-    wp = weyl_points(p)
-    K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
-    m1, m2, m3 = mass_vector_r1(K1, K2, K3, c, p)
-    e1 = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
-    chi_top = smooth_cutoff(_chi_arg(h_star, 1, cutoff) * e1)
-    k3c = np.vectorize(lambda v: math.remainder(v, 2.0 * np.pi))(K3)
-    chi_low = np.zeros_like(chi_top)
-    for omega in (+1, -1):
-        theta = np.where(omega * k3c > 0, 1.0, np.where(k3c == 0.0, 0.5, 0.0))
-        m1o, m2o, m3o = mass_vector_r2(K1, K2, k3c - omega * wp.p_F, omega, c, p)
-        eo = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1o ** 2 + m2o ** 2 + m3o ** 2)[None])
-        chi_low += theta[None] * smooth_cutoff(_chi_arg(h_star - 1, 2, cutoff) * eo)
-    bg.weight = np.clip(chi_top - chi_low, 0.0, None)
-    return bg
 
 
 # --- relativistic split ----------------------------------------------------

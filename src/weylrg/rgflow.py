@@ -194,34 +194,18 @@ def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCoupli
 
 # --- one-loop self-energy ----------------------------------------------------
 
-def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar, p: HoppingParams):
+def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
     """(1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p) over one band (2x2).
 
-    Regime-2 bands hold relative momenta; the valley shift omega p_F enters
-    the third interaction argument.
+    A contraction of the band's k0 sums against the separable vhat, one axis
+    at a time.  Regime-2 bands hold relative momenta; their valley origin
+    omega p_F enters the third interaction argument.
     """
-    if bg.weight.size == 0:
-        return np.zeros((2, 2), complex)
-    e00, e01, e10, e11 = bg.entries()
-    shift = 0.0
-    if bg.regime == 2:
-        shift = bg.omega * weyl_points(bg.params).p_F
+    sums, _ = bg.k0_summed()
     d1 = inter.amplitude * inter.axis_value(kbar[0] - bg.k1s)
     d2 = inter.axis_value(kbar[1] - bg.k2s)
-    d3 = inter.axis_value(kbar[2] - shift - bg.k3s)
-    out = np.empty((2, 2), complex)
-    for (i, j), f in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (e00, e01, e10, e11)):
-        s = np.einsum("abcd,b,c,d->", f, d1, d2, d3, optimize=True)
-        out[i, j] = bg.cell * s
-    return out
-
-
-def _hartree_from_band(bg: BandGrid, inter: InteractionSpec):
-    """U-free Hartree factor vhat(0) tr g^(h)(x=0) (vanishes at half filling)."""
-    if bg.weight.size == 0:
-        return 0.0
-    e00, _, _, e11 = bg.entries()
-    return inter.v_hat_0 * bg.cell * complex(np.sum(e00) + np.sum(e11))
+    d3 = inter.axis_value(kbar[2] - bg.k3_origin - bg.k3s)
+    return sums @ d3 @ d2 @ d1
 
 
 def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndarray:
@@ -231,12 +215,12 @@ def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndar
     of kk only selects the instantaneous interaction (no k0 dependence).
     """
     kbar = (kk_abs[1], kk_abs[2], kk_abs[3])
-    hart = 0.0
+    trace = 0.0
     fock = np.zeros((2, 2), complex)
     for bg in bands:
-        hart += _hartree_from_band(bg, inter)
-        fock += _fock_from_band(bg, inter, kbar, bg.params)
-    return U * hart * ID2 - U * fock
+        trace += bg.k0_summed()[1]
+        fock += _fock_from_band(bg, inter, kbar)
+    return U * inter.v_hat_0 * trace * ID2 - U * fock
 
 
 def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionSpec,
@@ -386,13 +370,10 @@ def _step_beta(h, c, band_or_bands, inter, U, p, regime, omega=1, point=None,
                spacing=np.pi / 32.0):
     """Localized kernel of the one-loop self-energy of a single scale."""
     bands = band_or_bands if isinstance(band_or_bands, list) else [band_or_bands]
+    origin = omega * weyl_points(p).p_F if regime == 2 else 0.0
 
     def kernel(kk):
-        if regime == 2:
-            kk_abs = (kk[0], kk[1], kk[2], kk[3] + omega * weyl_points(p).p_F)
-        else:
-            kk_abs = kk
-        return band_self_energy(kk_abs, bands, inter, U)
+        return band_self_energy((kk[0], kk[1], kk[2], kk[3] + origin), bands, inter, U)
 
     pt = (0.0, 0.0, 0.0, 0.0) if point is None else point
     return localize_kernel(kernel, regime=regime, point=pt, omega=omega, spacing=spacing)
@@ -502,28 +483,29 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
                           termination=termination, bands=bands_kept)
 
 
-def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
-             n_k: int = 12, tol: float = 1e-10, max_iter: int = 200,
-             damping: float = 0.5, cutoff: CutoffSpec | None = None):
-    """Fixed point for the scale-0 counterterm making nu_h bounded.
+def _nu_target(traj: FlowTrajectory) -> float:
+    """-sum_h 2^(h-1) beta_nu^(h): the scale-0 nu that cancels the 2^-h growth."""
+    return -sum(2.0 ** (r.h - 1) * r.beta.beta_nu for r in traj.rows if r.beta is not None)
 
-    Damped iteration on nu = -sum_k 2^(k-1) beta_nu^(k) (betas re-measured on
-    each trial flow); at one loop the betas are nu-independent so convergence
-    is immediate, but the iteration verifies it to `tol`.
+
+def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
+             n_k: int = 12, tol: float = 1e-10, cutoff: CutoffSpec | None = None):
+    """Scale-0 counterterm making nu_h bounded, from two flows.
+
+    At one loop nu enters the flow affinely and the betas do not depend on
+    it, so one probe flow at nu = 0 gives nu = -sum_h 2^(h-1) beta_nu^(h).
+    A second flow at that nu must return the same target to within `tol`;
+    otherwise the map is not affine and FlowBlowupError is raised.
     Returns (nu, trajectory at the solved value).
     """
-    nu = 0.0
-    traj = None
-    for _ in range(max_iter):
-        traj = run_flow(p, U, inter, h_min, nu0=nu, n_k=n_k, cutoff=cutoff,
-                        keep_bands=True)
-        target = -sum(2.0 ** (r.h - 1) * r.beta.beta_nu
-                      for r in traj.rows if r.beta is not None)
-        if abs(target - nu) < tol:
-            return target, run_flow(p, U, inter, h_min, nu0=target, n_k=n_k,
-                                    cutoff=cutoff, keep_bands=True)
-        nu = (1.0 - damping) * nu + damping * target
-    raise FlowBlowupError(f"nu fixed point did not converge within {max_iter} iterations")
+    nu = _nu_target(run_flow(p, U, inter, h_min, nu0=0.0, n_k=n_k, cutoff=cutoff,
+                             keep_bands=False))
+    traj = run_flow(p, U, inter, h_min, nu0=nu, n_k=n_k, cutoff=cutoff, keep_bands=True)
+    resid = abs(_nu_target(traj) - nu)
+    if not resid < tol:
+        raise FlowBlowupError(f"nu counterterm is not affine: the flow at nu = {nu:.17g} "
+                              f"moves its target by {resid:g} (tol {tol:g})")
+    return nu, traj
 
 
 # --- dressed propagator and observables --------------------------------------

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from weylrg.cli import MAX_PROPAGATOR_ROWS, dispatch
+from weylrg.cli import H_MIN_FLOOR, MAX_PROPAGATOR_ROWS, dispatch
 from weylrg.lattice import build_params
 from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
 
@@ -168,3 +168,41 @@ def test_solve_nu_subcommand(tmp_path):
     data = json.loads((out / "flow.json").read_text())
     assert data["solved_nu"] is not None
     assert data["termination"] == "completed"
+
+
+@pytest.mark.parametrize("sub", ["flow", "solve-nu"])
+@pytest.mark.parametrize("bad", [
+    {"n_k": 0},              # used to escape dispatch as ZeroDivisionError
+    {"n_k": 1},              # used to exit 2: crossover band empty
+    {"n_k": 12.7},           # used to be truncated to 12
+    {"n_k": "12"},
+    {"n_k": True},
+    {"h_min": 1},            # used to exit 2 from run_flow
+    {"h_min": -3.5},
+    {"h_min": H_MIN_FLOOR - 1},
+    {"tol": 0.0},
+    {"tol": -1e-10},
+    {"tol": float("inf")},
+    {"tol": float("nan")},
+    {"tol": "small"},
+    {"damping": 0.5},        # solver keys of the old damped iteration
+    {"max_iter": 200},
+])
+def test_flow_input_rejected_up_front(tmp_path, sub, bad):
+    path = write_cfg(tmp_path, dict(BASE, flow=dict(BASE["flow"], **bad)))
+    t0 = time.perf_counter()
+    assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "o" / "flow.csv").exists()
+
+
+def test_flow_input_edges_accepted(tmp_path):
+    # the smallest n_k and the deepest h_min allowed still run; h_min = 0 is
+    # an empty flow
+    for flow in ({"U": 0.05, "h_min": -3, "n_k": 2},
+                 {"U": 0.05, "h_min": 0, "n_k": 8},
+                 {"U": 0.05, "h_min": H_MIN_FLOOR, "n_k": 2, "tol": 1}):
+        path = write_cfg(tmp_path, dict(BASE, flow=flow))
+        assert dispatch(["solve-nu", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        data = json.loads((tmp_path / "o" / "flow.json").read_text())
+        assert data["solver"] == {"tol": float(flow.get("tol", 1e-10))}

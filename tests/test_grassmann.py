@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,33 @@ def test_wick_odd_and_unbalanced_vanish():
     g = [[Fraction(1)] * 3 for _ in range(3)]
     assert gr.wick_expectation(((0, -1), (1, +1), (2, -1)), g) == 0
     assert gr.wick_expectation(((0, -1), (1, -1)), g) == 0
+
+
+_MISMATCH_SCRIPT = """
+from fractions import Fraction
+import numpy as np
+from weylrg import grassmann as gr
+gr.wick_expansion = lambda mono, g: gr.wick_expectation(mono, g, method="det") + 1
+mono = ((0, -1), (1, +1), (2, -1), (3, +1))
+for g in ([[Fraction(i - j, 1 + i + j) for j in range(4)] for i in range(4)],
+          np.arange(16.0).reshape(4, 4) / 7.0):
+    try:
+        gr.wick_expectation(mono, g)
+    except gr.WickMismatchError:
+        continue
+    raise SystemExit("no WickMismatchError for " + type(g).__name__)
+"""
+
+
+def test_wick_auto_raises_on_disagreement():
+    """A forced det/expansion disagreement raises, for exact and float
+    covariances, also under python -O (which strips asserts)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(gr.__file__).parents[1])] + sys.path))
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", _MISMATCH_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (flags, done.stdout + done.stderr)
 
 
 def test_det_equals_expansion_exhaustively():

@@ -109,6 +109,56 @@ def test_self_energy_matches_direct_cumulative_sum(p_star):
     assert np.max(np.abs(sig - direct)) < 0.05 * np.max(np.abs(direct))
 
 
+def _direct_self_energy(kk_abs, bg, inter, U):
+    """One band's one-loop kernel as 4-D einsums over its entries()."""
+    e00, e01, e10, e11 = bg.entries()
+    origin = bg.omega * weyl_points(bg.params).p_F if bg.regime == 2 else 0.0
+    d1 = inter.amplitude * inter.axis_value(kk_abs[1] - bg.k1s)
+    d2 = inter.axis_value(kk_abs[2] - bg.k2s)
+    d3 = inter.axis_value(kk_abs[3] - origin - bg.k3s)
+    fock = np.array([[np.einsum("abcd,b,c,d->", f, d1, d2, d3) for f in row]
+                     for row in ((e00, e01), (e10, e11))])
+    hartree = inter.v_hat_0 * (np.sum(e00) + np.sum(e11))
+    return U * bg.cell * (hartree * np.eye(2) - fock)
+
+
+def _test_bands(p_star, p_small_r):
+    """A regime-1 band, both regime-2 valleys and the bridge band."""
+    cut = ms.default_cutoff(p_star)
+    c = ms.initial_couplings(p_star)
+    cut2 = ms.default_cutoff(p_small_r)
+    c2 = ms.initial_couplings(p_small_r, regime=2).replace(h=-5)
+    return {"regime 1": rg._adapted_band_r1(-1, c.replace(h=-1), p_star, cut, 10),
+            "valley +1": rg._adapted_band_r2(-5, +1, c2, p_small_r, cut2, -4, 10),
+            "valley -1": rg._adapted_band_r2(-5, -1, c2, p_small_r, cut2, -4, 10),
+            "bridge": rg._adapted_crossover(0, c, p_star, cut, 10)}
+
+
+def test_cached_band_sums_match_direct_einsum(p_star, p_small_r):
+    p_f = weyl_points(p_star).p_F
+    for name, bg in _test_bands(p_star, p_small_r).items():
+        assert bg.support_points > 0, name
+        for kk in ((0.0, 0.0, 0.0, 0.0), (0.3, 0.1, -0.2, p_f),
+                   (0.0, -0.4, 0.25, -p_f + 0.1), (0.0, 1.0, 2.0, 3.0)):
+            got = rg.band_self_energy(kk, [bg], INTER, 0.05)
+            want = _direct_self_energy(kk, bg, INTER, 0.05)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (name, kk)
+
+
+def test_band_sums_follow_weight_reassignment(p_star, p_small_r):
+    kk = (0.0, 0.1, -0.2, 0.3)
+    for name, bg in _test_bands(p_star, p_small_r).items():
+        before = rg.band_self_energy(kk, [bg], INTER, 0.05)
+        bg.weight = 0.5 * bg.weight
+        assert np.array_equal(rg.band_self_energy(kk, [bg], INTER, 0.05), 0.5 * before), name
+        bg.weight = bg.weight ** 2
+        got = rg.band_self_energy(kk, [bg], INTER, 0.05)
+        want = _direct_self_energy(kk, bg, INTER, 0.05)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        with pytest.raises(ValueError):  # the cached weight is read-only
+            bg.weight[0, 0, 0, 0] = 1.0
+
+
 def test_flow_step_deterministic(p_star):
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star)
@@ -186,6 +236,41 @@ def test_solve_nu_bounds_flow(p_star):
     assert abs(nus_u[h_min]) > 10.0 * abs(nus_s[h_min]) or abs(nus_s[h_min]) < 1e-15
     ratio = nus_u[h_min] / nus_u[h_min + 2]
     assert ratio == pytest.approx(4.0, rel=0.05)  # 2^-h growth
+
+
+def _nu_target(traj):
+    return -sum(2.0 ** (r.h - 1) * r.beta.beta_nu for r in traj.rows)
+
+
+def test_solve_nu_is_two_flows(p_star, monkeypatch):
+    calls = []
+    real = rg.run_flow
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["nu0"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rg, "run_flow", counted)
+    nu, traj = rg.solve_nu(p_star, 0.05, INTER, -5, n_k=8)
+    assert calls == [0.0, nu]
+    assert traj.nu0 == nu
+    probe = real(p_star, 0.05, INTER, -5, nu0=0.0, n_k=8)
+    assert nu == _nu_target(probe) != 0.0
+    assert _nu_target(traj) == nu
+
+
+def test_solve_nu_rejects_nu_dependent_beta(p_star, monkeypatch):
+    real = rg.run_flow
+
+    def drifting(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        for r in traj.rows:
+            r.beta.beta_nu += 1e-2 * kwargs["nu0"]
+        return traj
+
+    monkeypatch.setattr(rg, "run_flow", drifting)
+    with pytest.raises(rg.FlowBlowupError, match="not affine"):
+        rg.solve_nu(p_star, 0.05, INTER, -5, n_k=8)
 
 
 def test_beta_envelope_decays(p_small_r):
