@@ -49,6 +49,11 @@ MAX_PROPAGATOR_ROWS = 2 ** 23
 H_MIN_FLOOR = -40
 
 
+#: Largest flow.n_k the flow subcommands accept.  Band memory grows as n_k^4:
+#: the README flow peaks at 229 MB at n_k = 24, 464 MB at 32 and 1.0 GB at 40.
+MAX_N_K = 40
+
+
 _MODEL_KEYS = {"t", "t_perp", "t_prime", "r", "mu", "U", "kappa"}
 _GRID_KEYS = {"L", "beta", "M"}
 _FLOW_KEYS = {"U", "h_min", "n_k", "tol", "eps0"}
@@ -145,15 +150,13 @@ class _HashingFile:
 class RunWriter:
     """Collects deterministic output files plus the manifest."""
 
-    def __init__(self, out_dir: str, cfg: dict, subcommand: str, seed: int,
-                 threads: int = 1):
+    def __init__(self, out_dir: str, cfg: dict, subcommand: str, seed: int):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.hash = config_hash(cfg)
         self.cfg = cfg
         self.subcommand = subcommand
         self.seed = seed
-        self.threads = threads
         self.outputs = {}
         self.t0 = time.time()
 
@@ -178,7 +181,6 @@ class RunWriter:
             "config": self.cfg,
             "subcommand": self.subcommand,
             "seed": self.seed,
-            "threads": self.threads,
             "tool": f"weylrg {__version__}",
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -264,37 +266,39 @@ def _cmd_scales(cfg, w: RunWriter):
         "telescoping_worst": worst})
 
 
-def _flow_inputs(f: dict):
-    """(h_min, n_k, tol) of the 'flow' block, checked before any work.
+def _flow_inputs(f: dict, U_default: float):
+    """(h_min, n_k, tol, U, eps0) of the 'flow' block, checked before any work.
 
-    n_k and h_min must be JSON integers with n_k >= 2 and
-    H_MIN_FLOOR = -40 <= h_min <= 0; tol must be a finite positive number.
+    n_k and h_min must be JSON integers with 2 <= n_k <= MAX_N_K = 40 and
+    H_MIN_FLOOR = -40 <= h_min <= 0; U must be a finite number, tol and
+    eps0 finite positive numbers.
     """
     h_min, n_k, tol = f.get("h_min", -6), f.get("n_k", 12), f.get("tol", 1e-10)
+    U, eps0 = f.get("U", U_default), f.get("eps0", 0.5)
     for key, val in (("h_min", h_min), ("n_k", n_k)):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"flow.{key} must be an integer, got {val!r}")
-    if n_k < 2:
-        raise ConfigError(f"flow.n_k = {n_k} is below 2: the bands cannot be resolved")
+    if not 2 <= n_k <= MAX_N_K:
+        raise ConfigError(f"flow.n_k = {n_k} lies outside [2, {MAX_N_K}]: below 2 the "
+                          f"bands cannot be resolved, above {MAX_N_K} they take over 1 GB")
     if not H_MIN_FLOOR <= h_min <= 0:
         raise ConfigError(f"flow.h_min = {h_min} lies outside [{H_MIN_FLOOR}, 0]")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-            or not math.isfinite(tol) or tol <= 0:
-        raise ConfigError(f"flow.tol must be a finite positive number, got {tol!r}")
-    return h_min, n_k, float(tol)
+    for key, val, low in (("U", U, -math.inf), ("tol", tol, 0.0), ("eps0", eps0, 0.0)):
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not low < val < math.inf:
+            raise ConfigError(f"flow.{key} must be a finite number{' > 0' if low == 0 else ''}, "
+                              f"got {val!r}")
+    return h_min, n_k, float(tol), float(U), float(eps0)
 
 
 def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
     p = _params(cfg)
     f = cfg.get("flow", {})
-    h_min, n_k, tol = _flow_inputs(f)
-    U = float(f.get("U", p.U))
+    h_min, n_k, tol, U, eps0 = _flow_inputs(f, p.U)
     inter = exponential_interaction(p.kappa)
     if solve:
         nu, traj = solve_nu(p, U, inter, h_min, n_k=n_k, tol=tol)
     else:
-        nu, traj = 0.0, run_flow(p, U, inter, h_min, n_k=n_k,
-                                 eps0=float(f.get("eps0", 0.5)))
+        nu, traj = 0.0, run_flow(p, U, inter, h_min, n_k=n_k, eps0=eps0)
     w.write_csv("flow.csv", ("h", "Z", "v", "v3", "nu", "beta_nu", "regime"),
                 traj.csv_rows())
     snap = [r.beta.snap_offset for r in traj.rows if r.beta is not None]
@@ -407,8 +411,6 @@ def dispatch(argv) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded for provenance; computation is serial")
     parser.add_argument("--seed", type=int, default=0)
     try:
         args = parser.parse_args(argv)
@@ -419,7 +421,7 @@ def dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    writer = RunWriter(args.out, cfg, args.subcommand, args.seed, args.threads)
+    writer = RunWriter(args.out, cfg, args.subcommand, args.seed)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

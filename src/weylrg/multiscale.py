@@ -228,24 +228,28 @@ class BandGrid:
             return mass_vector_r1(K1, K2, K3, self.couplings, self.params)
         return mass_vector_r2(K1, K2, K3, self.omega, self.couplings, self.params)
 
-    def entries(self, mass_override=None):
-        """f_h A_h^{-1} / Z_h on the box: four (nk0, n1, n2, n3) complex arrays."""
+    def _entry_iter(self, mass_override=None):
+        """The entries 00, 01, 10, 11 of entries(), made one at a time."""
         m1, m2, m3 = self.mass_arrays() if mass_override is None else mass_override
         k0 = self.k0s[:, None, None, None]
         den = k0 ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None]
         w = self.weight / (self.couplings.Z * den)
-        e00 = w * (1j * k0 + m3[None])
-        e01 = w * (m1 - 1j * m2)[None]
-        e10 = w * (m1 + 1j * m2)[None]
-        e11 = w * (1j * k0 - m3[None])
-        return e00, e01, e10, e11
+        yield w * (1j * k0 + m3[None])
+        yield w * (m1 - 1j * m2)[None]
+        yield w * (m1 + 1j * m2)[None]
+        yield w * (1j * k0 - m3[None])
+
+    def entries(self, mass_override=None):
+        """f_h A_h^{-1} / Z_h on the box: four (nk0, n1, n2, n3) complex arrays."""
+        return tuple(self._entry_iter(mass_override))
 
     def position_values(self, x0s, x1s, x2s, x3s, entries=None) -> np.ndarray:
         """g(x) = cell * sum_k e^{-i k.x} f A^{-1}/Z on the tensor x-grid.
 
-        Returns (nx0, nx1, nx2, nx3, 2, 2); separable phase contraction.
+        Returns (nx0, nx1, nx2, nx3, 2, 2); separable phase contraction.  The
+        band's own entries (default) are made one at a time to bound memory.
         """
-        ent = self.entries() if entries is None else entries
+        ent = self._entry_iter() if entries is None else entries
         p0 = np.exp(-1j * np.outer(np.asarray(x0s, float), self.k0s))
         p1 = np.exp(-1j * np.outer(np.asarray(x1s, float), self.k1s))
         p2 = np.exp(-1j * np.outer(np.asarray(x2s, float), self.k2s))
@@ -564,8 +568,7 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
         x0s = np.linspace(0.0, 6.0 * w0, x_points)
         x3s = np.linspace(0.0, 6.0 * w3, x_points)
         xps = np.array([0.0, 1.0, 2.0])
-        ent = bg.entries()
-        vals = bg.position_values(x0s, xps, xps, x3s, entries=ent)
+        vals = bg.position_values(x0s, xps, xps, x3s)
         sizes = np.max(np.abs(vals), axis=(-2, -1))
         sup = float(sizes.max())
         prof0 = sizes[:, 0, 0, 0]

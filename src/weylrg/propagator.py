@@ -197,33 +197,39 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
 
 # --- regularized momentum sums -------------------------------------------
 
+def _matsubara_sums(grid: GridSpec, lam2, M: int, x0: float = 0.0, extra=None):
+    """Real (s0, a) = (1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} [1, i k0] extra
+    / (k0^2 + lam2) per entry of the 1-D lam2, extra(k0sq, lam2) an optional weight.
+
+    The frequencies mirror exactly and every weight is even in k0, so k0 and
+    -k0 are summed at once in real arithmetic (a is exactly 0 at x0 = 0); only
+    the distinct values of lam2 are summed, in chunks of frequencies.
+    """
+    k0 = grid.matsubara_frequencies(M)
+    k0 = k0[k0.size // 2:]  # the positive half; the other is its exact mirror
+    cut = 2.0 * smooth_cutoff(k0 / 2.0 ** M)
+    w = np.stack([cut * np.cos(k0 * x0), cut * k0 * np.sin(k0 * x0)])
+    lam2u, back = np.unique(lam2, return_inverse=True)
+    sums = np.zeros((2, lam2u.size))
+    for lo in range(0, k0.size, 4096):
+        k0sq = k0[lo:lo + 4096, None] ** 2
+        g = 1.0 / (k0sq + lam2u)
+        if extra is not None:
+            g *= extra(k0sq, lam2u)
+        sums += w[:, lo:lo + 4096] @ g
+    s0, a = sums[:, back] / grid.beta
+    return s0, a
+
+
 def _frequency_reduced(x0: float, grid: GridSpec, p: HoppingParams, M: int):
     """(1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} A^{-1}(k0, kbar) per kbar.
 
-    Returns four (L^3,) complex arrays (the 2x2 entries).
+    Returns the four (L^3,) arrays of the 2x2 entries.
     """
-    k0 = grid.matsubara_frequencies(M)
-    cut = smooth_cutoff(np.abs(k0) / 2.0 ** M)
     kbar = grid.spatial_momenta()
     m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
-    lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
-    w = cut * np.exp(-1j * k0 * x0)  # (nk0,)
-    # chunk over frequencies to bound memory at large M
-    a = np.zeros(kbar.shape[0], complex)
-    s0 = np.zeros(kbar.shape[0], complex)
-    chunk = 4096
-    for lo in range(0, k0.size, chunk):
-        k0c = k0[lo:lo + chunk, None]
-        wc = w[lo:lo + chunk, None]
-        den = k0c ** 2 + lam2[None, :]
-        s0 += np.sum(wc / den, axis=0)
-        a += np.sum(wc * (1j * k0c) / den, axis=0)
-    # entries: [a + m3 s0, (m1 - i m2) s0; (m1 + i m2) s0, a - m3 s0]
-    e00 = (a + m3 * s0) / grid.beta
-    e01 = ((m1 - 1j * m2) * s0) / grid.beta
-    e10 = ((m1 + 1j * m2) * s0) / grid.beta
-    e11 = (a - m3 * s0) / grid.beta
-    return e00, e01, e10, e11
+    s0, a = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, M, x0)
+    return a + m3 * s0, (m1 - 1j * m2) * s0, (m1 + 1j * m2) * s0, a - m3 * s0
 
 
 def _spatial_sum_direct(fields, kbar, x, L):

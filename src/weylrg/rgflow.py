@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, weyl_points
-from .propagator import GridSpec, mass_vector
+from .propagator import GridSpec, _matsubara_sums, mass_vector
 from .cutoff import smooth_cutoff
 from .multiscale import (BandGrid, CutoffSpec, RunningCouplings,
                          band_grid_r1, band_grid_r2, _band_bounds_r1, _band_bounds_r2,
@@ -510,6 +510,14 @@ def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
 
 # --- dressed propagator and observables --------------------------------------
 
+def _scale0_weight(cutoff: CutoffSpec, support: str):
+    """_matsubara_sums weight of the scale-0 split: chi_0 ("ir") or 1 - chi_0 ("uv")."""
+    def weight(k0sq, lam2):
+        chi0 = smooth_cutoff(np.sqrt(k0sq + lam2) / cutoff.a0)
+        return chi0 if support == "ir" else 1.0 - chi0
+    return weight
+
+
 def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
                    grid: GridSpec, cutoff: CutoffSpec | None = None) -> np.ndarray:
     """One-loop self-energy of the region above scale 0: weight (1 - chi_0)
@@ -520,18 +528,12 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
     needed (e.g. comparing against the full-support velocity integrals).
     """
     cutoff = cutoff or default_cutoff(p)
-    k0 = grid.matsubara_frequencies()
-    cut = smooth_cutoff(np.abs(k0) / 2.0 ** grid.M)
     kbar = grid.spatial_momenta()
     m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
-    lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
-    s0 = np.zeros(kbar.shape[0])
-    for lo in range(0, k0.size, 4096):
-        k0c = k0[lo:lo + 4096, None]
-        e = np.sqrt(k0c ** 2 + lam2[None, :])
-        w = cut[lo:lo + 4096, None] * (1.0 - smooth_cutoff(e / cutoff.a0))
-        s0 += np.sum(w / (k0c ** 2 + lam2[None, :]), axis=0)
-    s0 /= grid.beta
+    # the Hartree piece (tr of the ik0 entries) is the a of the paired sum,
+    # exactly 0 at x0 = 0: half filling
+    s0, _ = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, grid.M,
+                            extra=_scale0_weight(cutoff, "uv"))
     d = inter.v_hat(kk_abs[1] - kbar[:, 0], kk_abs[2] - kbar[:, 1],
                     kk_abs[3] - kbar[:, 2])
     fock = np.zeros((2, 2), complex)
@@ -540,8 +542,6 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
     fock[0, 1] = np.sum(d * (m1 - 1j * m2) * s0)
     fock[1, 0] = np.sum(d * (m1 + 1j * m2) * s0)
     fock /= grid.L ** 3
-    # the Hartree piece (tr of the ik0 entries) cancels in the symmetric
-    # frequency sum: half filling
     return -U * fock
 
 
@@ -595,24 +595,12 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
         raise ValueError("asymptotic constants need semimetal parameters")
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
-    k0 = grid.matsubara_frequencies()
-    cut = smooth_cutoff(np.abs(k0) / 2.0 ** grid.M)
     kbar = grid.spatial_momenta()
     m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
-    lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
-
     cutoff = cutoff or default_cutoff(p)
     # frequency-summed propagator entries per kbar (even part only survives)
-    s0 = np.zeros(kbar.shape[0])
-    for lo in range(0, k0.size, 4096):
-        k0c = k0[lo:lo + 4096, None]
-        w = cut[lo:lo + 4096, None] * np.ones_like(lam2)[None, :]
-        if support != "full":
-            e = np.sqrt(k0c ** 2 + lam2[None, :])
-            chi0 = smooth_cutoff(e / cutoff.a0)
-            w = w * (chi0 if support == "ir" else (1.0 - chi0))
-        s0 += np.sum(w / (k0c ** 2 + lam2[None, :]), axis=0)
-    s0 /= grid.beta
+    s0, _ = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, grid.M,
+                            extra=None if support == "full" else _scale0_weight(cutoff, support))
     g_tr = np.stack([m3 * s0, m1 * s0, m2 * s0])  # sigma3, sigma1, sigma2 parts
 
     def fock(kvec):

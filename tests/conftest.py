@@ -1,7 +1,9 @@
 import warnings
 
+import numpy as np
 import pytest
 
+from weylrg.cutoff import smooth_cutoff
 from weylrg.lattice import build_params
 
 
@@ -27,3 +29,25 @@ def _quiet_band_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         yield
+
+
+def _brute_matsubara_sums(grid, lam2, M, x0=0.0, extra=None):
+    """(s0, a) of propagator._matsubara_sums as the plain complex sum over
+    both signs of k0 and every entry of lam2, chunked over frequencies."""
+    k0 = grid.matsubara_frequencies(M)
+    w = smooth_cutoff(np.abs(k0) / 2.0 ** M) * np.exp(-1j * k0 * x0)
+    s0 = np.zeros(lam2.size, complex)
+    a = np.zeros(lam2.size, complex)
+    for lo in range(0, k0.size, 4096):
+        k0c = k0[lo:lo + 4096, None]
+        g = w[lo:lo + 4096, None] / (k0c ** 2 + lam2[None, :])
+        if extra is not None:
+            g = g * extra(k0c ** 2, lam2[None, :])
+        s0 += np.sum(g, axis=0)
+        a += np.sum(g * (1j * k0c), axis=0)
+    return s0 / grid.beta, a / grid.beta
+
+
+@pytest.fixture(scope="session")
+def brute_matsubara():
+    return _brute_matsubara_sums

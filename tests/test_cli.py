@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from weylrg.cli import H_MIN_FLOOR, MAX_PROPAGATOR_ROWS, dispatch
+from weylrg.cli import H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, dispatch
 from weylrg.lattice import build_params
 from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
 
@@ -187,6 +187,17 @@ def test_solve_nu_subcommand(tmp_path):
     {"tol": "small"},
     {"damping": 0.5},        # solver keys of the old damped iteration
     {"max_iter": 200},
+    {"n_k": MAX_N_K + 1},    # band memory grows as n_k^4
+    {"U": "abc"},            # used to exit 2: could not convert string to float
+    {"U": float("nan")},     # used to exit 2: regime-2 band empty
+    {"U": float("inf")},
+    {"U": True},
+    {"eps0": "x"},           # used to exit 2: could not convert string to float
+    {"eps0": float("nan")},  # used to exit 0 with the coupling window off
+    {"eps0": 0.0},
+    {"eps0": -0.5},
+    {"eps0": float("inf")},
+    {"eps0": False},
 ])
 def test_flow_input_rejected_up_front(tmp_path, sub, bad):
     path = write_cfg(tmp_path, dict(BASE, flow=dict(BASE["flow"], **bad)))
@@ -206,3 +217,15 @@ def test_flow_input_edges_accepted(tmp_path):
         assert dispatch(["solve-nu", "--config", path, "--out", str(tmp_path / "o")]) == 0
         data = json.loads((tmp_path / "o" / "flow.json").read_text())
         assert data["solver"] == {"tol": float(flow.get("tol", 1e-10))}
+    # integer U and eps0 are numbers too; a tiny eps0 reaches run_flow's window
+    for U, eps0, code in ((0, 1, 0), (0.05, 1e-12, 2)):
+        path = write_cfg(tmp_path, dict(BASE, flow={"U": U, "h_min": -3, "n_k": 8, "eps0": eps0}))
+        assert dispatch(["flow", "--config", path, "--out", str(tmp_path / "o")]) == code
+
+
+def test_threads_flag_gone(tmp_path):
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert dispatch(["weyl", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+    assert dispatch(["weyl", "--config", cfg, "--out", str(out)]) == 0
+    assert "threads" not in json.loads((out / "manifest.json").read_text())

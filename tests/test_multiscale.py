@@ -125,6 +125,28 @@ def test_regime2_omega_symmetry(p_star):
     assert np.max(np.abs(np.abs(gp) - np.abs(gm))) < 1e-12 * max(1.0, np.max(np.abs(gp)))
 
 
+def test_position_values_match_all_entries_einsum(p_star):
+    cut = ms.default_cutoff(p_star)
+    c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
+    emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut, 0)
+    sp = (2 * emax / 10, 2 * ext12 / 10, 2 * k3max / 10)
+    bg = ms.band_grid_r2(-3, +1, c, p_star, None, cut, 0, warn_sparse=False, spacings=sp)
+    x0s, x1s, x2s = [0.0, 2.0 / emax], [0.0, 1.0 / ext12], [0.0, 2.0 / ext12, -1.0 / ext12]
+    x3s = np.linspace(0.0, 4.0 / k3max, 5)
+    phases = [np.exp(-1j * np.outer(x, k))
+              for x, k in zip((x0s, x1s, x2s, x3s), (bg.k0s, bg.k1s, bg.k2s, bg.k3s))]
+    ent = bg.entries()
+    want = np.stack([bg.cell * np.einsum("abcd,ea,fb,gc,hd->efgh", f, *phases) for f in ent],
+                    axis=-1).reshape(2, 2, 3, 5, 2, 2)
+    got = bg.position_values(x0s, x1s, x2s, x3s)
+    assert isinstance(ent, tuple) and len(ent) == 4
+    assert got.shape == (2, 2, 3, 5, 2, 2)
+    # to 1e-13 of the largest sum of |summands|, which bounds every value
+    assert np.max(np.abs(got - want)) <= 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
+    # the entries made one at a time and the entries passed in agree exactly
+    assert np.array_equal(got, bg.position_values(x0s, x1s, x2s, x3s, entries=ent))
+
+
 def test_quasiparticle_split_sum_rule(p_star):
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2)

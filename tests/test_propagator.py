@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylrg.lattice import build_params, weyl_points
 from weylrg.propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
+                               _matsubara_sums, mass_vector,
                                build_propagator_grid, counterterm_nu_C, energy_scale,
                                equal_time_jump, free_propagator, inverse_propagator,
                                normalize_time, regularized_propagator_sum,
@@ -241,3 +243,39 @@ def test_normalize_time_closed_form():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             normalize_time(bad, 8.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(L=st.integers(1, 16), beta=st.floats(1e-3, 500.0), M=st.integers(0, 12))
+def test_matsubara_frequencies_exactly_antisymmetric(L, beta, M):
+    # _matsubara_sums pairs k0 with -k0: the second half of the frequencies
+    # must be the first half negated and reversed, bit for bit
+    k0 = GridSpec(L=L, beta=beta, M=M).matsubara_frequencies()
+    half = k0.size // 2
+    assert k0.size == 2 * half
+    assert np.array_equal(k0[:half].view(np.uint64), (-k0[half:][::-1]).view(np.uint64))
+
+
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("x0", [0.0, 0.5, -0.5, 7.5])
+def test_matsubara_sums_match_brute_force(p_star, brute_matsubara, L, x0):
+    grid = GridSpec(L=L, beta=8.0, M=12)  # 20,860 frequencies: several chunks
+    kbar = grid.spatial_momenta()
+    m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p_star)
+    lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
+    assert np.unique(lam2).size < lam2.size  # the distinct-value path is taken
+    # values 1e-9 apart must stay apart, and generic values too
+    rng = np.random.default_rng(12)
+    lam2 = np.concatenate([lam2, lam2 * (1.0 + 1e-9), rng.uniform(0.0, 9.0, 40)])
+
+    def damping(k0sq, lam2):
+        return np.exp(-(k0sq + lam2))
+
+    for extra in (None, damping):
+        s0, a = _matsubara_sums(grid, lam2, 12, x0, extra)
+        b0, ba = brute_matsubara(grid, lam2, 12, x0, extra)
+        for got, want in ((s0, b0), (a, ba)):
+            assert got.dtype == float and got.shape == lam2.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(b0))
+        if x0 == 0.0:
+            assert np.all(a == 0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from weylrg.cutoff import smooth_cutoff
 from weylrg.lattice import build_params, weyl_points
 from weylrg.propagator import GridSpec, inverse_propagator
 from weylrg import multiscale as ms
@@ -322,6 +323,41 @@ def test_asymptotic_constants_support_additivity(p_star):
     uv = rg.asymptotic_constants(p_star, INTER, grid, support="uv")
     assert full[0] == pytest.approx(ir[0] + uv[0], rel=1e-10)
     assert full[1] == pytest.approx(ir[1] + uv[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(L=4, beta=8.0, M=8), GridSpec(L=6, beta=64.0, M=6)])
+def test_frequency_sums_match_brute_force(p_star, brute_matsubara, monkeypatch, grid):
+    """uv_self_energy and asymptotic_constants on the paired real reduction
+    against the same code on the complex sum over both signs of k0, with the
+    scale-0 weights written out here."""
+    a0 = ms.default_cutoff(p_star).a0
+
+    def chi0(k0sq, lam2):
+        return smooth_cutoff(np.sqrt(k0sq + lam2) / a0)
+
+    def one_minus_chi0(k0sq, lam2):
+        return 1.0 - chi0(k0sq, lam2)
+
+    kk = (0.1, 0.2, 0.3, 1.0)
+    cases = [(lambda: rg.uv_self_energy(kk, p_star, INTER, 0.05, grid), one_minus_chi0)]
+    cases += [(lambda s=s: rg.asymptotic_constants(p_star, INTER, grid, support=s), w)
+              for s, w in (("full", None), ("ir", chi0), ("uv", one_minus_chi0))]
+    paired, brute = [], []
+    for fn, weight in cases:
+        def brute_sums(grid, lam2, M, x0=0.0, extra=None, weight=weight):
+            s0, a = brute_matsubara(grid, lam2, M, x0, weight)
+            assert np.all(s0.imag == 0.0)
+            return s0.real, a.real
+
+        paired.append(np.asarray(fn(), complex).ravel().view(float))
+        with monkeypatch.context() as m:
+            m.setattr(rg, "_matsubara_sums", brute_sums)
+            brute.append(np.asarray(fn(), complex).ravel().view(float))
+    for got, want in zip(paired, brute):
+        assert np.array_equal(got == 0.0, want == 0.0)  # exact zeros stay exactly 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the scale-0 support misses every frequency of the beta = 8 grid
+    assert np.all(paired[2] == 0.0) == (grid.beta == 8.0)
 
 
 @pytest.mark.slow
