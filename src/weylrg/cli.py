@@ -266,6 +266,14 @@ def _cmd_scales(cfg, w: RunWriter):
         "telescoping_worst": worst})
 
 
+def _int_key(block: dict, where: str, key: str, default: int) -> int:
+    """block[key] (default if absent), which must be a JSON integer, not a boolean."""
+    val = block.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
+    return val
+
+
 def _flow_inputs(f: dict, U_default: float):
     """(h_min, n_k, tol, U, eps0) of the 'flow' block, checked before any work.
 
@@ -273,11 +281,8 @@ def _flow_inputs(f: dict, U_default: float):
     H_MIN_FLOOR = -40 <= h_min <= 0; U must be a finite number, tol and
     eps0 finite positive numbers.
     """
-    h_min, n_k, tol = f.get("h_min", -6), f.get("n_k", 12), f.get("tol", 1e-10)
-    U, eps0 = f.get("U", U_default), f.get("eps0", 0.5)
-    for key, val in (("h_min", h_min), ("n_k", n_k)):
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"flow.{key} must be an integer, got {val!r}")
+    h_min, n_k = _int_key(f, "flow", "h_min", -6), _int_key(f, "flow", "n_k", 12)
+    tol, U, eps0 = f.get("tol", 1e-10), f.get("U", U_default), f.get("eps0", 0.5)
     if not 2 <= n_k <= MAX_N_K:
         raise ConfigError(f"flow.n_k = {n_k} lies outside [2, {MAX_N_K}]: below 2 the "
                           f"bands cannot be resolved, above {MAX_N_K} they take over 1 GB")
@@ -316,13 +321,17 @@ def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
 def _cmd_bounds_check(cfg, w: RunWriter):
     p = _params(cfg)
     a = cfg.get("audit", {})
-    regime = int(a.get("regime", 1))
-    h_top = int(a.get("h_top", -2))
-    h_bot = int(a.get("h_bottom", -5))
+    regime, h_top, h_bot, N, x_points = (_int_key(a, "audit", key, default) for key, default in (
+        ("regime", 1), ("h_top", -2), ("h_bottom", -5), ("N", 28), ("x_points", 25)))
+    if regime not in (1, 2):
+        raise ConfigError(f"audit.regime must be 1 or 2, got {regime}")
+    if h_bot > h_top:
+        raise ConfigError(f"audit.h_bottom = {h_bot} lies above audit.h_top = {h_top}")
+    if regime == 2 and not p.r > 0:
+        raise ConfigError(f"audit.regime = 2 needs a semimetal (r > 0), got r = {p.r:g}")
     c0 = initial_couplings(p, regime=regime)
     rep = decay_audit(range(h_bot, h_top + 1), lambda h: c0.replace(h=h), p,
-                      regime=regime, N=int(a.get("N", 28)),
-                      x_points=int(a.get("x_points", 25)),
+                      regime=regime, N=N, x_points=x_points,
                       h_star=crossover_scale(p) if regime == 2 else None)
     w.write_csv("decay.csv",
                 ("h", "sup_norm", "fitted_constant", "width_x0", "width_x3", "l1_mass"),

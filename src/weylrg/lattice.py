@@ -9,6 +9,7 @@ hopping t_prime and a sublattice offset mu.  All energies are in natural units
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,31 +91,52 @@ def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> Ho
     return p
 
 
-def _k_pm(k1, k2):
-    return (k1 + k2) / 2.0, (k1 - k2) / 2.0
+def mass_vector(k1, k2, k3, p: HoppingParams, v=None, v3=None, regime: int = 1,
+                omega: int = 1):
+    """(m1, m2, m3) of the reference matrix m.sigma; broadcasts over arrays.
+
+    m1 = v sin k+, m2 = v sin k-, and with E(kbar) = t'(1 - cos k+ cos k-)
+
+      regime 1:  m3 = v3 (cos k3 - 1 + r) + E(kbar),
+      regime 2:  m3 = -omega v3 sin k3' + t_perp cos p_F (cos k3' - 1) + E(kbar),
+
+    where regime 2 takes k3 = k3' relative to the Weyl point omega p_F.  v and
+    v3 default to the bare t and t_perp, where the regime-1 vector is the Bloch
+    vector; regime 2 is the same vector when v3 = t_perp sin p_F.
+    """
+    v = p.t if v is None else v
+    v3 = p.t_perp if v3 is None else v3
+    k1 = np.asarray(k1, float)
+    kp, km = (k1 + k2) / 2.0, (k1 - k2) / 2.0
+    E = p.t_prime * (1.0 - np.cos(kp) * np.cos(km))
+    k3 = np.asarray(k3, float)
+    if regime == 1:
+        m3 = v3 * (np.cos(k3) - 1.0 + p.r) + E
+    else:
+        eprime = p.t_perp * math.cos(weyl_points(p).p_F) * (np.cos(k3) - 1.0) + E
+        m3 = -omega * v3 * np.sin(k3) + eprime
+    return v * np.sin(kp), v * np.sin(km), m3
 
 
-def sigma3_coefficient(k1, k2, k3, p: HoppingParams):
-    """Mass-like band term mu + t_perp cos k3 - (t'/2)(cos k1 + cos k2)."""
-    return p.mu + p.t_perp * np.cos(k3) - 0.5 * p.t_prime * (np.cos(k1) + np.cos(k2))
+def band_energy(k0, m):
+    """sqrt(k0^2 + lambda^2) with lambda^2 = |m|^2, i.e. |det(-i k0 I + m.sigma)|^(1/2).
+
+    k0 broadcasts against the mass arrays m = (m1, m2, m3); scalars give a float.
+    """
+    m1, m2, m3 = m
+    e = np.sqrt(np.asarray(k0, float) ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2))
+    return e if e.ndim else float(e)
 
 
 def bloch_matrix(k, p: HoppingParams) -> np.ndarray:
-    """Hermitian 2x2 Bloch matrix t sin(k+) s1 + t sin(k-) s2 + m3(k) s3."""
-    k1, k2, k3 = k
-    kp, km = _k_pm(k1, k2)
-    m3 = sigma3_coefficient(k1, k2, k3, p)
-    return (p.t * np.sin(kp) * SIGMA1 + p.t * np.sin(km) * SIGMA2 + m3 * SIGMA3)
+    """Hermitian 2x2 Bloch matrix m.sigma of the bare mass vector."""
+    m1, m2, m3 = mass_vector(*k, p)
+    return m1 * SIGMA1 + m2 * SIGMA2 + m3 * SIGMA3
 
 
 def dispersion(k, p: HoppingParams):
     """Positive band energy lambda(k); accepts scalars or broadcastable arrays."""
-    k1, k2, k3 = k
-    kp, km = _k_pm(np.asarray(k1, float), np.asarray(k2, float))
-    m3 = sigma3_coefficient(np.asarray(k1, float), np.asarray(k2, float),
-                            np.asarray(k3, float), p)
-    lam = np.sqrt(p.t ** 2 * (np.sin(kp) ** 2 + np.sin(km) ** 2) + m3 ** 2)
-    return lam if lam.ndim else float(lam)
+    return band_energy(0.0, mass_vector(*k, p))
 
 
 def classify_phase(p: HoppingParams) -> PhaseLabel:

@@ -15,13 +15,22 @@ in momenta k' relative to a Weyl point omega p_F:
 
 again exact at bare couplings (v3 enters regime 2 as t_perp sin p_F).  The
 planar curvature E and the axial curvature prefactor t_perp cos p_F stay
-frozen at their bare values; only (Z, v, v3) run.
+frozen at their bare values; only (Z, v, v3) run.  Both are
+lattice.mass_vector at the running (v, v3).
 
 Cutoff chains: chi_h = chibar(a0^-1 2^-h |det A_h|^(1/2)) in regime 1 with
 a0 = t_perp/10; in regime 2 chi_h = chibar((b0/2) 2^-h |det A_{h,omega}|^(1/2)),
 which at h = h*-1 is the two-component cutoff chibar(b0 2^-h* ...).  b0 is
 chosen so that support is disconnected across the k3 = 0 plane; the default
 puts the cutoff argument at 4 on the inter-valley saddle (energy t_perp |r|).
+
+Every band is built by _band: the support box of its scale on given or
+adapted (_adapted_band: n steps per box axis) spacings, its mass arrays,
+e = |det A_h|^(1/2) and the weight chi_h(e) minus a lower cutoff.  That is
+chi_{h-1} of the same chain for a single-scale band, the two-component
+chi_{h*-1} of the valley split for the bridge band at h*, and nothing for the
+insulator tail.  The valley split theta(omega k3) chi_{h*-1} (_valley_split)
+also serves quasiparticle_split and disconnection_check.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cutoff import smooth_cutoff
-from .lattice import HoppingParams, weyl_points
+from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
 from .propagator import GridSpec, PropagatorGrid
 
 MIN_BAND_POINTS = 100
@@ -116,38 +125,10 @@ def default_cutoff(p: HoppingParams, h_star: int | None = None) -> CutoffSpec:
 
 # --- scale reference matrices ---------------------------------------------
 
-def _planar_terms(k1, k2, p: HoppingParams, c: RunningCouplings):
-    kp, km = (np.asarray(k1, float) + k2) / 2.0, (np.asarray(k1, float) - k2) / 2.0
-    m1 = c.v * np.sin(kp)
-    m2 = c.v * np.sin(km)
-    E = p.t_prime * (1.0 - np.cos(kp) * np.cos(km))
-    return m1, m2, E
-
-
-def mass_vector_r1(k1, k2, k3, c: RunningCouplings, p: HoppingParams):
-    m1, m2, E = _planar_terms(k1, k2, p, c)
-    m3 = c.v3 * (np.cos(np.asarray(k3, float)) - 1.0 + p.r) + E
-    return m1, m2, m3
-
-
-def mass_vector_r2(k1, k2, k3p, omega: int, c: RunningCouplings, p: HoppingParams):
-    wp = weyl_points(p)
-    m1, m2, E = _planar_terms(k1, k2, p, c)
-    k3p = np.asarray(k3p, float)
-    eprime = p.t_perp * math.cos(wp.p_F) * (np.cos(k3p) - 1.0) + E
-    m3 = -omega * c.v3 * np.sin(k3p) + eprime
-    return m1, m2, m3
-
-
 def energy_scale_h(kk, c: RunningCouplings, p: HoppingParams, regime: int = 1, omega: int = 1):
     """|det A_h|^(1/2) for the scale-h reference matrix (k' momenta in regime 2)."""
     k0, k1, k2, k3 = kk
-    if regime == 1:
-        m1, m2, m3 = mass_vector_r1(k1, k2, k3, c, p)
-    else:
-        m1, m2, m3 = mass_vector_r2(k1, k2, k3, omega, c, p)
-    e = np.sqrt(np.asarray(k0, float) ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2)
-    return e if e.ndim else float(e)
+    return band_energy(k0, mass_vector(k1, k2, k3, p, c.v, c.v3, regime, omega))
 
 
 def _chi_arg(h, regime, cutoff: CutoffSpec):
@@ -223,10 +204,9 @@ class BandGrid:
         return self._k0_cache[1], self._k0_cache[2]
 
     def mass_arrays(self):
-        K1, K2, K3 = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")
-        if self.regime == 1:
-            return mass_vector_r1(K1, K2, K3, self.couplings, self.params)
-        return mass_vector_r2(K1, K2, K3, self.omega, self.couplings, self.params)
+        box = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")
+        c = self.couplings
+        return mass_vector(*box, self.params, c.v, c.v3, self.regime, self.omega)
 
     def _entry_iter(self, mass_override=None):
         """The entries 00, 01, 10, 11 of entries(), made one at a time."""
@@ -295,6 +275,26 @@ def _band_bounds_r1(h, c, p, cutoff):
     return emax, 2.0 * dpm, k3_lo, k3_hi
 
 
+def _band_bounds_r2(h, c, p, cutoff, h_star):
+    emax = 4.0 * 2.0 ** h / cutoff.b0
+    dpm = math.asin(min(1.0, emax / c.v))
+    e_ub = p.t_prime * dpm ** 2
+    wp = weyl_points(p)
+    k3max = math.asin(min(1.0, emax / c.v3))
+    for _ in range(3):
+        curv = p.t_perp * abs(math.cos(wp.p_F)) * (1.0 - math.cos(min(k3max, math.pi / 2)))
+        k3max = math.asin(min(1.0, (emax + e_ub + curv) / c.v3))
+    return emax, 2.0 * dpm, min(1.5 * k3max, math.pi)
+
+
+def _band_extents(h, regime, c, p, cutoff, h_star):
+    """(emax, planar extent, k3 extent) of the scale-h support box."""
+    if regime == 1:
+        emax, ext12, _, k3_hi = _band_bounds_r1(h, c, p, cutoff)
+        return emax, ext12, k3_hi
+    return _band_bounds_r2(h, c, p, cutoff, h_star)
+
+
 def _resolve_spacings(grid: GridSpec | None, spacings):
     """(d0, d12, d3) momentum spacings, from a GridSpec or given directly.
 
@@ -312,6 +312,64 @@ def _resolve_spacings(grid: GridSpec | None, spacings):
     return d0, d12, d3, cell
 
 
+def _band(h, regime, omega, c, p, cutoff, grid=None, spacings=None, h_star=None,
+          lower="chain", warn_sparse=False) -> BandGrid:
+    """The one band builder: the scale-h support box on the given spacings,
+    its mass arrays, e = sqrt(k0^2 + lambda^2) and the weight chi_h(e) - lower.
+
+    lower is "chain" (chi_{h-1} of the same chain, so the weight is f_h),
+    "valleys" (the two-component chi_{h-1} of the regime-2 chain through the
+    valley split, clipped at 0: the bridge band at h = h*) or None (no lower
+    cutoff: the insulator tail).  Regime-2 boxes hold k3' relative to omega
+    p_F, clipped to the theta(omega k3) window (-p_F, pi - p_F) of the Weyl
+    point snapped to the k3 axis spacing.
+    """
+    d0, d12, d3, cell = _resolve_spacings(grid, spacings)
+    fields = {}
+    if regime == 1:
+        emax, ext12, k3_lo, k3_hi = _band_bounds_r1(h, c, p, cutoff)
+        arc = _axis_values(d3, max(0.0, k3_lo - d3), min(np.pi, k3_hi + d3))
+        k3s = np.unique(np.round(np.concatenate([-arc[::-1], arc]), 15))
+    else:
+        if h > h_star - 1:
+            raise ValueError(f"regime-2 band needs h <= h*-1 = {h_star - 1}")
+        emax, ext12, k3max = _band_bounds_r2(h, c, p, cutoff, h_star)
+        p_F = weyl_points(p).p_F
+        p_F_snap = round(p_F / d3) * d3
+        k3s = _axis_values(d3, max(-k3max - d3, -p_F_snap + d3 / 2),
+                           min(k3max + d3, np.pi - p_F_snap - d3 / 2))
+        fields = dict(snap_offset=p_F - p_F_snap, k3_origin=omega * p_F)
+    k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
+    k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
+    shape = (k0s.size, k12.size, k12.size, k3s.size)
+    if 0 in shape:
+        weight = np.zeros(shape)
+    else:
+        box = np.meshgrid(k12, k12, k3s, indexing="ij")
+        k0 = k0s[:, None, None, None]
+        e = band_energy(k0, mass_vector(*box, p, c.v, c.v3, regime, omega))
+        weight = smooth_cutoff(_chi_arg(h, regime, cutoff) * e)
+        if lower == "chain":
+            weight = weight - smooth_cutoff(_chi_arg(h - 1, regime, cutoff) * e)
+        elif lower == "valleys":
+            low = _valley_split(k0, *box, h, c, p, cutoff)
+            weight = np.clip(weight - (low[+1] + low[-1]), 0.0, None)
+    bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, weight, cell, c, p, **fields)
+    if warn_sparse and bg.support_points < MIN_BAND_POINTS:
+        warnings.warn(f"regime-{regime} band at h={h} holds {bg.support_points} grid "
+                      f"momenta (< {MIN_BAND_POINTS}); grid too coarse", stacklevel=3)
+    return bg
+
+
+def _adapted_band(h, regime, omega, c, p, cutoff, n, h_star=None, lower="chain",
+                  n3=None) -> BandGrid:
+    """Band on the virtual grid that spans each axis of its support box in n
+    steps (n3 steps in k3, default n): the one adaptive-spacing rule."""
+    emax, ext12, k3ext = _band_extents(h, regime, c, p, cutoff, h_star)
+    sp = (2.0 * emax / n, 2.0 * ext12 / n, max(2.0 * k3ext / (n3 or n), 1e-12))
+    return _band(h, regime, omega, c, p, cutoff, spacings=sp, h_star=h_star, lower=lower)
+
+
 def band_grid_r1(h: int, c: RunningCouplings, p: HoppingParams, grid: GridSpec | None = None,
                  cutoff: CutoffSpec | None = None, warn_sparse: bool = True,
                  spacings=None) -> BandGrid:
@@ -320,40 +378,8 @@ def band_grid_r1(h: int, c: RunningCouplings, p: HoppingParams, grid: GridSpec |
     Only momenta inside the analytic support bounds are materialized, so large
     virtual grids stay cheap at deep scales.
     """
-    cutoff = cutoff or default_cutoff(p)
-    emax, dk12, k3_lo, k3_hi = _band_bounds_r1(h, c, p, cutoff)
-    d0, dk, d3, cell = _resolve_spacings(grid, spacings)
-    k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
-    k12 = _axis_values(dk, -dk12 - dk, dk12 + dk)
-    arc = _axis_values(d3, max(0.0, k3_lo - d3), min(np.pi, k3_hi + d3))
-    k3s = np.concatenate([-arc[::-1], arc]) if arc.size else arc
-    k3s = np.unique(np.round(k3s, 15))
-    if k0s.size == 0 or k12.size == 0 or k3s.size == 0:
-        weight = np.zeros((max(k0s.size, 0), k12.size, k12.size, k3s.size))
-    else:
-        K1, K2, K3 = np.meshgrid(k12, k12, k3s, indexing="ij")
-        m1, m2, m3 = mass_vector_r1(K1, K2, K3, c, p)
-        e = np.sqrt(k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
-        arg = _chi_arg(h, 1, cutoff) * e
-        arg_prev = _chi_arg(h - 1, 1, cutoff) * e
-        weight = smooth_cutoff(arg) - smooth_cutoff(arg_prev)
-    bg = BandGrid(h, 1, 1, k0s, k12, k12, k3s, weight, cell, c, p)
-    if warn_sparse and bg.support_points < MIN_BAND_POINTS:
-        warnings.warn(f"band at scale h={h} holds {bg.support_points} grid momenta "
-                      f"(< {MIN_BAND_POINTS}); grid too coarse", stacklevel=2)
-    return bg
-
-
-def _band_bounds_r2(h, c, p, cutoff, h_star):
-    emax = 4.0 * 2.0 ** h / cutoff.b0
-    dpm = math.asin(min(1.0, emax / c.v))
-    e_ub = p.t_prime * dpm ** 2
-    wp = weyl_points(p)
-    k3max = math.asin(min(1.0, emax / c.v3))
-    for _ in range(3):
-        curv = p.t_perp * abs(math.cos(wp.p_F)) * (1.0 - math.cos(min(k3max, math.pi / 2)))
-        k3max = math.asin(min(1.0, (emax + e_ub + curv) / c.v3))
-    return emax, 2.0 * dpm, min(1.5 * k3max, math.pi)
+    return _band(h, 1, 1, c, p, cutoff or default_cutoff(p), grid, spacings,
+                 warn_sparse=warn_sparse)
 
 
 def band_grid_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
@@ -365,35 +391,8 @@ def band_grid_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
     cutoff chibar(b0 2^-h* e) as its upper edge.  The theta(omega k3) factor
     restricts k3' to the valley's half-axis window (-p_F, pi - p_F].
     """
-    if h > h_star - 1:
-        raise ValueError(f"regime-2 band needs h <= h*-1 = {h_star - 1}")
-    wp = weyl_points(p)
-    emax, dk12, k3max = _band_bounds_r2(h, c, p, cutoff, h_star)
-    d0, dk, d3, cell = _resolve_spacings(grid, spacings)
-    k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
-    k12 = _axis_values(dk, -dk12 - dk, dk12 + dk)
-    # k3' window, clipped to theta(omega k3): k3' in (-p_F, pi - p_F) for the
-    # Weyl point snapped to the k3 axis spacing
-    p_F_snap = round(wp.p_F / d3) * d3
-    lo = max(-k3max - d3, -p_F_snap + d3 / 2)
-    hi = min(k3max + d3, np.pi - p_F_snap - d3 / 2)
-    k3s = _axis_values(d3, lo, hi)
-    snap = wp.p_F - p_F_snap
-    if k0s.size == 0 or k12.size == 0 or k3s.size == 0:
-        weight = np.zeros((k0s.size, k12.size, k12.size, k3s.size))
-    else:
-        K1, K2, K3 = np.meshgrid(k12, k12, k3s, indexing="ij")
-        m1, m2, m3 = mass_vector_r2(K1, K2, K3, omega, c, p)
-        e = np.sqrt(k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
-        chi = smooth_cutoff(_chi_arg(h, 2, cutoff) * e)
-        chi_prev = smooth_cutoff(_chi_arg(h - 1, 2, cutoff) * e)
-        weight = chi - chi_prev
-    bg = BandGrid(h, 2, omega, k0s, k12, k12, k3s, weight, cell, c, p,
-                  snap_offset=snap, k3_origin=omega * wp.p_F)
-    if warn_sparse and bg.support_points < MIN_BAND_POINTS:
-        warnings.warn(f"regime-2 band at h={h} holds {bg.support_points} grid momenta "
-                      f"(< {MIN_BAND_POINTS}); grid too coarse", stacklevel=2)
-    return bg
+    return _band(h, 2, omega, c, p, cutoff, grid, spacings, h_star,
+                 warn_sparse=warn_sparse)
 
 
 def single_scale_propagator_r1(h: int, c: RunningCouplings, p: HoppingParams,
@@ -410,6 +409,23 @@ def single_scale_propagator_r2(h: int, omega: int, c: RunningCouplings, p: Hoppi
 
 # --- quasi-particle split --------------------------------------------------
 
+def _valley_split(k0, k1, k2, k3, h_star, c: RunningCouplings, p: HoppingParams,
+                  cutoff: CutoffSpec) -> dict:
+    """{omega: theta(omega k3) chi_{h*-1}(kk)} for absolute k3 in [-pi, pi].
+
+    chi_{h*-1} is the regime-2 cutoff of valley omega at k3' = k3 - omega p_F;
+    theta(0) = 1/2 keeps the sum rule exact.  Broadcasts over arrays.
+    """
+    p_F = weyl_points(p).p_F
+    arg = _chi_arg(h_star - 1, 2, cutoff)
+    out = {}
+    for omega in (+1, -1):
+        theta = np.where(omega * k3 > 0, 1.0, np.where(k3 == 0.0, 0.5, 0.0))
+        m = mass_vector(k1, k2, k3 - omega * p_F, p, c.v, c.v3, 2, omega)
+        out[omega] = theta * smooth_cutoff(arg * band_energy(k0, m))
+    return out
+
+
 def quasiparticle_split(kk, h_star: int, c: RunningCouplings, p: HoppingParams,
                         cutoff: CutoffSpec, check: bool = True) -> dict:
     """Valley weights theta(omega k3) chi_{h*-1}(kk) for absolute momentum kk.
@@ -420,16 +436,8 @@ def quasiparticle_split(kk, h_star: int, c: RunningCouplings, p: HoppingParams,
     if check:
         disconnection_check(p, h_star, c, cutoff)
     k0, k1, k2, k3 = kk
-    k3c = math.remainder(k3, 2.0 * np.pi)
-    wp = weyl_points(p)
-    out = {}
-    for omega in (+1, -1):
-        theta = 1.0 if omega * k3c > 0 else (0.5 if k3c == 0.0 else 0.0)
-        k3p = k3c - omega * wp.p_F
-        chi = chi_support((k0, k1, k2, k3p), h_star - 1, c, p, cutoff,
-                          regime=2, omega=omega)
-        out[omega] = theta * float(chi)
-    return out
+    split = _valley_split(k0, k1, k2, math.remainder(k3, 2.0 * np.pi), h_star, c, p, cutoff)
+    return {omega: float(w) for omega, w in split.items()}
 
 
 def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
@@ -437,22 +445,19 @@ def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
     """Raise ConfigurationError if chi_{h*-1} is nonzero anywhere on k3 = 0.
 
     Scans k0 = 0, k3 = 0 over a planar grid around the origin (the inter-valley
-    saddle sits at kbar = 0 with energy t_perp |r|).
+    saddle sits at kbar = 0 with energy t_perp |r|); each valley carries
+    theta(0) = 1/2 of its chi_{h*-1} there.
     """
-    wp = weyl_points(p)
-    if wp is None:
+    if weyl_points(p) is None:
         raise ConfigurationError("disconnection check needs semimetal parameters")
     ks = np.linspace(-0.5, 0.5, n_scan)
     K1, K2 = np.meshgrid(ks, ks, indexing="ij")
-    for omega in (+1, -1):
-        k3p = -omega * wp.p_F  # absolute k3 = 0
-        m1, m2, m3 = mass_vector_r2(K1, K2, np.full_like(K1, k3p), omega, c, p)
-        e = np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
-        chi = smooth_cutoff(_chi_arg(h_star - 1, 2, cutoff) * e)
-        if np.any(chi > 0):
-            raise ConfigurationError(
-                f"chi_(h*-1) support touches the k3=0 plane (max {float(np.max(chi)):g}); "
-                "b0 too small for valley disconnection")
+    split = _valley_split(0.0, K1, K2, np.zeros_like(K1), h_star, c, p, cutoff)
+    chi = 2.0 * np.maximum(split[+1], split[-1])
+    if np.any(chi > 0):
+        raise ConfigurationError(
+            f"chi_(h*-1) support touches the k3=0 plane (max {float(np.max(chi)):g}); "
+            "b0 too small for valley disconnection")
 
 
 # --- relativistic split ----------------------------------------------------
@@ -465,10 +470,8 @@ def relativistic_split_r2(h: int, omega: int, c: RunningCouplings, p: HoppingPar
     bg = band_grid_r2(h, omega, c, p, grid, cutoff, h_star,
                       warn_sparse=False, spacings=spacings)
     full = bg.entries()
-    K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
-    m1, m2, _ = mass_vector_r2(K1, K2, K3, omega, c, p)
-    m3_rel = -omega * c.v3 * np.sin(K3)
-    rel = bg.entries(mass_override=(m1, m2, m3_rel))
+    m1, m2, _ = bg.mass_arrays()
+    rel = bg.entries(mass_override=(m1, m2, -omega * c.v3 * np.sin(bg.k3s)))
     rem = tuple(a - b for a, b in zip(full, rel))
     return bg, rel, rem
 
@@ -550,20 +553,12 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
     expected = 2.5 if regime == 1 else 3.0
     for h in sorted(h_range, reverse=True):
         c = c_of_h(h)
-        if regime == 1:
-            emax, ext12, k3lo, k3hi = _band_bounds_r1(h, c, p, cutoff)
-            sp = (2.0 * emax / N, 2.0 * ext12 / N, max(2.0 * k3hi / N, 1e-12))
-            bg = band_grid_r1(h, c, p, cutoff=cutoff, warn_sparse=False, spacings=sp)
-        else:
-            emax, ext12, k3max = _band_bounds_r2(h, c, p, cutoff, h_star)
-            sp = (2.0 * emax / N, 2.0 * ext12 / N, max(2.0 * k3max / N, 1e-12))
-            bg = band_grid_r2(h, omega, c, p, None, cutoff, h_star,
-                              warn_sparse=False, spacings=sp)
+        bg = _adapted_band(h, regime, omega, c, p, cutoff, N, h_star)
         if bg.support_points < MIN_BAND_POINTS:
             raise InsufficientGridError(
                 f"band at h={h} resolves only {bg.support_points} momenta")
         # core widths from the band extents; sample ~6 widths per axis
-        w0 = 1.0 / emax
+        w0 = 1.0 / _band_extents(h, regime, c, p, cutoff, h_star)[0]
         w3 = 1.0 / max(np.max(np.abs(bg.k3s)), 1e-12)
         x0s = np.linspace(0.0, 6.0 * w0, x_points)
         x3s = np.linspace(0.0, 6.0 * w3, x_points)

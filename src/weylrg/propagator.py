@@ -3,9 +3,9 @@
 Conventions (fixed once, used everywhere):
 
   A(kk) = -i k0 I + t sin(k+) s1 + t sin(k-) s2 + m3(kbar) s3,
-  m3    = mu - t' + t_perp cos k3 + E(kbar),  E(kbar) = t'(1 - cos k+ cos k-),
+  m3    = t_perp (cos k3 - 1 + r) + E(kbar),  E(kbar) = t'(1 - cos k+ cos k-),
 
-so that m3 equals the Bloch sigma3 coefficient identically and
+the bare lattice.mass_vector, which is the Bloch vector, so
 det A = -(k0^2 + lambda(kbar)^2) holds exactly.  Position space uses
 
   S0(x) = (1/(L^3 beta)) sum_kk e^{-i kk.x} A^{-1}(kk),
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import smooth_cutoff
-from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3
+from .lattice import (HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, band_energy,
+                      mass_vector)
 
 Momentum4 = tuple  # (k0, k1, k2, k3)
 
@@ -73,18 +74,6 @@ class GridSpec:
             return math.inf
 
 
-def mass_vector(k1, k2, k3, p: HoppingParams):
-    """(m1, m2, m3) with A(kk) = -i k0 I + m . sigma; broadcasts over arrays."""
-    k1 = np.asarray(k1, float)
-    k2 = np.asarray(k2, float)
-    k3 = np.asarray(k3, float)
-    kp, km = (k1 + k2) / 2.0, (k1 - k2) / 2.0
-    m1 = p.t * np.sin(kp)
-    m2 = p.t * np.sin(km)
-    m3 = p.mu - p.t_prime + p.t_perp * np.cos(k3) + p.t_prime * (1.0 - np.cos(kp) * np.cos(km))
-    return m1, m2, m3
-
-
 def inverse_propagator(kk, p: HoppingParams) -> np.ndarray:
     """A(kk) as a dense 2x2 complex matrix."""
     k0, k1, k2, k3 = kk
@@ -95,9 +84,7 @@ def inverse_propagator(kk, p: HoppingParams) -> np.ndarray:
 def energy_scale(kk, p: HoppingParams):
     """|det A|^(1/2) = sqrt(k0^2 + lambda(kbar)^2); broadcasts over arrays."""
     k0, k1, k2, k3 = kk
-    m1, m2, m3 = mass_vector(k1, k2, k3, p)
-    e = np.sqrt(np.asarray(k0, float) ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2)
-    return e if e.ndim else float(e)
+    return band_energy(k0, mass_vector(k1, k2, k3, p))
 
 
 def _ainv_entries(k0, m1, m2, m3):
@@ -116,11 +103,11 @@ def free_propagator(kk, p: HoppingParams) -> np.ndarray:
     The on-shell test allows for roundoff in the band terms (cos pi/3 etc.):
     energy scales below 1e-12 count as singular.
     """
-    if energy_scale(kk, p) < 1e-12:
-        raise SingularMomentumError(f"free propagator is singular at kk = {kk}")
     k0, k1, k2, k3 = kk
-    m1, m2, m3 = mass_vector(k1, k2, k3, p)
-    a, b, c, d = _ainv_entries(float(k0), m1, m2, m3)
+    m = mass_vector(k1, k2, k3, p)
+    if band_energy(k0, m) < 1e-12:
+        raise SingularMomentumError(f"free propagator is singular at kk = {kk}")
+    a, b, c, d = _ainv_entries(float(k0), *m)
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
@@ -178,8 +165,8 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
     branch_positive = x0 > 0 if side is None else (side == "+")
 
     kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
-    lam = np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
+    m1, m2, m3 = mass_vector(*kbar.T, p)
+    lam = band_energy(0.0, (m1, m2, m3))
     gp = _mode_propagator(lam, x0, beta, branch_positive)
     gm = _mode_propagator(-lam, x0, beta, branch_positive)
     c0 = 0.5 * (gp + gm)
@@ -227,7 +214,7 @@ def _frequency_reduced(x0: float, grid: GridSpec, p: HoppingParams, M: int):
     Returns the four (L^3,) arrays of the 2x2 entries.
     """
     kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
+    m1, m2, m3 = mass_vector(*kbar.T, p)
     s0, a = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, M, x0)
     return a + m3 * s0, (m1 - 1j * m2) * s0, (m1 + 1j * m2) * s0, a - m3 * s0
 
@@ -395,7 +382,7 @@ def build_propagator_grid(grid: GridSpec, p: HoppingParams, M: int | None = None
     cut = smooth_cutoff(np.abs(k0) / 2.0 ** M)
     k0, w = k0[cut > 0], cut[cut > 0, None]
     kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
+    m1, m2, m3 = mass_vector(*kbar.T, p)
     nk0, nkb = k0.size, kbar.shape[0]
     mom = np.empty((nk0, nkb, 4))
     mom[:, :, 0] = k0[:, None]

@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, weyl_points
-from .propagator import GridSpec, _matsubara_sums, mass_vector
+from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, weyl_points
+from .propagator import GridSpec, _matsubara_sums, inverse_propagator
 from .cutoff import smooth_cutoff
-from .multiscale import (BandGrid, CutoffSpec, RunningCouplings,
-                         band_grid_r1, band_grid_r2, _band_bounds_r1, _band_bounds_r2,
+from .multiscale import (BandGrid, CutoffSpec, RunningCouplings, _adapted_band,
                          crossover_scale, default_cutoff, initial_couplings)
 
 
@@ -234,76 +233,27 @@ def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionS
     cutoff = cutoff or default_cutoff(p)
     if h >= 0:
         return np.zeros((2, 2), complex)
-    bands = [_adapted_band_r1(k, c.replace(h=k), p, cutoff, n_k)
-             for k in range(0, h, -1)]
-    return band_self_energy(kk, bands, inter, U)
+    bands = [_adapted_band(k, 1, 1, c.replace(h=k), p, cutoff, n_k) for k in range(0, h, -1)]
+    return band_self_energy(kk, _require_support(bands), inter, U)
 
 
-def _adapted_band_r1(h, c, p, cutoff, n_k, allow_empty: bool = False) -> BandGrid:
-    emax, ext12, k3lo, k3hi = _band_bounds_r1(h, c, p, cutoff)
-    sp = (2.0 * emax / n_k, 2.0 * ext12 / n_k, max(2.0 * k3hi / n_k, 1e-12))
-    bg = band_grid_r1(h, c, p, cutoff=cutoff, warn_sparse=False, spacings=sp)
-    if bg.support_points == 0 and not allow_empty:
-        raise QuadratureError(f"regime-1 band empty at h={h}")
-    return bg
-
-
-def _adapted_band_r2(h, omega, c, p, cutoff, h_star, n_k) -> BandGrid:
-    emax, ext12, k3max = _band_bounds_r2(h, c, p, cutoff, h_star)
-    sp = (2.0 * emax / n_k, 2.0 * ext12 / n_k, max(2.0 * k3max / n_k, 1e-12))
-    bg = band_grid_r2(h, omega, c, p, None, cutoff, h_star,
-                      warn_sparse=False, spacings=sp)
-    if bg.support_points == 0:
-        raise QuadratureError(f"regime-2 band empty at h={h}, omega={omega}")
-    return bg
+def _require_support(bands):
+    for bg in bands:
+        if bg.support_points == 0:
+            raise QuadratureError(f"band empty at h={bg.h} (regime {bg.regime}, "
+                                  f"omega {bg.omega})")
+    return bands
 
 
 def _adapted_crossover(h_star, c, p, cutoff, n_k) -> BandGrid:
-    """Bridge band on adapted axes: upper cutoff chi_{h*}, lower the
-    two-component chi_{h*-1} evaluated through the valley split.
+    """Bridge band on adapted regime-1 axes at h*: weight chi_{h*} minus the
+    two-component chi_{h*-1} of the valley split, clipped at 0.
 
     The k3 axis is refined 8x: the bridge spans several energy octaves whose
     valley slices are thin in k3 at steep dispersion (large r).
     """
-    emax, ext12, k3lo, k3hi = _band_bounds_r1(h_star, c, p, cutoff)
-    n_k3 = max(96, 8 * n_k)
-    sp = (2.0 * emax / n_k, 2.0 * ext12 / n_k, max(2.0 * k3hi / n_k3, 1e-12))
-    bg = band_grid_r1(h_star, c, p, cutoff=cutoff, warn_sparse=False, spacings=sp)
-    from .multiscale import mass_vector_r1, mass_vector_r2, _chi_arg
-    wp = weyl_points(p)
-    K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
-    m1, m2, m3 = mass_vector_r1(K1, K2, K3, c, p)
-    e1 = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
-    chi_top = smooth_cutoff(_chi_arg(h_star, 1, cutoff) * e1)
-    k3c = np.where(K3 > np.pi, K3 - 2.0 * np.pi, K3)
-    chi_low = np.zeros_like(chi_top)
-    for omega in (+1, -1):
-        theta = np.where(omega * k3c > 0, 1.0, np.where(k3c == 0.0, 0.5, 0.0))
-        m1o, m2o, m3o = mass_vector_r2(K1, K2, k3c - omega * wp.p_F, omega, c, p)
-        eo = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1o ** 2 + m2o ** 2 + m3o ** 2)[None])
-        chi_low += theta[None] * smooth_cutoff(_chi_arg(h_star - 1, 2, cutoff) * eo)
-    bg.weight = np.clip(chi_top - chi_low, 0.0, None)
-    if bg.support_points == 0:
-        raise QuadratureError(f"crossover band empty at h*={h_star}")
-    return bg
-
-
-def _insulator_tail_band(h_star, c, p, cutoff, n_k) -> BandGrid:
-    """Remaining infrared in one step: weight chi_{h*} (no lower cutoff).
-
-    An insulator near the window edge can have its whole infrared gapped out
-    (minimum energy t_perp |r| at or above the chi_{h*} support); the band is
-    then legitimately empty and the single step is trivial.
-    """
-    bg = _adapted_band_r1(h_star, c, p, cutoff, n_k, allow_empty=True)
-    from .multiscale import mass_vector_r1, _chi_arg
-    if bg.weight.size:
-        K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
-        m1, m2, m3 = mass_vector_r1(K1, K2, K3, c, p)
-        e = np.sqrt(bg.k0s[:, None, None, None] ** 2
-                    + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
-        bg.weight = smooth_cutoff(_chi_arg(h_star, 1, cutoff) * e)
-    return bg
+    return _adapted_band(h_star, 1, 1, c, p, cutoff, n_k, lower="valleys",
+                         n3=max(96, 8 * n_k))
 
 
 # --- flow -------------------------------------------------------------------
@@ -366,29 +316,22 @@ class FlowTrajectory:
         return rows
 
 
-def _step_beta(h, c, band_or_bands, inter, U, p, regime, omega=1, point=None,
-               spacing=np.pi / 32.0):
-    """Localized kernel of the one-loop self-energy of a single scale."""
-    bands = band_or_bands if isinstance(band_or_bands, list) else [band_or_bands]
-    origin = omega * weyl_points(p).p_F if regime == 2 else 0.0
-
-    def kernel(kk):
-        return band_self_energy((kk[0], kk[1], kk[2], kk[3] + origin), bands, inter, U)
-
-    pt = (0.0, 0.0, 0.0, 0.0) if point is None else point
-    return localize_kernel(kernel, regime=regime, point=pt, omega=omega, spacing=spacing)
-
-
 def flow_step(h: int, c: RunningCouplings, band_or_bands, inter: InteractionSpec,
               U: float, p: HoppingParams):
     """One scale integration: localize the scale-h self-energy and update.
 
     Returns (couplings at h-1, BetaRecord).  nu flows as nu_{h-1} = 2 nu_h +
-    beta_nu with the dimensionless beta_nu = n_h 2^(1-h)/Z_{h-1}.
+    beta_nu with the dimensionless beta_nu = n_h 2^(1-h)/Z_{h-1}.  Regime-2
+    kernels take k3' relative to p_F and are localized at k3' = 0.
     """
     regime = c.regime
-    loc_raw = _step_beta(h, c, band_or_bands, inter, U, p, regime,
-                         omega=1 if regime == 1 else +1)
+    bands = band_or_bands if isinstance(band_or_bands, list) else [band_or_bands]
+    origin = weyl_points(p).p_F if regime == 2 else 0.0
+
+    def kernel(kk):
+        return band_self_energy((kk[0], kk[1], kk[2], kk[3] + origin), bands, inter, U)
+
+    loc_raw = localize_kernel(kernel, regime=regime)
     z = c.Z
     loc = LocalizedKernel(n_h=loc_raw.n_h / z, b0_h=loc_raw.b0_h / z,
                           bplus_h=loc_raw.bplus_h / z, bminus_h=loc_raw.bminus_h / z,
@@ -400,7 +343,6 @@ def flow_step(h: int, c: RunningCouplings, band_or_bands, inter: InteractionSpec
     c_new = c_new.replace(nu=nu_new)
     dimless = max(abs(loc.b0_h), abs(loc.bplus_h) / c.v, abs(loc.bminus_h) / c.v,
                   abs(loc.b3_h) / c.v3, abs(beta_nu))
-    bands = band_or_bands if isinstance(band_or_bands, list) else [band_or_bands]
     rec = BetaRecord(h=h, regime=regime, b0=loc.b0_h, bplus=loc.bplus_h,
                      bminus=loc.bminus_h, b3=loc.b3_h, beta_nu=beta_nu,
                      max_dimensionless=dimless,
@@ -444,9 +386,12 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
 
     h = 0
     while h > h_min:
-        at_crossover = finite_hstar and h == h_star and not insulator
         if finite_hstar and insulator and h == h_star:
-            band = _insulator_tail_band(h_star, c, p, cutoff, n_k)
+            # the remaining infrared in one step: weight chi_{h*}, no lower
+            # cutoff.  Near the window edge the whole infrared can be gapped out
+            # (minimum energy t_perp |r| at or above the chi_{h*} support); the
+            # band is then legitimately empty and the step trivial.
+            band = _adapted_band(h, 1, 1, c, p, cutoff, n_k, lower=None)
             c_new, rec = flow_step(h, c, band, inter, U, p)
             c_new = c_new.replace(nu=0.0)  # nu_{h*} = 0: no singularity to tune
             rows.append(FlowRow(h=h, couplings=c, beta=rec))
@@ -455,24 +400,21 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
             c = c_new
             termination = "insulator-stop"
             break
-        if c.regime == 1 and not at_crossover:
-            band = _adapted_band_r1(h, c, p, cutoff, n_k)
-            c_new, rec = flow_step(h, c, band, inter, U, p)
-        elif at_crossover:
-            band = _adapted_crossover(h_star, c, p, cutoff, n_k)
-            c_new, rec = flow_step(h, c, band, inter, U, p)
+        at_crossover = finite_hstar and h == h_star
+        if at_crossover:
+            bands = [_adapted_crossover(h_star, c, p, cutoff, n_k)]
+        elif c.regime == 1:
+            bands = [_adapted_band(h, 1, 1, c, p, cutoff, n_k)]
+        else:
+            bands = [_adapted_band(h, 2, om, c, p, cutoff, n_k, h_star) for om in (+1, -1)]
+        c_new, rec = flow_step(h, c, _require_support(bands), inter, U, p)
+        if at_crossover:
             # enter regime 2: the axial coupling becomes the Weyl velocity
             v3_cross = c_new.v3 * math.sin(wp.p_F)
             c_new = c_new.replace(v3=v3_cross, regime=2)
-        else:
-            bands = [_adapted_band_r2(h, om, c, p, cutoff,
-                                      h_star if finite_hstar else 0, n_k)
-                     for om in (+1, -1)]
-            c_new, rec = flow_step(h, c, bands, inter, U, p)
-            band = bands
         rows.append(FlowRow(h=h, couplings=c, beta=rec))
         if keep_bands:
-            bands_kept.extend(band if isinstance(band, list) else [band])
+            bands_kept.extend(bands)
         ref = ref1 if c_new.regime == 1 else ref1.replace(v3=v3_cross)
         _check_window(c_new, ref, eps0)
         c = c_new
@@ -529,7 +471,7 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
     """
     cutoff = cutoff or default_cutoff(p)
     kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
+    m1, m2, m3 = mass_vector(*kbar.T, p)
     # the Hartree piece (tr of the ik0 entries) is the a of the paired sum,
     # exactly 0 at x0 = 0: half filling
     s0, _ = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, grid.M,
@@ -553,7 +495,6 @@ def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec,
     default only the infrared scales the flow integrated enter, matching the
     counterterm produced by solve_nu.
     """
-    from .propagator import inverse_propagator
     sig = band_self_energy(kk_abs, traj.bands, inter, traj.U)
     if uv_grid is not None:
         sig = sig + uv_self_energy(kk_abs, traj.params, inter, traj.U, uv_grid,
@@ -596,7 +537,7 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
     kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p)
+    m1, m2, m3 = mass_vector(*kbar.T, p)
     cutoff = cutoff or default_cutoff(p)
     # frequency-summed propagator entries per kbar (even part only survives)
     s0, _ = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, grid.M,

@@ -161,6 +161,31 @@ def test_bounds_check_runs(tmp_path):
     assert summary["sup_exponent"] == pytest.approx(3.0, abs=0.3)
 
 
+@pytest.mark.parametrize("bad", [
+    {"regime": 3},           # used to escape dispatch as TypeError (h_star None)
+    {"regime": 0},
+    {"regime": "2"},
+    {"N": "abc"},            # used to exit 2: invalid literal for int()
+    {"N": 4.7},              # used to be truncated to 4
+    {"h_top": 4.7},
+    {"h_bottom": True},
+    {"x_points": True},
+    {"x_points": 15.0},
+    {"h_top": -4, "h_bottom": -2},  # h_bottom above h_top
+    {"r": 0.0},              # regime 2 at the critical point: used to escape as ZeroDivisionError
+    {"r": -0.2},             # regime 2 in the insulator: used to exit 2
+])
+def test_audit_input_rejected_up_front(tmp_path, bad):
+    audit = {"regime": 2, "h_top": -2, "h_bottom": -4, "N": 20, "x_points": 15}
+    model = dict(BASE["model"], **{k: v for k, v in bad.items() if k == "r"})
+    audit.update({k: v for k, v in bad.items() if k != "r"})
+    path = write_cfg(tmp_path, dict(BASE, model=model, audit=audit))
+    t0 = time.perf_counter()
+    assert dispatch(["bounds-check", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "o" / "decay.csv").exists()
+
+
 def test_solve_nu_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "o"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weylrg.cutoff import smooth_cutoff
-from weylrg.lattice import build_params, weyl_points
+from weylrg.lattice import build_params, mass_vector, weyl_points
 from weylrg.propagator import GridSpec, free_propagator
 from weylrg import multiscale as ms
 
@@ -196,7 +196,7 @@ def test_relativistic_split_resums_exactly(p_star):
 def test_relativistic_split_agrees_at_origin(p_star):
     # at kk' = 0 the linearized and full sigma3 coefficients coincide
     c = ms.initial_couplings(p_star, regime=2)
-    m1, m2, m3 = ms.mass_vector_r2(0.0, 0.0, 0.0, +1, c, p_star)
+    m1, m2, m3 = mass_vector(0.0, 0.0, 0.0, p_star, c.v, c.v3, regime=2, omega=+1)
     assert abs(m3) < 1e-14 and abs(m1) < 1e-14 and abs(m2) < 1e-14
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylrg.lattice import build_params, weyl_points
+from weylrg.lattice import ID2, bloch_matrix, build_params, mass_vector, weyl_points
 from weylrg.propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
-                               _matsubara_sums, mass_vector,
+                               _matsubara_sums,
                                build_propagator_grid, counterterm_nu_C, energy_scale,
                                equal_time_jump, free_propagator, inverse_propagator,
                                normalize_time, regularized_propagator_sum,
@@ -279,3 +279,32 @@ def test_matsubara_sums_match_brute_force(p_star, brute_matsubara, L, x0):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(b0))
         if x0 == 0.0:
             assert np.all(a == 0.0)
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kk=st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE), omega=st.sampled_from([1, -1]),
+       r=st.floats(0.0, 0.5, exclude_min=True), t=st.floats(0.5, 2.0),
+       t_perp=st.floats(0.25, 1.0))
+def test_mass_vector_invariants(kk, omega, r, t, t_perp):
+    p = build_params(t, t_perp, 2.0, r=r)
+    k0, k1, k2, k3 = kk
+    eps = np.finfo(float).eps
+    m1, m2, m3 = mass_vector(k1, k2, k3, p)
+    lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
+    a = inverse_propagator(kk, p)
+    # det A = -(k0^2 + lambda^2) at bare couplings, to rounding (np.linalg.det
+    # goes through log|det| and loses digits near the Weyl points)
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    assert abs(det + (k0 ** 2 + lam2)) <= 4 * eps * (k0 ** 2 + lam2)
+    # the Bloch matrix is the sigma part of A, bit for bit
+    assert np.array_equal(a + 1j * k0 * ID2, bloch_matrix((k1, k2, k3), p))
+    # regime 2 at k3' is regime 1 at k3 = omega p_F + k3', through cos p_F = 1 - r
+    wp = weyl_points(p)
+    r1 = mass_vector(k1, k2, omega * wp.p_F + k3, p)
+    r2 = mass_vector(k1, k2, k3, p, v3=wp.v30, regime=2, omega=omega)
+    assert r1[0] == r2[0] and r1[1] == r2[1]
+    assert abs(r1[2] - r2[2]) <= 8 * eps * (p.t_perp + p.t_prime)
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weylrg.cutoff import smooth_cutoff
-from weylrg.lattice import build_params, weyl_points
+from weylrg.lattice import build_params, mass_vector, weyl_points
 from weylrg.propagator import GridSpec, inverse_propagator
 from weylrg import multiscale as ms
 from weylrg import rgflow as rg
@@ -100,7 +100,7 @@ def test_self_energy_matches_direct_cumulative_sum(p_star):
     sp = (2 * emax / 40, 2 * ext12 / 40, 2 * k3hi / 96)
     bg = ms.band_grid_r1(0, c, p_star, cutoff=cut, warn_sparse=False, spacings=sp)
     K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
-    m1, m2, m3 = ms.mass_vector_r1(K1, K2, K3, c, p_star)
+    m1, m2, m3 = mass_vector(K1, K2, K3, p_star, c.v, c.v3)
     e = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
     from weylrg.cutoff import smooth_cutoff
     bg.weight = smooth_cutoff(e / cut.a0) - smooth_cutoff(e / (cut.a0 * 2.0 ** -2))
@@ -129,9 +129,9 @@ def _test_bands(p_star, p_small_r):
     c = ms.initial_couplings(p_star)
     cut2 = ms.default_cutoff(p_small_r)
     c2 = ms.initial_couplings(p_small_r, regime=2).replace(h=-5)
-    return {"regime 1": rg._adapted_band_r1(-1, c.replace(h=-1), p_star, cut, 10),
-            "valley +1": rg._adapted_band_r2(-5, +1, c2, p_small_r, cut2, -4, 10),
-            "valley -1": rg._adapted_band_r2(-5, -1, c2, p_small_r, cut2, -4, 10),
+    return {"regime 1": ms._adapted_band(-1, 1, 1, c.replace(h=-1), p_star, cut, 10),
+            "valley +1": ms._adapted_band(-5, 2, +1, c2, p_small_r, cut2, 10, -4),
+            "valley -1": ms._adapted_band(-5, 2, -1, c2, p_small_r, cut2, 10, -4),
             "bridge": rg._adapted_crossover(0, c, p_star, cut, 10)}
 
 
@@ -158,6 +158,54 @@ def test_band_sums_follow_weight_reassignment(p_star, p_small_r):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
         with pytest.raises(ValueError):  # the cached weight is read-only
             bg.weight[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("b0", [None, 18.0])
+def test_bridge_weight_matches_scalar_oracle(p_star, b0):
+    """The bridge band's weight at 50 box points against
+    chi_{h*}(e_1) - sum_omega theta(omega k3) chi_{h*-1}(e_omega), clipped at
+    0, written out point by point at the band's couplings.
+
+    At the default b0 the valley support (e < 2^h* a0^2/2) lies below the
+    box's smallest |k0| = 2^h* 2 a0/n_k, so only the upper cutoff acts; at
+    b0 = 18 the valley term reaches the box and the clip acts too.
+    """
+    cut = ms.default_cutoff(p_star) if b0 is None else ms.CutoffSpec(a0=p_star.a0, b0=b0)
+    c = ms.initial_couplings(p_star)
+    h_star = ms.crossover_scale(p_star)
+    band = rg._adapted_crossover(h_star, c, p_star, cut, 10)
+    p, p_f = p_star, weyl_points(p_star).p_F
+    # 26 points of the support, and the whole k0 axis through each Weyl point,
+    # where both cutoffs' ramps are crossed
+    rng = np.random.default_rng(21)
+    support = np.argwhere(band.weight > 0)
+    picks = [tuple(x) for x in support[rng.choice(len(support), 26, replace=False)]]
+    j0 = int(np.argmin(np.abs(band.k1s)))
+    for s3 in (1, -1):
+        m0 = int(np.argmin(np.abs(band.k3s - s3 * p_f)))
+        picks += [(i, j0, j0, m0) for i in range(band.k0s.size)]
+    assert len(picks) == 50
+    split, clipped = 0, 0
+    for i, j, l, m in picks:
+        k0, k1, k2, k3 = band.k0s[i], band.k1s[j], band.k2s[l], band.k3s[m]
+        kp, km = (k1 + k2) / 2.0, (k1 - k2) / 2.0
+        E = p.t_prime * (1.0 - math.cos(kp) * math.cos(km))
+        planar = (c.v * math.sin(kp)) ** 2 + (c.v * math.sin(km)) ** 2
+        e1 = math.sqrt(k0 ** 2 + planar + (c.v3 * (math.cos(k3) - 1.0 + p.r) + E) ** 2)
+        want = smooth_cutoff(2.0 ** -h_star / cut.a0 * e1)
+        for omega in (1, -1):
+            theta = 1.0 if omega * k3 > 0 else (0.5 if k3 == 0.0 else 0.0)
+            k3p = k3 - omega * p_f
+            m3 = (-omega * c.v3 * math.sin(k3p)
+                  + p.t_perp * math.cos(p_f) * (math.cos(k3p) - 1.0) + E)
+            e = math.sqrt(k0 ** 2 + planar + m3 ** 2)
+            low = theta * smooth_cutoff(cut.b0 / 2.0 * 2.0 ** -(h_star - 1) * e)
+            split += low > 0
+            want -= low
+        clipped += want < 0
+        assert abs(band.weight[i, j, l, m] - max(want, 0.0)) <= 1e-15, (i, j, l, m)
+    if b0 is not None:
+        assert split >= 10 and clipped >= 1, (split, clipped)
 
 
 def test_flow_step_deterministic(p_star):
