@@ -1,0 +1,78 @@
+"""Collect paired perfbench runs into one BENCH_<n>.json.
+
+    python3 scripts/bench_export.py --parent PARENT/.perfbench_out \
+        --change .perfbench_out --out BENCH_7.json
+
+perfbench/run.py leaves one record per run in the checkout's .perfbench_out/,
+named <workload>-seed<seed>-trace<0|1>.json.  Runs of the parent commit and of
+the change with the same workload and seed form a pair.  For each workload and
+end-to-end metric this copies every pair's medians (each run's median over its
+passes), each side's median and quartiles, and how many pairs the change wins
+(lower is better for every end-to-end metric).  Traced runs (trace 1) are
+copied as their per-layer metrics.  The machine record is copied once; runs
+from different machines are refused.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+METRICS = ("wall_s", "key_job_s", "peak_rss_mb", "setup_s")
+
+
+def load(directory: Path) -> dict:
+    """{(workload, seed, trace): record} of the run records in `directory`."""
+    out = {}
+    for path in sorted(directory.glob("*-seed*-trace*.json")):
+        rec = json.loads(path.read_text())
+        out[(rec["workload"], rec["seed"], rec["trace"])] = rec
+    return out
+
+
+def spread(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    parent, change = load(args.parent), load(args.change)
+    machines = {json.dumps(r["machine"], sort_keys=True)
+                for r in (*parent.values(), *change.values()) if r["machine"]}
+    if len(machines) != 1:
+        print(f"runs come from {len(machines)} machine records; need exactly 1",
+              file=sys.stderr)
+        return 1
+    bench = {"machine": json.loads(machines.pop()), "workloads": {}}
+    for wl in sorted({k[0] for k in change}):
+        seeds = sorted(k[1] for k in change if k[0] == wl and k[2] == 0
+                       and (wl, k[1], 0) in parent)
+        pairs = [(parent[wl, s, 0], change[wl, s, 0]) for s in seeds]
+        entry = {"seeds": seeds, "failed": {"parent": sum(p["failed"] for p, _ in pairs),
+                                            "change": sum(c["failed"] for _, c in pairs)},
+                 "metrics": {}}
+        for m in METRICS:
+            vals = [(p["metrics"][m]["value"], c["metrics"][m]["value"]) for p, c in pairs
+                    if m in p["metrics"] and m in c["metrics"]]
+            if vals:
+                entry["metrics"][m] = {
+                    "unit": pairs[0][1]["metrics"][m]["unit"], "pairs": vals,
+                    "parent": spread([p for p, _ in vals]),
+                    "change": spread([c for _, c in vals]),
+                    "change_wins": sum(c < p for p, c in vals)}
+        entry["traced"] = {side: {k: v["value"] for k, v in runs[k2]["metrics"].items()}
+                           for side, runs in (("parent", parent), ("change", change))
+                           for k2 in sorted(k for k in runs if k[0] == wl and k[2] == 1)[:1]}
+        bench["workloads"][wl] = entry
+    args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

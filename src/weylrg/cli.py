@@ -49,9 +49,11 @@ MAX_PROPAGATOR_ROWS = 2 ** 23
 H_MIN_FLOOR = -40
 
 
-#: Largest flow.n_k the flow subcommands accept.  Band memory grows as n_k^4:
-#: the README flow peaks at 229 MB at n_k = 24, 464 MB at 32 and 1.0 GB at 40.
-MAX_N_K = 40
+#: Largest flow.n_k the flow subcommands accept.  Bands are tables on (k0,
+#: lambda^2) over 3-D boxes, so memory grows as n_k^3: the README flow peaks
+#: at 51 MB at n_k = 24, 70 MB at 32, 104 MB at 40, 151 MB at 48 and 330 MB at
+#: 64, and the deepest flow (h_min = -40) keeps its bands at 1.1 GB at 64.
+MAX_N_K = 64
 
 
 _MODEL_KEYS = {"t", "t_perp", "t_prime", "r", "mu", "U", "kappa"}
@@ -114,7 +116,8 @@ def _grid(cfg) -> GridSpec:
         if key not in g:
             raise ConfigError(f"grid.{key} is required")
     try:
-        return GridSpec(L=int(g["L"]), beta=float(g["beta"]), M=int(g.get("M", 12)))
+        return GridSpec(L=_int_key(g, "grid", "L", None), beta=float(g["beta"]),
+                        M=_int_key(g, "grid", "M", 12))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -277,7 +280,7 @@ def _int_key(block: dict, where: str, key: str, default: int) -> int:
 def _flow_inputs(f: dict, U_default: float):
     """(h_min, n_k, tol, U, eps0) of the 'flow' block, checked before any work.
 
-    n_k and h_min must be JSON integers with 2 <= n_k <= MAX_N_K = 40 and
+    n_k and h_min must be JSON integers with 2 <= n_k <= MAX_N_K = 64 and
     H_MIN_FLOOR = -40 <= h_min <= 0; U must be a finite number, tol and
     eps0 finite positive numbers.
     """
@@ -285,7 +288,8 @@ def _flow_inputs(f: dict, U_default: float):
     tol, U, eps0 = f.get("tol", 1e-10), f.get("U", U_default), f.get("eps0", 0.5)
     if not 2 <= n_k <= MAX_N_K:
         raise ConfigError(f"flow.n_k = {n_k} lies outside [2, {MAX_N_K}]: below 2 the "
-                          f"bands cannot be resolved, above {MAX_N_K} they take over 1 GB")
+                          f"bands cannot be resolved, above {MAX_N_K} a deep flow takes "
+                          "over 1 GB")
     if not H_MIN_FLOOR <= h_min <= 0:
         raise ConfigError(f"flow.h_min = {h_min} lies outside [{H_MIN_FLOOR}, 0]")
     for key, val, low in (("U", U, -math.inf), ("tol", tol, 0.0), ("eps0", eps0, 0.0)):
@@ -341,10 +345,8 @@ def _cmd_bounds_check(cfg, w: RunWriter):
 
 def _cmd_trees(cfg, w: RunWriter):
     t = cfg.get("trees", {})
-    n_max = int(t.get("n_max", 3))
-    regime = int(t.get("regime", 1))
-    l = int(t.get("l", 4))
-    h = int(t.get("h", -6))
+    n_max, regime, l, h = (_int_key(t, "trees", key, default) for key, default in (
+        ("n_max", 3), ("regime", 1), ("l", 4), ("h", -6)))
     counts = {n: trees.count_shapes(n) for n in range(1, n_max + 1)}
     dims = {str(ll): str(trees.scaling_dimension(regime, ll)) for ll in (2, 4, 6)}
     sums = {n: trees.scale_sum_audit(n, l, regime, h=h).value
@@ -360,6 +362,8 @@ def _cmd_trees(cfg, w: RunWriter):
 
 def _cmd_bbf_verify(cfg, w: RunWriter):
     v = cfg.get("verify", {})
+    n_s2, n_s3, n_gram = (_int_key(v, "verify", key, default) for key, default in (
+        ("n_s2", 100), ("n_s3", 20), ("n_gram", 200)))
     rng = np.random.default_rng(w.seed)
     sign = grassmann.calibrate_bbf_sign()
 
@@ -375,7 +379,7 @@ def _cmd_bbf_verify(cfg, w: RunWriter):
         return tuple(out)
 
     worst = 0.0
-    for s, count in ((2, int(v.get("n_s2", 100))), (3, int(v.get("n_s3", 20)))):
+    for s, count in ((2, n_s2), (3, n_s3)):
         for _ in range(count):
             while True:
                 sizes = list(rng.choice([2, 4], size=s))
@@ -388,7 +392,7 @@ def _cmd_bbf_verify(cfg, w: RunWriter):
             b = grassmann.bbf_evaluate(cls, gm)
             worst = max(worst, abs(o - b))
     gram_ok = True
-    for _ in range(int(v.get("n_gram", 200))):
+    for _ in range(n_gram):
         n = int(rng.integers(1, 9))
         d = n + int(rng.integers(0, 4))
         fv = rng.standard_normal((n, d))

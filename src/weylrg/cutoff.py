@@ -5,14 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _mollifier(u):
-    """exp(-1/u) for u > 0, 0 otherwise (smooth, vanishing to all orders at 0)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    # mask before dividing so the dead branch never evaluates 1/0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
+def _ramp(s):
+    """chibar on the open ramp 1 < s < 2, where both exp(-1/u) are positive."""
+    a = np.exp(-1.0 / (2.0 - s))
+    return a / (a + np.exp(-1.0 / (s - 1.0)))
 
 
 def smooth_cutoff(s):
@@ -22,11 +18,21 @@ def smooth_cutoff(s):
     u > 0 and 0 otherwise.  Accepts scalars or arrays of s >= 0.
     """
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
     if np.any(s < 0):
         raise ValueError("smooth_cutoff expects s >= 0")
-    a = _mollifier(2.0 - s)
-    b = _mollifier(s - 1.0)
-    out = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
-    return float(out[0]) if scalar else out
+    out = np.where(s <= 1.0, 1.0, 0.0)
+    mid = (s > 1.0) & (s < 2.0)
+    out[mid] = _ramp(s[mid])
+    return float(out) if out.ndim == 0 else out
+
+
+def shell_cutoff(s):
+    """chibar(s) - chibar(2s) on an array of s >= 0, one ramp per point: it is
+    1 - chibar(2s) on (1/2, 1], chibar(s) on (1, 2) and 0 elsewhere."""
+    s = np.asarray(s, dtype=float)
+    out = np.where(s == 1.0, 1.0, 0.0)
+    low = (s > 0.5) & (s < 1.0)
+    out[low] = 1.0 - _ramp(2.0 * s[low])
+    high = (s > 1.0) & (s < 2.0)
+    out[high] = _ramp(s[high])
+    return out

@@ -24,26 +24,28 @@ which at h = h*-1 is the two-component cutoff chibar(b0 2^-h* ...).  b0 is
 chosen so that support is disconnected across the k3 = 0 plane; the default
 puts the cutoff argument at 4 on the inter-valley saddle (energy t_perp |r|).
 
-Every band is built by _band: the support box of its scale on given or
-adapted (_adapted_band: n steps per box axis) spacings, its mass arrays,
-e = |det A_h|^(1/2) and the weight chi_h(e) minus a lower cutoff.  That is
-chi_{h-1} of the same chain for a single-scale band, the two-component
-chi_{h*-1} of the valley split for the bridge band at h*, and nothing for the
-insulator tail.  The valley split theta(omega k3) chi_{h*-1} (_valley_split)
-also serves quasiparticle_split and disconnection_check.
+Every band is built by _band on the support box of its scale, on given or
+adapted (_adapted_band: n steps per box axis) spacings, as a table of its
+weight chi_h(e) minus a lower cutoff on (positive k0, distinct lambda^2),
+e = sqrt(k0^2 + lambda^2): chi_{h-1} of the same chain (one shell_cutoff
+ramp), the two-component chi_{h*-1} of the valley split for the bridge band
+at h*, or nothing for the insulator tail.  Its k0 sum is the paired
+reduction over distinct lambda^2 the Matsubara sums use
+(propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
+(_valley_split) also serves quasiparticle_split and disconnection_check.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cutoff import smooth_cutoff
+from .cutoff import shell_cutoff, smooth_cutoff
 from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
-from .propagator import GridSpec, PropagatorGrid
+from .propagator import GridSpec, PropagatorGrid, _paired_sums
 
 MIN_BAND_POINTS = 100
 
@@ -81,18 +83,17 @@ def initial_couplings(p: HoppingParams, regime: int = 1) -> RunningCouplings:
     return RunningCouplings(Z=1.0, v=p.t, v3=wp.v30, nu=0.0, h=0, regime=2)
 
 
+def _regime2_couplings(c: RunningCouplings, p: HoppingParams) -> RunningCouplings:
+    """Couplings carried into regime 2 at h*: v3 becomes v3 sin p_F."""
+    return c.replace(v3=c.v3 * math.sin(weyl_points(p).p_F), regime=2)
+
+
 @dataclass(frozen=True)
 class CutoffSpec:
     """Support constants: a0 = t_perp/10; b0 sized for valley disconnection."""
 
     a0: float
     b0: float
-    c1: float = 0.5
-    c2: float = 2.0
-
-    def __post_init__(self):
-        if not self.c1 < self.c2:
-            raise ValueError("need c1 < c2")
 
 
 def crossover_scale(p: HoppingParams):
@@ -151,22 +152,22 @@ def scale_support(kk, h, c: RunningCouplings, p: HoppingParams, cutoff: CutoffSp
                   regime: int = 1, omega: int = 1):
     """(chi_h, f_h) with f_h = chi_h - chi_{h-1} >= 0; exact telescoping at
     fixed couplings since both cutoffs use the same reference matrix."""
-    e = np.asarray(energy_scale_h(kk, c, p, regime, omega))
-    chi = smooth_cutoff(_chi_arg(h, regime, cutoff) * e)
-    chi_prev = smooth_cutoff(_chi_arg(h - 1, regime, cutoff) * e)
-    return chi, chi - chi_prev
+    chi = chi_support(kk, h, c, p, cutoff, regime, omega)
+    return chi, chi - chi_support(kk, h - 1, c, p, cutoff, regime, omega)
 
 
 # --- band enumeration ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BandGrid:
-    """Single-scale band on a separable momentum box.
+    """Single-scale band on a separable momentum box, as a (k0, lambda^2) table.
 
-    Axes are 1-D arrays (k0s, k1s, k2s, k3s); `weight` is the 4-D array of
-    f_h values on the box and `cell` the quadrature volume element
-    1/(beta L^3) of the generating grid.  Regime-2 axes hold k' (relative)
-    momenta for valley `omega`.
+    Axes are 1-D arrays (k0s, k1s, k2s, k3s).  `table` holds f_h at the
+    positive k0s (the axis mirrors exactly) per distinct lambda^2, or per
+    point on the bridge band's live valley slices; `key` maps the spatial box
+    to its columns.  `moments` = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 + lambda^2)
+    is all an instantaneous vertex sees (the ik0 part cancels in pairs).
+    `cell` is 1/(beta L^3) of the generating grid; regime-2 axes hold k'.
     """
 
     h: int
@@ -176,32 +177,23 @@ class BandGrid:
     k1s: np.ndarray
     k2s: np.ndarray
     k3s: np.ndarray
-    weight: np.ndarray
+    table: np.ndarray
+    key: np.ndarray
+    moments: np.ndarray
+    support_points: int
     cell: float
     couplings: RunningCouplings
     params: HoppingParams
     snap_offset: float = 0.0  # regime 2: p_F minus its grid-snapped value
     k3_origin: float = 0.0    # regime 2: omega p_F, the absolute k3 of k3' = 0
-    _k0_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def support_points(self) -> int:
-        return int(np.sum(self.weight > 0))
-
-    def k0_summed(self):
-        """(cell * sum over k0 of entries(), its trace summed over the box).
-
-        The first is a (2, 2, n1, n2, n3) complex array: an instantaneous
-        vertex sees the band only through it.  Both are computed once per
-        weight array.  Assigning a new `weight` recomputes them, and the
-        cached weight is made read-only so it cannot change in place.
-        """
-        if self._k0_cache is None or self._k0_cache[0] is not self.weight:
-            sums = np.stack([f.sum(axis=0) for f in self.entries()])
-            sums = self.cell * sums.reshape((2, 2) + sums.shape[1:])
-            self.weight.flags.writeable = False
-            self._k0_cache = (self.weight, sums, complex(np.sum(sums[0, 0] + sums[1, 1])))
-        return self._k0_cache[1], self._k0_cache[2]
+    def weight(self) -> np.ndarray:
+        """f_h on the 4-D box, expanded from the table on each call (read-only)."""
+        half = self.table[:, self.key]
+        w = np.concatenate([half[::-1], half])
+        w.flags.writeable = False
+        return w
 
     def mass_arrays(self):
         box = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")
@@ -230,10 +222,8 @@ class BandGrid:
         band's own entries (default) are made one at a time to bound memory.
         """
         ent = self._entry_iter() if entries is None else entries
-        p0 = np.exp(-1j * np.outer(np.asarray(x0s, float), self.k0s))
-        p1 = np.exp(-1j * np.outer(np.asarray(x1s, float), self.k1s))
-        p2 = np.exp(-1j * np.outer(np.asarray(x2s, float), self.k2s))
-        p3 = np.exp(-1j * np.outer(np.asarray(x3s, float), self.k3s))
+        p0, p1, p2, p3 = (np.exp(-1j * np.outer(np.asarray(x, float), k)) for x, k in zip(
+            (x0s, x1s, x2s, x3s), (self.k0s, self.k1s, self.k2s, self.k3s)))
         out = np.empty((len(p0), len(p1), len(p2), len(p3), 2, 2), complex)
         for idx, f in zip(((0, 0), (0, 1), (1, 0), (1, 1)), ent):
             g = np.einsum("abcd,ea->ebcd", f, p0, optimize=True)
@@ -245,15 +235,11 @@ class BandGrid:
 
     def flatten(self, grid: GridSpec) -> PropagatorGrid:
         """Support points as a PropagatorGrid (regime-2 momenta stay relative)."""
-        ent = self.entries()
         mask = self.weight > 0
-        idx = np.argwhere(mask)
-        mom = np.column_stack([self.k0s[idx[:, 0]], self.k1s[idx[:, 1]],
-                               self.k2s[idx[:, 2]], self.k3s[idx[:, 3]]])
-        vals = np.empty((idx.shape[0], 2, 2), complex)
-        for (i, j), f in zip(((0, 0), (0, 1), (1, 0), (1, 1)), ent):
-            vals[:, i, j] = f[mask]
-        return PropagatorGrid(grid=grid, momenta=mom, values=vals)
+        mom = np.column_stack([ax[i] for ax, i in zip(
+            (self.k0s, self.k1s, self.k2s, self.k3s), np.nonzero(mask))])
+        vals = np.stack([f[mask] for f in self._entry_iter()], axis=-1)
+        return PropagatorGrid(grid=grid, momenta=mom, values=vals.reshape(-1, 2, 2))
 
 
 def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) -> np.ndarray:
@@ -315,12 +301,13 @@ def _resolve_spacings(grid: GridSpec | None, spacings):
 def _band(h, regime, omega, c, p, cutoff, grid=None, spacings=None, h_star=None,
           lower="chain", warn_sparse=False) -> BandGrid:
     """The one band builder: the scale-h support box on the given spacings,
-    its mass arrays, e = sqrt(k0^2 + lambda^2) and the weight chi_h(e) - lower.
+    its mass arrays and the table of chi_h(e) - lower, e = sqrt(k0^2 + lambda^2).
 
-    lower is "chain" (chi_{h-1} of the same chain, so the weight is f_h),
-    "valleys" (the two-component chi_{h-1} of the regime-2 chain through the
-    valley split, clipped at 0: the bridge band at h = h*) or None (no lower
-    cutoff: the insulator tail).  Regime-2 boxes hold k3' relative to omega
+    lower is "chain" (chi_{h-1} of the same chain: f_h, one shell_cutoff ramp
+    as the argument doubles per scale), "valleys" (the two-component chi_{h-1}
+    of the valley split at the regime-2 couplings of h*, clipped at 0: the
+    bridge band at h = h*; evaluated only on k0 slices where it is not 0) or
+    None (the insulator tail).  Regime-2 boxes hold k3' relative to omega
     p_F, clipped to the theta(omega k3) window (-p_F, pi - p_F) of the Weyl
     point snapped to the k3 axis spacing.
     """
@@ -341,20 +328,32 @@ def _band(h, regime, omega, c, p, cutoff, grid=None, spacings=None, h_star=None,
         fields = dict(snap_offset=p_F - p_F_snap, k3_origin=omega * p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
-    shape = (k0s.size, k12.size, k12.size, k3s.size)
-    if 0 in shape:
-        weight = np.zeros(shape)
+    box = np.meshgrid(k12, k12, k3s, indexing="ij")
+    m = np.stack(mass_vector(*box, p, c.v, c.v3, regime, omega))
+    lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+    k0 = k0s[k0s.size // 2:]  # the positive half; the other is its exact mirror
+    # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
+    live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
+    if live.any():
+        lam2u, key = lam2.ravel(), np.arange(lam2.size)
     else:
-        box = np.meshgrid(k12, k12, k3s, indexing="ij")
-        k0 = k0s[:, None, None, None]
-        e = band_energy(k0, mass_vector(*box, p, c.v, c.v3, regime, omega))
-        weight = smooth_cutoff(_chi_arg(h, regime, cutoff) * e)
-        if lower == "chain":
-            weight = weight - smooth_cutoff(_chi_arg(h - 1, regime, cutoff) * e)
-        elif lower == "valleys":
-            low = _valley_split(k0, *box, h, c, p, cutoff)
-            weight = np.clip(weight - (low[+1] + low[-1]), 0.0, None)
-    bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, weight, cell, c, p, **fields)
+        lam2u, key = np.unique(lam2, return_inverse=True)
+    key = key.reshape(lam2.shape)
+    s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2u)
+    table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
+    if live.any():
+        low = _valley_split(k0[live, None, None, None], *box, h, _regime2_couplings(c, p),
+                            p, cutoff)
+        low = (low[+1] + low[-1]).reshape(-1, lam2.size)
+        table[live] = np.clip(table[live] - low, 0.0, None)
+    sums = _paired_sums(k0, np.full((1, k0.size), 2.0), lam2u, table)[0]
+    moments = (cell / c.Z) * sums[key] * m
+    # both halves of the k0 axis, times each column's multiplicity on the box
+    support = 2 * int(np.bincount(key.ravel(), minlength=lam2u.size) @ np.sum(table > 0, axis=0))
+    for arr in (table, key, moments):
+        arr.flags.writeable = False
+    bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, key, moments, support,
+                  cell, c, p, **fields)
     if warn_sparse and bg.support_points < MIN_BAND_POINTS:
         warnings.warn(f"regime-{regime} band at h={h} holds {bg.support_points} grid "
                       f"momenta (< {MIN_BAND_POINTS}); grid too coarse", stacklevel=3)

@@ -184,28 +184,36 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
 
 # --- regularized momentum sums -------------------------------------------
 
+def _paired_sums(k0, w, lam2u, weight=None):
+    """w @ [weight / (k0^2 + lam2u)], the one frequency reduction: the axes
+    mirror exactly and every weight is even in k0, so each +-k0 pair is summed
+    at once, k0 holding the positive half and w (n, k0.size) each pair's
+    factors, over the distinct lambda^2 lam2u, in blocks of frequencies.
+    weight is a (k0.size, lam2u.size) table or weight(k0sq, lam2u) per block.
+    """
+    sums = np.zeros((w.shape[0], lam2u.size))
+    for lo in range(0, k0.size, 4096):
+        k0sq = k0[lo:lo + 4096, None] ** 2
+        g = 1.0 / (k0sq + lam2u)
+        if callable(weight):
+            g *= weight(k0sq, lam2u)
+        elif weight is not None:
+            g *= weight[lo:lo + 4096]
+        sums += w[:, lo:lo + 4096] @ g
+    return sums
+
+
 def _matsubara_sums(grid: GridSpec, lam2, M: int, x0: float = 0.0, extra=None):
     """Real (s0, a) = (1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} [1, i k0] extra
-    / (k0^2 + lam2) per entry of the 1-D lam2, extra(k0sq, lam2) an optional weight.
-
-    The frequencies mirror exactly and every weight is even in k0, so k0 and
-    -k0 are summed at once in real arithmetic (a is exactly 0 at x0 = 0); only
-    the distinct values of lam2 are summed, in chunks of frequencies.
+    / (k0^2 + lam2) per entry of the 1-D lam2, extra(k0sq, lam2) an optional weight:
+    _paired_sums over the distinct lam2; a is exactly 0 at x0 = 0.
     """
     k0 = grid.matsubara_frequencies(M)
     k0 = k0[k0.size // 2:]  # the positive half; the other is its exact mirror
     cut = 2.0 * smooth_cutoff(k0 / 2.0 ** M)
     w = np.stack([cut * np.cos(k0 * x0), cut * k0 * np.sin(k0 * x0)])
     lam2u, back = np.unique(lam2, return_inverse=True)
-    sums = np.zeros((2, lam2u.size))
-    for lo in range(0, k0.size, 4096):
-        k0sq = k0[lo:lo + 4096, None] ** 2
-        g = 1.0 / (k0sq + lam2u)
-        if extra is not None:
-            g *= extra(k0sq, lam2u)
-        sums += w[:, lo:lo + 4096] @ g
-    s0, a = sums[:, back] / grid.beta
-    return s0, a
+    return _paired_sums(k0, w, lam2u, extra)[:, back] / grid.beta
 
 
 def _frequency_reduced(x0: float, grid: GridSpec, p: HoppingParams, M: int):

@@ -31,7 +31,8 @@ from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, we
 from .propagator import GridSpec, _matsubara_sums, inverse_propagator
 from .cutoff import smooth_cutoff
 from .multiscale import (BandGrid, CutoffSpec, RunningCouplings, _adapted_band,
-                         crossover_scale, default_cutoff, initial_couplings)
+                         _regime2_couplings, crossover_scale, default_cutoff,
+                         initial_couplings)
 
 
 class FlowBlowupError(RuntimeError):
@@ -194,32 +195,25 @@ def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCoupli
 # --- one-loop self-energy ----------------------------------------------------
 
 def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
-    """(1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p) over one band (2x2).
-
-    A contraction of the band's k0 sums against the separable vhat, one axis
-    at a time.  Regime-2 bands hold relative momenta; their valley origin
-    omega p_F enters the third interaction argument.
-    """
-    sums, _ = bg.k0_summed()
+    """(1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p) over one band (2x2): its
+    k0 moments contracted with the separable vhat one axis at a time; omega p_F
+    of a regime-2 band's relative momenta enters the third argument."""
     d1 = inter.amplitude * inter.axis_value(kbar[0] - bg.k1s)
     d2 = inter.axis_value(kbar[1] - bg.k2s)
     d3 = inter.axis_value(kbar[2] - bg.k3_origin - bg.k3s)
-    return sums @ d3 @ d2 @ d1
+    f1, f2, f3 = bg.moments @ d3 @ d2 @ d1
+    return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
 
 
 def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndarray:
     """First-order self-energy from a collection of bands at absolute momentum.
 
-    sigma(kk) = U vhat(0) tr[g(0)] I - U sum_band Fock(kk); the k0 component
-    of kk only selects the instantaneous interaction (no k0 dependence).
+    sigma(kk) = U vhat(0) tr[g(0)] I - U sum_band Fock(kk), where tr g(0), the
+    bands' ik0 moment, is exactly 0 in +-k0 pairs (half filling).  The k0 of
+    kk only selects the instantaneous interaction (no k0 dependence).
     """
-    kbar = (kk_abs[1], kk_abs[2], kk_abs[3])
-    trace = 0.0
-    fock = np.zeros((2, 2), complex)
-    for bg in bands:
-        trace += bg.k0_summed()[1]
-        fock += _fock_from_band(bg, inter, kbar)
-    return U * inter.v_hat_0 * trace * ID2 - U * fock
+    return -U * sum((_fock_from_band(bg, inter, kk_abs[1:]) for bg in bands),
+                    np.zeros((2, 2), complex))
 
 
 def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionSpec,
@@ -231,8 +225,6 @@ def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionS
     equals the direct cumulative-support sum by telescoping of the f_k.
     """
     cutoff = cutoff or default_cutoff(p)
-    if h >= 0:
-        return np.zeros((2, 2), complex)
     bands = [_adapted_band(k, 1, 1, c.replace(h=k), p, cutoff, n_k) for k in range(0, h, -1)]
     return band_self_energy(kk, _require_support(bands), inter, U)
 
@@ -382,7 +374,6 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     termination = "completed"
     insulator = p.r < 0
     finite_hstar = h_star != float("-inf")
-    wp = weyl_points(p)
 
     h = 0
     while h > h_min:
@@ -410,8 +401,8 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
         c_new, rec = flow_step(h, c, _require_support(bands), inter, U, p)
         if at_crossover:
             # enter regime 2: the axial coupling becomes the Weyl velocity
-            v3_cross = c_new.v3 * math.sin(wp.p_F)
-            c_new = c_new.replace(v3=v3_cross, regime=2)
+            c_new = _regime2_couplings(c_new, p)
+            v3_cross = c_new.v3
         rows.append(FlowRow(h=h, couplings=c, beta=rec))
         if keep_bands:
             bands_kept.extend(bands)
@@ -460,6 +451,15 @@ def _scale0_weight(cutoff: CutoffSpec, support: str):
     return weight
 
 
+def _grid_moments(p: HoppingParams, grid: GridSpec, extra):
+    """(kbar, (m1, m2, m3) s0 / L^3): the k0 moments of A^{-1} extra on the
+    grid.  Its ik0 moment, the Hartree trace, is exactly 0 (half filling)."""
+    kbar = grid.spatial_momenta()
+    m = np.stack(mass_vector(*kbar.T, p))
+    s0, _ = _matsubara_sums(grid, m[0] ** 2 + m[1] ** 2 + m[2] ** 2, grid.M, extra=extra)
+    return kbar, m * s0 / grid.L ** 3
+
+
 def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
                    grid: GridSpec, cutoff: CutoffSpec | None = None) -> np.ndarray:
     """One-loop self-energy of the region above scale 0: weight (1 - chi_0)
@@ -469,22 +469,9 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
     complementary ultraviolet dressing when a full-support one-loop object is
     needed (e.g. comparing against the full-support velocity integrals).
     """
-    cutoff = cutoff or default_cutoff(p)
-    kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(*kbar.T, p)
-    # the Hartree piece (tr of the ik0 entries) is the a of the paired sum,
-    # exactly 0 at x0 = 0: half filling
-    s0, _ = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, grid.M,
-                            extra=_scale0_weight(cutoff, "uv"))
-    d = inter.v_hat(kk_abs[1] - kbar[:, 0], kk_abs[2] - kbar[:, 1],
-                    kk_abs[3] - kbar[:, 2])
-    fock = np.zeros((2, 2), complex)
-    fock[0, 0] = np.sum(d * m3 * s0)
-    fock[1, 1] = -fock[0, 0]
-    fock[0, 1] = np.sum(d * (m1 - 1j * m2) * s0)
-    fock[1, 0] = np.sum(d * (m1 + 1j * m2) * s0)
-    fock /= grid.L ** 3
-    return -U * fock
+    kbar, moments = _grid_moments(p, grid, _scale0_weight(cutoff or default_cutoff(p), "uv"))
+    f1, f2, f3 = moments @ inter.v_hat(*(np.asarray(kk_abs[1:])[:, None] - kbar.T))
+    return -U * (f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3)
 
 
 def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec,
@@ -536,17 +523,11 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
         raise ValueError("asymptotic constants need semimetal parameters")
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
-    kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(*kbar.T, p)
-    cutoff = cutoff or default_cutoff(p)
-    # frequency-summed propagator entries per kbar (even part only survives)
-    s0, _ = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, grid.M,
-                            extra=None if support == "full" else _scale0_weight(cutoff, support))
-    g_tr = np.stack([m3 * s0, m1 * s0, m2 * s0])  # sigma3, sigma1, sigma2 parts
+    kbar, moments = _grid_moments(p, grid, None if support == "full" else
+                                  _scale0_weight(cutoff or default_cutoff(p), support))
 
-    def fock(kvec):
-        d = inter.v_hat(kvec[0] - kbar[:, 0], kvec[1] - kbar[:, 1], kvec[2] - kbar[:, 2])
-        return -np.array([np.sum(d * g_tr[0]), np.sum(d * g_tr[1])]) / grid.L ** 3
+    def fock(kvec):  # the sigma3 and sigma1 parts
+        return -(moments @ inter.v_hat(*(np.asarray(kvec)[:, None] - kbar.T)))[[2, 0]]
 
     pF = wp.p_F
 

@@ -186,6 +186,29 @@ def test_audit_input_rejected_up_front(tmp_path, bad):
     assert not (tmp_path / "o" / "decay.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["abc", 4.7, True])
+@pytest.mark.parametrize("sub, block, key, out", [
+    ("trees", "trees", "n_max", "trees.json"),   # "abc" used to exit 2, 4.7 to run as 4
+    ("trees", "trees", "l", "trees.json"),
+    ("trees", "trees", "regime", "trees.json"),
+    ("trees", "trees", "h", "trees.json"),
+    ("bbf-verify", "verify", "n_s2", "bbf.json"),
+    ("bbf-verify", "verify", "n_s3", "bbf.json"),
+    ("bbf-verify", "verify", "n_gram", "bbf.json"),
+    ("band", "grid", "L", "band.csv"),           # 4.7 used to run as L = 4
+    ("band", "grid", "M", "band.csv"),
+    ("propagator", "grid", "L", "propagator.csv"),
+    ("propagator", "grid", "M", "propagator.csv"),
+])
+def test_integer_key_rejected_up_front(tmp_path, sub, block, key, out, bad):
+    cfg = dict(BASE, **{block: dict(BASE.get(block, {}), **{key: bad})})
+    path = write_cfg(tmp_path, cfg)
+    t0 = time.perf_counter()
+    assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "o" / out).exists()
+
+
 def test_solve_nu_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "o"
@@ -212,7 +235,7 @@ def test_solve_nu_subcommand(tmp_path):
     {"tol": "small"},
     {"damping": 0.5},        # solver keys of the old damped iteration
     {"max_iter": 200},
-    {"n_k": MAX_N_K + 1},    # band memory grows as n_k^4
+    {"n_k": MAX_N_K + 1},    # band memory grows as n_k^3
     {"U": "abc"},            # used to exit 2: could not convert string to float
     {"U": float("nan")},     # used to exit 2: regime-2 band empty
     {"U": float("inf")},

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from weylrg.cutoff import smooth_cutoff
+from weylrg.cutoff import shell_cutoff, smooth_cutoff
 from weylrg.lattice import build_params, mass_vector, weyl_points
 from weylrg.propagator import GridSpec, free_propagator
 from weylrg import multiscale as ms
@@ -28,6 +29,30 @@ def test_smooth_cutoff_monotone_on_ramp():
     assert np.all(np.diff(vals) <= 1e-15)
     with pytest.raises(ValueError):
         smooth_cutoff(-0.1)
+
+
+_BREAKS = [0.0, 0.5, 1.0, 2.0, 5e-324, 1e-310, float(np.nextafter(0.5, 1.0)),
+           float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)),
+           float(np.nextafter(2.0, 0.0)), 0.25, 4.0]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(s=st.lists(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300),
+                            st.sampled_from(_BREAKS)), min_size=1, max_size=16))
+@example(s=_BREAKS)
+def test_shell_cutoff_is_the_two_cutoff_difference(s):
+    s = np.array(s)
+    want = smooth_cutoff(s) - smooth_cutoff(2.0 * s)
+    assert np.array_equal(shell_cutoff(s).view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(h=st.integers(-60, 10), a0=st.floats(1e-3, 10.0), b0=st.floats(1e-3, 1e6))
+def test_chi_arg_doubles_per_scale(h, a0, b0):
+    # what makes a single-scale band one shell_cutoff ramp in both regimes
+    cut = ms.CutoffSpec(a0=a0, b0=b0)
+    for regime in (1, 2):
+        assert ms._chi_arg(h - 1, regime, cut) == 2.0 * ms._chi_arg(h, regime, cut)
 
 
 def test_crossover_scale_examples(p_star, p_small_r):
@@ -172,6 +197,21 @@ def test_quasiparticle_split_sum_rule(p_star):
                              cut, regime=2, omega=+1)
         assert w[-1] == 0.0
         assert abs(w[+1] + w[-1] - chi) < 1e-14
+
+
+def test_quasiparticle_split_halves_on_k3_plane(p_star):
+    """On k3 = 0 each valley carries exactly theta(0) = 1/2 of its chi_{h*-1}.
+    b0 = 6 puts that plane on the ramp of chi_{h*-1} (argument 1.5 at kk = 0)."""
+    cut = ms.CutoffSpec(a0=p_star.a0, b0=6.0)
+    c = ms.initial_couplings(p_star, regime=2)
+    p_f = weyl_points(p_star).p_F
+    for kk in ((0.0, 0.0, 0.0, 0.0), (0.05, 0.1, -0.1, 0.0)):
+        w = ms.quasiparticle_split(kk, 0, c, p_star, cut, check=False)
+        for omega in (1, -1):
+            chi = ms.chi_support((kk[0], kk[1], kk[2], -omega * p_f), -1, c, p_star, cut,
+                                 regime=2, omega=omega)
+            assert 0.0 < chi < 1.0
+            assert w[omega] == 0.5 * chi
 
 
 def test_disconnection_check_rejects_small_b0(p_star):

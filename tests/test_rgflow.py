@@ -102,17 +102,24 @@ def test_self_energy_matches_direct_cumulative_sum(p_star):
     K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
     m1, m2, m3 = mass_vector(K1, K2, K3, p_star, c.v, c.v3)
     e = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
-    from weylrg.cutoff import smooth_cutoff
-    bg.weight = smooth_cutoff(e / cut.a0) - smooth_cutoff(e / (cut.a0 * 2.0 ** -2))
-    direct = rg.band_self_energy(kk, [bg], INTER, U)
+    weight = smooth_cutoff(e / cut.a0) - smooth_cutoff(e / (cut.a0 * 2.0 ** -2))
+    direct = _direct_self_energy(kk, bg, INTER, U, weight)
     # absolute quadrature tolerance plus a relative check on the tiny values
     assert np.max(np.abs(sig - direct)) < 1e-4
     assert np.max(np.abs(sig - direct)) < 0.05 * np.max(np.abs(direct))
 
 
-def _direct_self_energy(kk_abs, bg, inter, U):
-    """One band's one-loop kernel as 4-D einsums over its entries()."""
-    e00, e01, e10, e11 = bg.entries()
+def _direct_self_energy(kk_abs, bg, inter, U, weight=None):
+    """One band's one-loop kernel as 4-D einsums over its entries(), or over
+    weight A^{-1}/Z on the band's box when a 4-D weight is given."""
+    if weight is None:
+        e00, e01, e10, e11 = bg.entries()
+    else:
+        m1, m2, m3 = bg.mass_arrays()
+        k0 = bg.k0s[:, None, None, None]
+        w = weight / (bg.couplings.Z * (k0 ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2))
+        e00, e01 = w * (1j * k0 + m3), w * (m1 - 1j * m2)
+        e10, e11 = w * (m1 + 1j * m2), w * (1j * k0 - m3)
     origin = bg.omega * weyl_points(bg.params).p_F if bg.regime == 2 else 0.0
     d1 = inter.amplitude * inter.axis_value(kk_abs[1] - bg.k1s)
     d2 = inter.axis_value(kk_abs[2] - bg.k2s)
@@ -146,39 +153,40 @@ def test_cached_band_sums_match_direct_einsum(p_star, p_small_r):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (name, kk)
 
 
-def test_band_sums_follow_weight_reassignment(p_star, p_small_r):
+def test_band_weight_cannot_be_written(p_star, p_small_r):
     kk = (0.0, 0.1, -0.2, 0.3)
     for name, bg in _test_bands(p_star, p_small_r).items():
         before = rg.band_self_energy(kk, [bg], INTER, 0.05)
-        bg.weight = 0.5 * bg.weight
-        assert np.array_equal(rg.band_self_energy(kk, [bg], INTER, 0.05), 0.5 * before), name
-        bg.weight = bg.weight ** 2
-        got = rg.band_self_energy(kk, [bg], INTER, 0.05)
-        want = _direct_self_energy(kk, bg, INTER, 0.05)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
-        with pytest.raises(ValueError):  # the cached weight is read-only
-            bg.weight[0, 0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            bg.weight = 0.5 * bg.weight
+        for arr in (bg.weight, bg.table, bg.moments):
+            with pytest.raises(ValueError):  # read-only
+                arr[(0,) * arr.ndim] = 1.0
+        assert np.array_equal(rg.band_self_energy(kk, [bg], INTER, 0.05), before), name
 
 
 @pytest.mark.parametrize("b0", [None, 18.0])
 def test_bridge_weight_matches_scalar_oracle(p_star, b0):
     """The bridge band's weight at 50 box points against
     chi_{h*}(e_1) - sum_omega theta(omega k3) chi_{h*-1}(e_omega), clipped at
-    0, written out point by point at the band's couplings.
+    0, written out point by point at the band's couplings; the valleys take
+    the axial velocity v3 sin p_F that run_flow carries into regime 2.
 
     At the default b0 the valley support (e < 2^h* a0^2/2) lies below the
     box's smallest |k0| = 2^h* 2 a0/n_k, so only the upper cutoff acts; at
-    b0 = 18 the valley term reaches the box and the clip acts too.
+    b0 = 18 the valley term reaches the box, and since b0 < 1/a0 it covers
+    the upper cutoff's whole support: the clip empties the band.
     """
     cut = ms.default_cutoff(p_star) if b0 is None else ms.CutoffSpec(a0=p_star.a0, b0=b0)
     c = ms.initial_couplings(p_star)
     h_star = ms.crossover_scale(p_star)
     band = rg._adapted_crossover(h_star, c, p_star, cut, 10)
     p, p_f = p_star, weyl_points(p_star).p_F
-    # 26 points of the support, and the whole k0 axis through each Weyl point,
-    # where both cutoffs' ramps are crossed
+    # 26 points of the upper cutoff's support, and the whole k0 axis through
+    # each Weyl point, where both cutoffs' ramps are crossed
     rng = np.random.default_rng(21)
-    support = np.argwhere(band.weight > 0)
+    box = np.meshgrid(band.k0s, band.k1s, band.k2s, band.k3s, indexing="ij")
+    support = np.argwhere(ms.chi_support(box, h_star, c, p_star, cut) > 0)
     picks = [tuple(x) for x in support[rng.choice(len(support), 26, replace=False)]]
     j0 = int(np.argmin(np.abs(band.k1s)))
     for s3 in (1, -1):
@@ -196,7 +204,7 @@ def test_bridge_weight_matches_scalar_oracle(p_star, b0):
         for omega in (1, -1):
             theta = 1.0 if omega * k3 > 0 else (0.5 if k3 == 0.0 else 0.0)
             k3p = k3 - omega * p_f
-            m3 = (-omega * c.v3 * math.sin(k3p)
+            m3 = (-omega * c.v3 * math.sin(p_f) * math.sin(k3p)
                   + p.t_perp * math.cos(p_f) * (math.cos(k3p) - 1.0) + E)
             e = math.sqrt(k0 ** 2 + planar + m3 ** 2)
             low = theta * smooth_cutoff(cut.b0 / 2.0 * 2.0 ** -(h_star - 1) * e)
@@ -206,6 +214,26 @@ def test_bridge_weight_matches_scalar_oracle(p_star, b0):
         assert abs(band.weight[i, j, l, m] - max(want, 0.0)) <= 1e-15, (i, j, l, m)
     if b0 is not None:
         assert split >= 10 and clipped >= 1, (split, clipped)
+
+
+def test_bridge_lower_edge_is_first_regime2_upper_edge(p_star):
+    """At U = 0 the bridge band is chi_{h*} minus theta(omega k3) times the
+    upper edge chi_{h*-1} of the first regime-2 band of valley omega, point by
+    point, so the scale partition telescopes across h*.  b0 = 30, between 1/a0
+    and 2/a0, puts that edge on the box's three smallest |k0|."""
+    cut = ms.CutoffSpec(a0=p_star.a0, b0=30.0)
+    traj = rg.run_flow(p_star, 0.0, INTER, -2, n_k=10, cutoff=cut)
+    bridge, first = traj.bands[0], traj.bands[1]
+    assert (bridge.h, first.h, first.regime) == (0, -1, 2)
+    p_f = weyl_points(p_star).p_F
+    k0, k1, k2, k3 = np.meshgrid(bridge.k0s, bridge.k1s, bridge.k2s, bridge.k3s,
+                                 indexing="ij")
+    upper = ms.chi_support((k0, k1, k2, k3), 0, bridge.couplings, p_star, cut)
+    lower = sum(np.where(om * k3 > 0, 1.0, np.where(k3 == 0.0, 0.5, 0.0))
+                * ms.chi_support((k0, k1, k2, k3 - om * p_f), -1, first.couplings, p_star,
+                                 cut, regime=2, omega=om) for om in (1, -1))
+    assert np.count_nonzero((lower > 0) & (upper > lower)) > 100
+    assert np.max(np.abs(bridge.weight - np.clip(upper - lower, 0.0, None))) <= 1e-15
 
 
 def test_flow_step_deterministic(p_star):
