@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 import warnings
@@ -37,8 +36,9 @@ class ConfigError(ValueError):
 
 
 #: Largest GridSpec.row_bound() the propagator subcommand accepts.  A row
-#: costs about 233 bytes of CSV and 210 bytes of peak RSS (the README grid:
-#: 1.33M rows, 311 MB of CSV, 278 MB peak), so the cap is about 2 GB of each.
+#: costs about 234 bytes of CSV and 197 bytes of peak RSS (the README grid:
+#: 1.33M rows, 311.6 MB of CSV, 250.8 MiB peak, set by building the grid), so
+#: the cap is about 2.0 GB of CSV and 1.7 GB of RSS.
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 
@@ -116,7 +116,8 @@ def _grid(cfg) -> GridSpec:
         if key not in g:
             raise ConfigError(f"grid.{key} is required")
     try:
-        return GridSpec(L=_int_key(g, "grid", "L", None), beta=float(g["beta"]),
+        return GridSpec(L=_int_key(g, "grid", "L", None),
+                        beta=_float_key(g, "grid", "beta", None, positive=True),
                         M=_int_key(g, "grid", "M", 12))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -277,6 +278,17 @@ def _int_key(block: dict, where: str, key: str, default: int) -> int:
     return val
 
 
+def _float_key(block: dict, where: str, key: str, default: float, positive: bool = False) -> float:
+    """block[key] (default if absent), which must be a JSON number within the
+    float range, not a boolean, and > 0 if positive."""
+    val = block.get(key, default)
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not abs(val) <= sys.float_info.max or (positive and not val > 0)):
+        raise ConfigError(f"{where}.{key} must be a finite number{' > 0' if positive else ''}, "
+                          f"got {val!r}")
+    return float(val)
+
+
 def _flow_inputs(f: dict, U_default: float):
     """(h_min, n_k, tol, U, eps0) of the 'flow' block, checked before any work.
 
@@ -285,18 +297,14 @@ def _flow_inputs(f: dict, U_default: float):
     eps0 finite positive numbers.
     """
     h_min, n_k = _int_key(f, "flow", "h_min", -6), _int_key(f, "flow", "n_k", 12)
-    tol, U, eps0 = f.get("tol", 1e-10), f.get("U", U_default), f.get("eps0", 0.5)
     if not 2 <= n_k <= MAX_N_K:
         raise ConfigError(f"flow.n_k = {n_k} lies outside [2, {MAX_N_K}]: below 2 the "
                           f"bands cannot be resolved, above {MAX_N_K} a deep flow takes "
                           "over 1 GB")
     if not H_MIN_FLOOR <= h_min <= 0:
         raise ConfigError(f"flow.h_min = {h_min} lies outside [{H_MIN_FLOOR}, 0]")
-    for key, val, low in (("U", U, -math.inf), ("tol", tol, 0.0), ("eps0", eps0, 0.0)):
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not low < val < math.inf:
-            raise ConfigError(f"flow.{key} must be a finite number{' > 0' if low == 0 else ''}, "
-                              f"got {val!r}")
-    return h_min, n_k, float(tol), float(U), float(eps0)
+    return (h_min, n_k, _float_key(f, "flow", "tol", 1e-10, positive=True),
+            _float_key(f, "flow", "U", U_default), _float_key(f, "flow", "eps0", 0.5, positive=True))
 
 
 def _cmd_flow(cfg, w: RunWriter, solve: bool = False):

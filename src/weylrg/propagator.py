@@ -301,10 +301,9 @@ def counterterm_nu_C(grid: GridSpec, p: HoppingParams, v_hat_0: float) -> float:
 _CSV_HEADER = ["k0", "k1", "k2", "k3",
                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
 # rows per chunk in the CSV writer and the conjugation check: bounds the
-# temporaries (Python floats, strings, matched pairs) to tens of MB
-_CHUNK_ROWS = 1 << 16
-# 4 float64 fields, so np.searchsorted orders momentum keys lexicographically
-_KEY_DTYPE = np.dtype([(f"k{i}", float) for i in range(4)])
+# temporaries (bit patterns, cell indices, cell strings, chunk text) to a few
+# MB, well under the peak of build_propagator_grid
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass
@@ -328,35 +327,64 @@ class PropagatorGrid:
     def conjugation_defect(self) -> float:
         """max |value(-k0, kbar) - value(k0, kbar)^dagger| over matched rows.
 
-        Rows match on momenta rounded to 12 decimals; when several rows share a
-        key the last one is the match.  Rows without a mirror are ignored, and so
-        are NaN differences.  Works for any row order.
+        Rows match on momenta rounded to 12 decimals (-0.0 == 0.0); when several
+        rows share a key the last one is the match.  Rows without a mirror are
+        ignored, and so are NaN differences; a key holding a NaN matches
+        nothing.  Works for any row order.
         """
-        keys = np.round(self.momenta, 12)
-        order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in row order
-        keys = keys[order]
-        table = keys.view(_KEY_DTYPE).ravel()
+        # kbar as one dense rank, re-ranked after each column so that no
+        # product of column counts overflows int64
+        kbar = np.zeros(len(self), np.int64)
+        for c in (1, 2, 3):
+            u, r = np.unique(np.round(self.momenta[:, c], 12), return_inverse=True)
+            kbar *= u.size
+            kbar += r
+            del r  # in place and freed early: these temporaries set the peak
+            kbar = np.unique(kbar, return_inverse=True)[1]
+        n_kbar = int(kbar.max(initial=-1)) + 1
+        u, key = np.unique(np.round(self.momenta[:, 0], 12), return_inverse=True)
+        # per distinct k0: n_kbar times the rank of -k0, or -n_kbar if -k0 is absent
+        m = np.searchsorted(u, -u)
+        m = np.where(u[np.minimum(m, u.size - 1)] == -u, m, -1) * n_kbar
+        # (k0 rank, kbar rank) as one int64 below len(self)^2; mirror < 0 is no match
+        mirror = m[key] + kbar
+        key *= n_kbar
+        key += kbar
+        del kbar
+        nan = np.isnan(self.momenta).any(axis=1)  # rounding keeps NaN and only NaN
+        key[nan] = mirror[nan] = -1  # a key that holds a NaN matches nothing
+        order = np.argsort(key, kind="stable")  # equal keys stay in row order
+        key = key[order]
         worst = 0.0
         for lo in range(0, len(self), _CHUNK_ROWS):
-            mirror = keys[lo:lo + _CHUNK_ROWS].copy()
-            mirror[:, 0] = -mirror[:, 0]
+            want = mirror[lo:lo + _CHUNK_ROWS]
             # the last of equal keys sits just left of the right insertion point
-            pos = np.searchsorted(table, mirror.view(_KEY_DTYPE).ravel(), side="right") - 1
-            hit = (pos >= 0) & np.all(keys[pos] == mirror, axis=1)
-            i, j = order[lo + np.flatnonzero(hit)], order[pos[hit]]
+            pos = np.searchsorted(key, want, side="right") - 1
+            hit = (pos >= 0) & (want >= 0) & (key[pos] == want)
+            i, j = lo + np.flatnonzero(hit), order[pos[hit]]
             diff = self.values[j] - self.values[i].conj().transpose(0, 2, 1)
             worst = float(np.fmax.reduce(np.abs(diff).max(axis=(1, 2)), initial=worst))
         return worst
 
     def to_csv(self, path_or_buf):
-        """Header plus one CRLF row per momentum, every float written by repr."""
+        """Header plus one CRLF row per momentum, every float written by repr.
+
+        repr depends only on a float's bit pattern, so each chunk calls it once
+        per distinct pattern and looks every cell up in that table.
+        """
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
         try:
             buf.write(",".join(_CSV_HEADER) + "\r\n")
             for lo in range(0, len(self), _CHUNK_ROWS):
                 vals = self.values[lo:lo + _CHUNK_ROWS].reshape(-1, 4).view(float)
                 rows = np.concatenate([self.momenta[lo:lo + _CHUNK_ROWS], vals], axis=1)
-                buf.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows.tolist()]))
+                bits, cell = np.unique(rows.view(np.uint64), return_inverse=True)
+                cell = cell.reshape(rows.shape)
+                text = list(map(repr, bits.view(float).tolist()))
+                # cells of the last column index the second half, which ends rows
+                table = np.array([t + "," for t in text] + [t + "\r\n" for t in text], dtype=object)
+                cell[:, -1] += bits.size
+                buf.write("".join(table[cell].ravel().tolist()))
         finally:
             if buf is not path_or_buf:
                 buf.close()

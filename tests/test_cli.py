@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from weylrg import propagator
 from weylrg.cli import H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, dispatch
 from weylrg.lattice import build_params
 from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
@@ -147,6 +148,21 @@ def test_propagator_oversized_grid_fails_fast(tmp_path, grid):
     assert not (tmp_path / "o" / "propagator.csv").exists()
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_propagator_csv_pinned_bytes(tmp_path, monkeypatch, chunk_rows):
+    """propagator.csv of an L = 3 grid (540 rows), byte for byte.  The sha256 was
+    computed by running the per-row repr writer of commit e90b2b6, before the
+    writer formatted each distinct float once; 7-row chunks cross 77 chunk
+    boundaries."""
+    if chunk_rows is not None:
+        monkeypatch.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
+    path = write_cfg(tmp_path, dict(BASE, grid={"L": 3, "beta": 4.0, "M": 3}))
+    out = tmp_path / "o"
+    assert dispatch(["propagator", "--config", path, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "propagator.csv").read_bytes()).hexdigest() == \
+        "837b4ed0b57a84d9f297ce228dda134c83018b483bd78e2ca730958acd88b9d0"
+
+
 def test_readme_grid_well_under_row_cap():
     assert GridSpec(L=4, beta=8.0, M=12).row_bound() < MAX_PROPAGATOR_ROWS / 4
 
@@ -209,6 +225,18 @@ def test_integer_key_rejected_up_front(tmp_path, sub, block, key, out, bad):
     assert not (tmp_path / "o" / out).exists()
 
 
+@pytest.mark.parametrize("beta", [True, "8", [8], None, 10 ** 400])
+@pytest.mark.parametrize("sub", ["band", "propagator"])
+def test_grid_beta_rejected_up_front(tmp_path, sub, beta):
+    # true and "8" used to run at beta = 1 and 8; [8] and null escaped dispatch
+    # as TypeError, an integer beyond the float range as OverflowError
+    path = write_cfg(tmp_path, dict(BASE, grid=dict(BASE["grid"], beta=beta)))
+    t0 = time.perf_counter()
+    assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_solve_nu_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "o"
@@ -240,6 +268,7 @@ def test_solve_nu_subcommand(tmp_path):
     {"U": float("nan")},     # used to exit 2: regime-2 band empty
     {"U": float("inf")},
     {"U": True},
+    {"U": -10 ** 400},       # used to escape dispatch as OverflowError
     {"eps0": "x"},           # used to exit 2: could not convert string to float
     {"eps0": float("nan")},  # used to exit 0 with the coupling window off
     {"eps0": 0.0},

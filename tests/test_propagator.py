@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylrg import propagator
 from weylrg.lattice import ID2, bloch_matrix, build_params, mass_vector, weyl_points
 from weylrg.propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
                                _matsubara_sums,
@@ -198,6 +199,19 @@ def test_conjugation_defect_matches_dict_oracle(p_star):
     # duplicate keys: the last row is the match (k0 = 0 rows mirror themselves)
     dup = PropagatorGrid(pg.grid, np.zeros((2, 4)), np.array([np.eye(2), (1 + 1e-3j) * np.eye(2)]))
     assert dup.conjugation_defect() == _defect_oracle(dup) == pytest.approx(2e-3)
+    # a -0.0 k0 is the key of 0.0: one key, so the last of the two rows is the match
+    signed = PropagatorGrid(pg.grid, np.vstack([shuffled.momenta, [[-0.0, 0.0, 0.0, 0.0]]]),
+                            np.concatenate([shuffled.values, [(1 + 1e-3j) * np.eye(2)]]))
+    signed.momenta[0] = 0.0
+    signed.values[0] = np.eye(2)
+    assert signed.conjugation_defect() == _defect_oracle(signed) == pytest.approx(2e-3)
+    # a key that holds a NaN matches nothing, not even itself or another NaN key
+    nan_rows = np.array([[math.nan, 0.0, 0.0, 0.0], [0.5, math.nan, 0.0, 0.0],
+                         [-0.5, math.nan, 0.0, 0.0]])
+    nan_key = PropagatorGrid(pg.grid, np.vstack([shuffled.momenta, nan_rows]),
+                             np.concatenate([shuffled.values, np.full((3, 2, 2), 5.0 + 1j)]))
+    nan_key.values[-1] *= 2.0
+    assert nan_key.conjugation_defect() == _defect_oracle(nan_key) == pg.conjugation_defect()
 
 
 def test_to_csv_bytes_match_csv_writer(p_star):
@@ -215,6 +229,36 @@ def test_to_csv_bytes_match_csv_writer(p_star):
     pg.to_csv(got)
     assert got.getvalue() == expect.getvalue()
     assert "-0.0,0.0,5e-324," in got.getvalue()
+
+
+def _csv_writer_bytes(pg):
+    """What csv.writer writes for pg's header and rows, every float by repr."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["k0", "k1", "k2", "k3",
+                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"])
+    for kk, v in zip(pg.momenta, pg.values):
+        w.writerow([repr(float(c)) for c in kk]
+                   + [repr(float(f(e))) for e in v.ravel() for f in (np.real, np.imag)])
+    return out.getvalue()
+
+
+def test_to_csv_across_chunks_and_repeated_values(monkeypatch):
+    # 7-row chunks cross many chunk boundaries; each special value recurs within
+    # a column, across columns and across chunks, and NaN comes with both signs
+    # and a payload, so distinct bit patterns share one repr
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+    special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                        -2.2250738585072014e-308, 0.1, -1e300])
+    pool = np.append(special.view(np.uint64), np.uint64(0x7FF8000000000001))
+    cells = np.random.default_rng(11).choice(pool, size=(45, 12)).view(float)
+    assert set(cells.view(np.uint64).ravel().tolist()) == set(pool.tolist())
+    pg = PropagatorGrid(GRID, cells[:, :4].copy(),
+                        cells[:, 4:].copy().view(complex).reshape(-1, 2, 2))
+    got = io.StringIO(newline="")
+    pg.to_csv(got)
+    assert got.getvalue() == _csv_writer_bytes(pg)
+    assert got.getvalue().count("\r\n") == len(pg) + 1
 
 
 def test_from_csv_rejects_bad_header():
