@@ -25,7 +25,6 @@ from .rgflow import (FlowBlowupError, FlowTrajectory, InteractionSpec,
                      solve_nu, update_couplings)
 from .trees import (GNTree, SizeLimitError, enumerate_trees, scale_sum_audit,
                     scaling_dimension, structural_identities_check, tree_bound)
-from .grassmann import (AnchoredTree, SignCalibrationError, bbf_evaluate,
-                        calibrate_bbf_sign, enumerate_anchored_trees,
+from .grassmann import (AnchoredTree, bbf_evaluate, enumerate_anchored_trees,
                         gram_hadamard_audit, truncated_expectation_oracle,
                         wick_expectation)

@@ -20,14 +20,25 @@ interpolated expectation is a determinant with cross-cluster entries scaled
 by t, evaluated through the interleaved-order identity
 
   E[psi^-_{i1} psi^+_{j1} ... psi^-_{im} psi^+_{jm}] = det[ g_{i_a, j_b} ].
+
+That reordering sign is the whole sign, so the formula carries no global
+factor to fix (it is +1).  Even cluster monomials commute, so their product
+is the one monomial of all fields in cluster order.  Moving each line's pair
+(psi^-_a, psi^+_b), in that order, to the front is a permutation of the
+generators with an explicit parity; a pair in that order contracts to
+g(a, b) by the definition of the covariance, with no further sign; and the
+rest is brought to interleaved order with its own parity.  These are the
+parities the Wick expansion of the same monomial assigns, and the cumulant
+oracle, which knows nothing of trees, checks the result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 
 import numpy as np
 
@@ -43,10 +54,6 @@ class SizeLimitError(ValueError):
 
 class WickMismatchError(ArithmeticError):
     """The determinant and pairing-expansion values of a Wick expectation differ."""
-
-
-class SignCalibrationError(RuntimeError):
-    """bbf_evaluate used before the reference-case sign calibration."""
 
 
 def _pair(x, y, g):
@@ -201,7 +208,7 @@ class AnchoredTree:
     lines: tuple
 
     def cluster_edges(self):
-        return tuple(sorted((min(l[0], l[2]), max(l[0], l[2]))) for l in self.lines)
+        return tuple((min(l[0], l[2]), max(l[0], l[2])) for l in self.lines)
 
     def contracts_to_tree(self, s: int) -> bool:
         seen = {0}
@@ -280,47 +287,51 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = (_GL_NODES + 1.0) / 2.0
 _GL_WEIGHTS = _GL_WEIGHTS / 2.0
 
-_BBF_SIGN = None
+
+@functools.cache
+def _sector_grid(ne):
+    """(weights (n,), w (n, ne)): quadrature for int over [0,1]^ne of
+    integrands polynomial within each ordering sector of w, with GL nodes
+    mapped onto each sector's ordered simplex."""
+    n = len(_GL_NODES)
+    idx = np.array(list(product(range(n), repeat=ne)), dtype=int).reshape(n ** ne, ne)
+    # ordered values o_0 <= ... <= o_{ne-1}: o_k = prod_{j >= k} v_j
+    o = np.cumprod(_GL_NODES[idx][:, ::-1], axis=1)[:, ::-1]
+    wt = np.prod(_GL_WEIGHTS[idx], axis=1) * np.prod(o[:, 1:], axis=1)
+    sectors = list(permutations(range(ne)))
+    w = np.empty((len(sectors), len(o), ne))
+    for block, sigma in zip(w, sectors):
+        block[:, list(sigma)] = o  # the edge of rank k takes o_k
+    return _frozen(np.tile(wt, len(sectors))), _frozen(w.reshape(len(sectors) * len(o), ne))
 
 
-def _tmatrix(tree, w, s):
+def _frozen(a):
+    """a made read-only: the cached grids are shared by every call."""
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _tree_interpolation(tree, s):
+    """(weights (n,), t (n, s, s)) for a cluster tree: t_ii' = min of w along
+    the tree path i -> i' at each quadrature point, 1 on the diagonal."""
+    wt, w = _sector_grid(len(tree))
     adj = {i: [] for i in range(s)}
-    for ei, (a, b) in enumerate(tree):
-        adj[a].append((b, w[ei]))
-        adj[b].append((a, w[ei]))
-    t = np.ones((s, s))
+    for e, (a, b) in enumerate(tree):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    t = np.ones((len(wt), s, s))
     for i in range(s):
-        val = {i: 1.0}
+        path = {i: []}
         stack = [i]
         while stack:
             v = stack.pop()
-            for u, wv in adj[v]:
-                if u not in val:
-                    val[u] = min(val[v], wv)
+            for u, e in adj[v]:
+                if u not in path:
+                    path[u] = path[v] + [e]
+                    t[:, i, u] = w[:, path[u]].min(axis=1)
                     stack.append(u)
-        for j in range(s):
-            t[i, j] = val[j]
-    return t
-
-
-def _ordered_sector_grid(ne):
-    """Quadrature for int over [0,1]^ne of piecewise-polynomial-in-ordering
-    integrands: per ordering sector, map GL nodes onto the ordered simplex."""
-    if ne == 0:
-        return [(1.0, ())]
-    grid = []
-    for sigma in permutations(range(ne)):
-        for idxs in product(range(len(_GL_NODES)), repeat=ne):
-            v = [_GL_NODES[i] for i in idxs]
-            wt = math.prod(_GL_WEIGHTS[i] for i in idxs)
-            # ordered values o_0 <= ... <= o_{ne-1}: o_k = prod_{j >= k} v_j
-            o = [math.prod(v[k:]) for k in range(ne)]
-            jac = math.prod(o[k + 1] for k in range(ne - 1)) if ne > 1 else 1.0
-            w = [0.0] * ne
-            for rank, edge in enumerate(sigma):
-                w[edge] = o[rank]
-            grid.append((wt * jac, tuple(w)))
-    return grid
+    return wt, _frozen(t)
 
 
 def _move_front_sign(order, items):
@@ -333,99 +344,46 @@ def _move_front_sign(order, items):
     return sign, cur
 
 
-def _bbf_raw(clusters, g, s_cap=MAX_CLUSTERS_BBF):
-    s = len(clusters)
-    if s > s_cap:
-        raise SizeLimitError(f"bbf_evaluate capped at s <= {s_cap}")
-    if sum(len(c) for c in clusters) > MAX_FIELDS_BBF:
-        raise SizeLimitError(f"bbf_evaluate capped at {MAX_FIELDS_BBF} fields")
-    garr = np.asarray(g, dtype=float)
-    cl_of = {}
-    fields = []
-    for ci, cl in enumerate(clusters):
-        for f in cl:
-            cl_of[f] = ci
-            fields.append(f)
-    total = 0.0
-    for tree in _spanning_trees(s):
-        sector = _ordered_sector_grid(len(tree))
-        tmats = [(wt, _tmatrix(tree, w, s)) for wt, w in sector]
-
-        def choices(edge):
-            a, b = edge
-            ch = [(fm, fp) for fm in fields if fm[1] == -1 and cl_of[fm] == a
-                  for fp in fields if fp[1] == +1 and cl_of[fp] == b]
-            ch += [(fm, fp) for fm in fields if fm[1] == -1 and cl_of[fm] == b
-                   for fp in fields if fp[1] == +1 and cl_of[fp] == a]
-            return ch
-
-        for combo in product(*[choices(e) for e in tree]):
-            used = set()
-            ok = True
-            for fm, fp in combo:
-                if fm in used or fp in used:
-                    ok = False
-                    break
-                used.update((fm, fp))
-            if not ok:
-                continue
-            gprod = 1.0
-            front = []
-            for fm, fp in combo:
-                gprod *= garr[fm[0], fp[0]]
-                front.extend([fm, fp])
-            sgn0, rest = _move_front_sign(fields, front)
-            sgn1, mi, pi = interleave_sign(tuple(rest))
-            sub = garr[np.ix_(mi, pi)] if mi else np.ones((0, 0))
-            rows = [cl_of[(i, -1)] for i in mi]
-            cols = [cl_of[(j, +1)] for j in pi]
-            intval = 0.0
-            for wt, t in tmats:
-                intval += wt * np.linalg.det(t[np.ix_(rows, cols)] * sub)
-            total += sgn0 * sgn1 * gprod * intval
-    return total
-
-
-def load_reference_case():
-    """The shipped calibration case: (clusters, covariance, expected value)."""
-    import json
-    from pathlib import Path
-    data = json.loads((Path(__file__).parent / "data" / "bbf_reference.json").read_text())
-    clusters = tuple(tuple((int(i), int(e)) for i, e in cl) for cl in data["clusters"])
-    cov = [[Fraction(v) for v in row] for row in data["covariance"]]
-    return clusters, cov, Fraction(data["expected"])
-
-
-def calibrate_bbf_sign() -> int:
-    """Fix the global sign on the shipped s=2 reference case and return it."""
-    global _BBF_SIGN
-    clusters, g, expected = load_reference_case()
-    oracle = truncated_expectation_oracle(clusters, g)
-    if oracle != expected:
-        raise SignCalibrationError(
-            f"oracle value {oracle} disagrees with the shipped expectation {expected}")
-    raw = _bbf_raw(clusters, [[float(v) for v in row] for row in g])
-    ratio = float(oracle) / raw
-    sign = round(ratio)
-    if sign not in (-1, 1) or abs(ratio - sign) > 1e-9:
-        raise SignCalibrationError(f"reference ratio {ratio} is not a sign")
-    _BBF_SIGN = sign
-    return sign
-
-
-def bbf_evaluate(clusters, g, auto_calibrate: bool = True):
+def bbf_evaluate(clusters, g):
     """Anchored-tree interpolated-determinant evaluation of the cumulant.
 
     Equals truncated_expectation_oracle to quadrature accuracy (1e-10 on
-    normalized inputs); s <= 3, total fields <= 10.  The global sign is frozen
-    by calibrate_bbf_sign(); with auto_calibrate the reference case runs on
-    first use, otherwise an uncalibrated call raises SignCalibrationError.
+    normalized inputs); s <= 3, total fields <= 10.  All pairings of one
+    cluster tree share its quadrature points and minor size, so each tree
+    takes one stacked determinant.
     """
-    if _BBF_SIGN is None:
-        if not auto_calibrate:
-            raise SignCalibrationError("run calibrate_bbf_sign() first")
-        calibrate_bbf_sign()
-    return _BBF_SIGN * _bbf_raw(clusters, g)
+    s = len(clusters)
+    if s > MAX_CLUSTERS_BBF:
+        raise SizeLimitError(f"bbf_evaluate capped at s <= {MAX_CLUSTERS_BBF}")
+    if sum(len(c) for c in clusters) > MAX_FIELDS_BBF:
+        raise SizeLimitError(f"bbf_evaluate capped at {MAX_FIELDS_BBF} fields")
+    garr = np.asarray(g, dtype=float)
+    fields = [f for cl in clusters for f in cl]
+    if 2 * sum(f[1] == -1 for f in fields) != len(fields):
+        return 0.0
+    cl_of = {f: ci for ci, cl in enumerate(clusters) for f in cl}
+    total = 0.0
+    for tree, group in groupby(enumerate_anchored_trees(clusters),
+                               key=AnchoredTree.cluster_edges):
+        coef, minus, plus, rows, cols = [], [], [], [], []
+        for at in group:
+            front = [f for _, fm, _, fp in at.lines for f in (fm, fp)]
+            sgn0, rest = _move_front_sign(fields, front)
+            sgn1, mi, pi = interleave_sign(tuple(rest))
+            coef.append(sgn0 * sgn1 * math.prod(garr[fm[0], fp[0]] for _, fm, _, fp in at.lines))
+            minus.append(mi)
+            plus.append(pi)
+            rows.append([cl_of[(i, -1)] for i in mi])
+            cols.append([cl_of[(j, +1)] for j in pi])
+        # (P, m): every pairing of the tree leaves an m x m minor, m = nf/2 - (s - 1)
+        minus, plus, rows, cols = (np.array(a, dtype=int).reshape(len(coef), -1)
+                                   for a in (minus, plus, rows, cols))
+        wt, t = _tree_interpolation(tree, s)
+        # (n, P, m, m): the minor of each pairing at each quadrature point
+        det = np.linalg.det(t[:, rows[:, :, None], cols[:, None, :]]
+                            * garr[minus[:, :, None], plus[:, None, :]])
+        total += float(np.asarray(coef) @ (wt @ det))
+    return total
 
 
 # --- Gram-Hadamard -------------------------------------------------------------

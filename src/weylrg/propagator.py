@@ -306,6 +306,16 @@ _CSV_HEADER = ["k0", "k1", "k2", "k3",
 _CHUNK_ROWS = 1 << 14
 
 
+def _momentum_key(x):
+    """x rounded to 12 decimals, except where |x| >= 2^52: such a float is
+    already an integer, and rounding it overflows to inf above about 1.8e296."""
+    with np.errstate(over="ignore"):
+        key = np.round(x, 12)
+    big = np.abs(x) >= 2.0 ** 52
+    key[big] = x[big]
+    return key
+
+
 @dataclass
 class PropagatorGrid:
     """Tabulated 2x2 values over 4-momenta (rows of `momenta`)."""
@@ -327,7 +337,8 @@ class PropagatorGrid:
     def conjugation_defect(self) -> float:
         """max |value(-k0, kbar) - value(k0, kbar)^dagger| over matched rows.
 
-        Rows match on momenta rounded to 12 decimals (-0.0 == 0.0); when several
+        Rows match on momenta rounded to 12 decimals (-0.0 == 0.0), except
+        that |k| >= 2^52, already an integer, stays as it is; when several
         rows share a key the last one is the match.  Rows without a mirror are
         ignored, and so are NaN differences; a key holding a NaN matches
         nothing.  Works for any row order.
@@ -336,13 +347,13 @@ class PropagatorGrid:
         # product of column counts overflows int64
         kbar = np.zeros(len(self), np.int64)
         for c in (1, 2, 3):
-            u, r = np.unique(np.round(self.momenta[:, c], 12), return_inverse=True)
+            u, r = np.unique(_momentum_key(self.momenta[:, c]), return_inverse=True)
             kbar *= u.size
             kbar += r
             del r  # in place and freed early: these temporaries set the peak
             kbar = np.unique(kbar, return_inverse=True)[1]
         n_kbar = int(kbar.max(initial=-1)) + 1
-        u, key = np.unique(np.round(self.momenta[:, 0], 12), return_inverse=True)
+        u, key = np.unique(_momentum_key(self.momenta[:, 0]), return_inverse=True)
         # per distinct k0: n_kbar times the rank of -k0, or -n_kbar if -k0 is absent
         m = np.searchsorted(u, -u)
         m = np.where(u[np.minimum(m, u.size - 1)] == -u, m, -1) * n_kbar

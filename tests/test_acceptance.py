@@ -195,7 +195,6 @@ def test_criterion_6_scale_sum_convergence():
 def test_criterion_7_bbf_correctness():
     t0 = time.time()
     rng = np.random.default_rng(2024)
-    gr.calibrate_bbf_sign()
 
     def rand_clusters(sizes):
         idx = 0

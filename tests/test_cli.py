@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylrg import propagator
-from weylrg.cli import H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, dispatch
+from weylrg.cli import H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, MAX_VERIFY_CASES, dispatch
 from weylrg.lattice import build_params
 from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
 
@@ -223,6 +223,24 @@ def test_integer_key_rejected_up_front(tmp_path, sub, block, key, out, bad):
     assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert not (tmp_path / "o" / out).exists()
+
+
+@pytest.mark.parametrize("verify", [
+    {"n_s2": -3, "n_s3": -1, "n_gram": -7},  # used to exit 0 having checked nothing
+    {"n_s2": -1},
+    {"n_s3": -1},
+    {"n_gram": -1},
+    {"n_s2": 0, "n_s3": 0},                  # used to write worst_deviation 0.0 unchecked
+    {"n_s2": MAX_VERIFY_CASES + 1},
+    {"n_s3": MAX_VERIFY_CASES + 1},
+    {"n_gram": MAX_VERIFY_CASES + 1},
+])
+def test_verify_counts_rejected_up_front(tmp_path, verify):
+    path = write_cfg(tmp_path, dict(BASE, verify=verify))
+    t0 = time.perf_counter()
+    assert dispatch(["bbf-verify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert not (tmp_path / "o" / "bbf.json").exists()
 
 
 @pytest.mark.parametrize("beta", [True, "8", [8], None, 10 ** 400])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylrg import grassmann as gr
 
@@ -145,14 +146,58 @@ def test_anchored_tree_counts():
     assert gr.enumerate_anchored_trees((((0, -1), (1, +1)),)) == [gr.AnchoredTree(lines=())]
 
 
-def test_bbf_requires_calibration():
-    gr._BBF_SIGN = None
+def test_bbf_connected_pair_regression():
+    # two 2-field clusters whose only covariances are g(0,3) = 2, g(2,1) = 3:
+    # the connected part is -g(0,3) g(2,1) = -6, with no sign to calibrate
     cl = (((0, -1), (1, +1)), ((2, -1), (3, +1)))
-    g = np.eye(4)
-    with pytest.raises(gr.SignCalibrationError):
-        gr.bbf_evaluate(cl, g, auto_calibrate=False)
-    assert gr.calibrate_bbf_sign() in (-1, 1)
-    gr.bbf_evaluate(cl, g, auto_calibrate=False)  # now fine
+    g = [[0, 0, 0, 2], [0, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 0]]
+    assert gr.truncated_expectation_oracle(cl, [[Fraction(v) for v in row] for row in g]) == -6
+    assert gr.bbf_evaluate(cl, g) == pytest.approx(-6.0, abs=1e-12)
+
+
+@st.composite
+def _bbf_cases(draw):
+    """1..3 clusters of 2 or 4 fields, at most 10 in all, with the +- kinds of
+    all fields in shuffled order (half of each), and a float covariance."""
+    s = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.sampled_from([2, 4]), min_size=s, max_size=s)
+                 .filter(lambda z: sum(z) <= 10))
+    nf = sum(sizes)
+    eps = draw(st.permutations([-1, +1] * (nf // 2)))
+    bounds = np.cumsum([0] + sizes)
+    clusters = tuple(tuple((i, eps[i]) for i in range(lo, hi))
+                     for lo, hi in zip(bounds, bounds[1:]))
+    g = draw(st.lists(st.floats(-2.0, 2.0), min_size=nf * nf, max_size=nf * nf))
+    return clusters, np.array(g).reshape(nf, nf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_bbf_cases())
+def test_bbf_equals_cumulant_oracle(case):
+    clusters, g = case
+    oracle = float(gr.truncated_expectation_oracle(clusters, g))
+    assert abs(gr.bbf_evaluate(clusters, g) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_wick_det_equals_expansion_exactly(data, m):
+    eps = data.draw(st.permutations([-1, +1] * m))
+    idx = data.draw(st.permutations(range(2 * m)))
+    mono = tuple((i, e) for i, e in zip(idx, eps))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    g = data.draw(st.lists(st.lists(entry, min_size=2 * m, max_size=2 * m),
+                           min_size=2 * m, max_size=2 * m))
+    assert gr.wick_expectation(mono, g, method="det") == gr.wick_expectation(
+        mono, g, method="expansion")
+
+
+def test_bbf_unbalanced_is_zero():
+    # more psi^- than psi^+ fields: the expectation vanishes, as in the oracle
+    cl = (((0, -1), (1, -1)), ((2, -1), (3, +1)))
+    g = np.ones((4, 4))
+    assert gr.truncated_expectation_oracle(cl, g) == 0
+    assert gr.bbf_evaluate(cl, g) == 0.0
 
 
 def test_bbf_single_cluster_is_plain_determinant():

@@ -168,12 +168,17 @@ def test_propagator_grid_csv_roundtrip(p_star):
     assert np.array_equal(back.values, pg.values)
 
 
+def _round_key(x):
+    """x rounded to 12 decimals; |x| >= 2^52 is already an integer and stays."""
+    return x if abs(x) >= 2.0 ** 52 else round(x, 12)
+
+
 def _defect_oracle(pg):
     """The row-by-row dict definition of the conjugation defect."""
-    key = {tuple(np.round(kk, 12)): i for i, kk in enumerate(pg.momenta)}
+    key = {tuple(map(_round_key, kk)): i for i, kk in enumerate(pg.momenta)}
     worst = 0.0
     for i, kk in enumerate(pg.momenta):
-        mirror = (round(-kk[0], 12), round(kk[1], 12), round(kk[2], 12), round(kk[3], 12))
+        mirror = (_round_key(-kk[0]), _round_key(kk[1]), _round_key(kk[2]), _round_key(kk[3]))
         j = key.get(mirror)
         if j is not None:
             worst = max(worst, float(np.max(np.abs(pg.values[j] - pg.values[i].conj().T))))
@@ -212,6 +217,15 @@ def test_conjugation_defect_matches_dict_oracle(p_star):
                              np.concatenate([shuffled.values, np.full((3, 2, 2), 5.0 + 1j)]))
     nan_key.values[-1] *= 2.0
     assert nan_key.conjugation_defect() == _defect_oracle(nan_key) == pg.conjugation_defect()
+    # momenta 1e300 and 2e300 are distinct keys: rounding to 12 decimals would
+    # make both inf, so the k0 = 0 rows would share a key and the k0 = 1e300
+    # row would mirror the k0 = -2e300 row
+    huge_rows = np.array([[0.0, 1e300, 0.0, 0.0], [0.0, 2e300, 0.0, 0.0],
+                          [1e300, 0.0, 0.0, 0.0], [-2e300, 0.0, 0.0, 0.0]])
+    huge = PropagatorGrid(pg.grid, np.vstack([shuffled.momenta, huge_rows]),
+                          np.concatenate([shuffled.values, [np.eye(2), 2 * np.eye(2),
+                                                            np.eye(2), 3 * np.eye(2)]]))
+    assert huge.conjugation_defect() == _defect_oracle(huge) == pg.conjugation_defect()
 
 
 def test_to_csv_bytes_match_csv_writer(p_star):
