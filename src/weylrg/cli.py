@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -21,15 +22,11 @@ import numpy as np
 from . import __version__
 from .lattice import ParameterError, build_params, classify_phase, dispersion, weyl_points
 from .propagator import GridSpec, build_propagator_grid
-from .multiscale import (ConfigurationError, crossover_scale, decay_audit,
+from .multiscale import (MIN_X_POINTS, ConfigurationError, crossover_scale, decay_audit,
                          default_cutoff, initial_couplings, scale_support)
 from .rgflow import (FlowBlowupError, QuadratureError, exponential_interaction,
                      run_flow, solve_nu)
 from . import grassmann, trees
-
-SUBCOMMANDS = ("band", "weyl", "phase", "propagator", "scales", "flow",
-               "solve-nu", "bounds-check", "trees", "bbf-verify")
-
 
 class ConfigError(ValueError):
     pass
@@ -63,71 +60,130 @@ MAX_N_K = 64
 MAX_VERIFY_CASES = 10_000
 
 
-_MODEL_KEYS = {"t", "t_perp", "t_prime", "r", "mu", "U", "kappa"}
-_GRID_KEYS = {"L", "beta", "M"}
-_FLOW_KEYS = {"U", "h_min", "n_k", "tol", "eps0"}
-_AUDIT_KEYS = {"h_top", "h_bottom", "regime", "N", "x_points"}
-_TREE_KEYS = {"n_max", "l", "regime", "h"}
-_VERIFY_KEYS = {"n_s2", "n_s3", "n_gram"}
-_TOP_KEYS = {"model", "grid", "flow", "audit", "trees", "verify", "seed"}
+#: Deepest audit.h_bottom bounds-check accepts.  Regime-2 single-scale
+#: propagators lose their 2^(3h) sup-norm scaling to rounding below it: a
+#: two-scale fit gives 3 +- 1e-5 down to h = -28 at every r in {1e-4, 0.005,
+#: 0.5, 1, 1.9}, then 2.97 at h = -30 and 2.0 at h = -33 (r = 0.5).
+MIN_AUDIT_H = -28
 
 
-def _check_keys(block: dict, allowed: set, where: str):
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{where}'")
+#: Largest audit.N and audit.x_points bounds-check accepts.  Memory grows about
+#: as N^3 x_points per scale, time also with the number of scales: the README
+#: audit (4 scales) peaks at 91 MB at N = 28, 226 MB at 40 and 393 MB at 48,
+#: and at 179 MB at x_points = 100; both at the cap over all 28 scales
+#: (h = -28..-1) take 40 s and 703 MB on a 2-core Xeon.  N starts at 6: at
+#: N = 5 a regime-2 band resolves 50 momenta, fewer than MIN_BAND_POINTS.
+MAX_AUDIT_N = 48
+MAX_X_POINTS = 100
 
 
-def load_config(path: str) -> dict:
+#: Every config key: (block, key, kind, default, bounds).  Kinds: "int" a JSON
+#: integer, "even" an even one, "num" a finite JSON number, "pos" a finite
+#: number > 0; booleans are none of these.  Bounds (lo, hi) are inclusive; None
+#: allows every value of the kind.  A default of ... marks a required key, whose
+#: block is left out of Config unless written; None leaves the key unset
+#: (build_params takes exactly one of r and mu), and flow.U unset takes model.U.
+_SCHEMA = (
+    ("model", "t", "pos", ..., None),
+    ("model", "t_perp", "pos", ..., None),
+    ("model", "t_prime", "pos", ..., None),
+    ("model", "r", "num", None, None),
+    ("model", "mu", "num", None, None),
+    ("model", "U", "num", 0.0, None),
+    ("model", "kappa", "pos", 1.0, None),
+    ("grid", "L", "int", ..., (1, math.inf)),
+    ("grid", "beta", "pos", ..., None),
+    ("grid", "M", "int", 12, (0, math.inf)),
+    ("flow", "U", "num", None, None),
+    ("flow", "h_min", "int", -6, (H_MIN_FLOOR, 0)),
+    ("flow", "n_k", "int", 12, (2, MAX_N_K)),
+    ("flow", "tol", "pos", 1e-10, None),
+    ("flow", "eps0", "pos", 0.5, None),
+    ("audit", "regime", "int", 1, (1, 2)),
+    ("audit", "h_top", "int", -2, (MIN_AUDIT_H, 0)),
+    ("audit", "h_bottom", "int", -5, (MIN_AUDIT_H, 0)),
+    ("audit", "N", "int", 28, (6, MAX_AUDIT_N)),
+    ("audit", "x_points", "int", 25, (MIN_X_POINTS, MAX_X_POINTS)),
+    ("trees", "n_max", "int", 3, (1, trees.MAX_ENDPOINTS)),
+    ("trees", "l", "even", 4, (2, math.inf)),
+    ("trees", "regime", "int", 1, (1, 2)),
+    ("trees", "h", "int", -6, (trees.MIN_ROOT_SCALE, -1)),
+    ("verify", "n_s2", "int", 100, (0, MAX_VERIFY_CASES)),
+    ("verify", "n_s3", "int", 20, (0, MAX_VERIFY_CASES)),
+    ("verify", "n_gram", "int", 200, (1, MAX_VERIFY_CASES)),
+)
+_BLOCKS = {block: {r[1] for r in _SCHEMA if r[0] == block} for block, *_ in _SCHEMA}
+_REQUIRED_BLOCKS = {block for block, _, _, default, _ in _SCHEMA if default is ...}
+_KINDS = {"int": ("an integer", lambda v: type(v) is int),
+          "even": ("an even integer", lambda v: type(v) is int and v % 2 == 0),
+          "num": ("a finite number",
+                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+          "pos": ("a finite number > 0",
+                  lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max)}
+
+
+class Config(dict):
+    """{block: {key: checked value}} with defaults filled in; `written` is the
+    config as written, which the manifest copies and hashes."""
+
+    def __init__(self, written: dict):
+        super().__init__()
+        self.written = written
+
+    def __missing__(self, block):
+        raise ConfigError(f"config needs a '{block}' block")
+
+
+def load_config(path: str) -> Config:
+    """Read and check a config against _SCHEMA; every present block is checked,
+    whichever subcommand runs."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+        written = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(written, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "top level")
-    for name, keys in (("model", _MODEL_KEYS), ("grid", _GRID_KEYS),
-                       ("flow", _FLOW_KEYS), ("audit", _AUDIT_KEYS),
-                       ("trees", _TREE_KEYS), ("verify", _VERIFY_KEYS)):
-        if name in cfg:
-            if not isinstance(cfg[name], dict):
-                raise ConfigError(f"'{name}' must be an object")
-            _check_keys(cfg[name], keys, name)
+    for where, given, keys in [("top level", written, _BLOCKS)] + [
+            (f"'{block}'", written.get(block, {}), keys) for block, keys in _BLOCKS.items()]:
+        if not isinstance(given, dict):
+            raise ConfigError(f"{where} must be an object")
+        if set(given) - set(keys):
+            raise ConfigError(f"unknown key(s) {sorted(set(given) - set(keys))} in {where}")
+    cfg = Config(written)
+    for block, key, kind, default, bounds in _SCHEMA:
+        if block in _REQUIRED_BLOCKS and block not in written:
+            continue
+        given = written.get(block, {})
+        val = given.get(key, default)
+        if val is ...:
+            raise ConfigError(f"{block}.{key} is required")
+        if key in given:
+            what, ok = _KINDS[kind]
+            if not ok(val):
+                raise ConfigError(f"{block}.{key} must be {what}, got {val!r}")
+            lo, hi = bounds or (-math.inf, math.inf)
+            if not lo <= val <= hi:
+                raise ConfigError(f"{block}.{key} = {val} lies outside [{lo}, {hi}]")
+            val = float(val) if kind in ("num", "pos") else val
+        cfg.setdefault(block, {})[key] = val
+    if cfg["flow"]["U"] is None and "model" in cfg:
+        cfg["flow"]["U"] = cfg["model"]["U"]
+    a, v = cfg["audit"], cfg["verify"]
+    if a["h_bottom"] > a["h_top"]:
+        raise ConfigError(f"audit.h_bottom = {a['h_bottom']} lies above audit.h_top = {a['h_top']}")
+    if a["regime"] == 2 and "model" in cfg and not _params(cfg).r > 0:
+        raise ConfigError("audit.regime = 2 needs a semimetal (r > 0)")
+    if v["n_s2"] + v["n_s3"] < 1:
+        raise ConfigError("verify.n_s2 + verify.n_s3 must be at least 1: "
+                          "otherwise no BBF case is checked")
     return cfg
 
 
-def _params(cfg):
-    if "model" not in cfg:
-        raise ConfigError("config needs a 'model' block")
-    m = cfg["model"]
-    for key in ("t", "t_perp", "t_prime"):
-        if key not in m:
-            raise ConfigError(f"model.{key} is required")
+def _params(cfg: Config):
     try:
-        return build_params(m["t"], m["t_perp"], m["t_prime"],
-                            r=m.get("r"), mu=m.get("mu"),
-                            U=m.get("U", 0.0), kappa=m.get("kappa", 1.0))
+        return build_params(**cfg["model"])
     except ParameterError as exc:
         raise ConfigError(f"model: {exc}") from exc
-
-
-def _grid(cfg) -> GridSpec:
-    if "grid" not in cfg:
-        raise ConfigError("config needs a 'grid' block")
-    g = cfg["grid"]
-    for key in ("L", "beta"):
-        if key not in g:
-            raise ConfigError(f"grid.{key} is required")
-    try:
-        return GridSpec(L=_int_key(g, "grid", "L", None),
-                        beta=_float_key(g, "grid", "beta", None, positive=True),
-                        M=_int_key(g, "grid", "M", 12))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def config_hash(cfg: dict) -> str:
@@ -159,11 +215,10 @@ class _HashingFile:
 
 
 class RunWriter:
-    """Collects deterministic output files plus the manifest."""
+    """Collects deterministic output files plus the manifest in an existing directory."""
 
     def __init__(self, out_dir: str, cfg: dict, subcommand: str, seed: int):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.hash = config_hash(cfg)
         self.cfg = cfg
         self.subcommand = subcommand
@@ -205,7 +260,7 @@ class RunWriter:
 
 def _cmd_band(cfg, w: RunWriter):
     p = _params(cfg)
-    grid = _grid(cfg)
+    grid = GridSpec(**cfg["grid"])
     ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
     rows = []
     for k3 in ks:
@@ -238,7 +293,7 @@ def _cmd_phase(cfg, w: RunWriter):
 
 def _cmd_propagator(cfg, w: RunWriter):
     p = _params(cfg)
-    grid = _grid(cfg)
+    grid = GridSpec(**cfg["grid"])
     if grid.row_bound() > MAX_PROPAGATOR_ROWS:
         raise ConfigError(f"grid L={grid.L}, beta={grid.beta}, M={grid.M} tabulates up to "
                           f"{grid.row_bound():.3g} rows, above the cap of {MAX_PROPAGATOR_ROWS}")
@@ -277,52 +332,15 @@ def _cmd_scales(cfg, w: RunWriter):
         "telescoping_worst": worst})
 
 
-def _int_key(block: dict, where: str, key: str, default: int) -> int:
-    """block[key] (default if absent), which must be a JSON integer, not a boolean."""
-    val = block.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
-    return val
-
-
-def _float_key(block: dict, where: str, key: str, default: float, positive: bool = False) -> float:
-    """block[key] (default if absent), which must be a JSON number within the
-    float range, not a boolean, and > 0 if positive."""
-    val = block.get(key, default)
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not abs(val) <= sys.float_info.max or (positive and not val > 0)):
-        raise ConfigError(f"{where}.{key} must be a finite number{' > 0' if positive else ''}, "
-                          f"got {val!r}")
-    return float(val)
-
-
-def _flow_inputs(f: dict, U_default: float):
-    """(h_min, n_k, tol, U, eps0) of the 'flow' block, checked before any work.
-
-    n_k and h_min must be JSON integers with 2 <= n_k <= MAX_N_K = 64 and
-    H_MIN_FLOOR = -40 <= h_min <= 0; U must be a finite number, tol and
-    eps0 finite positive numbers.
-    """
-    h_min, n_k = _int_key(f, "flow", "h_min", -6), _int_key(f, "flow", "n_k", 12)
-    if not 2 <= n_k <= MAX_N_K:
-        raise ConfigError(f"flow.n_k = {n_k} lies outside [2, {MAX_N_K}]: below 2 the "
-                          f"bands cannot be resolved, above {MAX_N_K} a deep flow takes "
-                          "over 1 GB")
-    if not H_MIN_FLOOR <= h_min <= 0:
-        raise ConfigError(f"flow.h_min = {h_min} lies outside [{H_MIN_FLOOR}, 0]")
-    return (h_min, n_k, _float_key(f, "flow", "tol", 1e-10, positive=True),
-            _float_key(f, "flow", "U", U_default), _float_key(f, "flow", "eps0", 0.5, positive=True))
-
-
 def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
     p = _params(cfg)
-    f = cfg.get("flow", {})
-    h_min, n_k, tol, U, eps0 = _flow_inputs(f, p.U)
+    f = cfg["flow"]
+    U, h_min, n_k = f["U"], f["h_min"], f["n_k"]
     inter = exponential_interaction(p.kappa)
     if solve:
-        nu, traj = solve_nu(p, U, inter, h_min, n_k=n_k, tol=tol)
+        nu, traj = solve_nu(p, U, inter, h_min, n_k=n_k, tol=f["tol"])
     else:
-        nu, traj = 0.0, run_flow(p, U, inter, h_min, n_k=n_k, eps0=eps0)
+        nu, traj = 0.0, run_flow(p, U, inter, h_min, n_k=n_k, eps0=f["eps0"])
     w.write_csv("flow.csv", ("h", "Z", "v", "v3", "nu", "beta_nu", "regime"),
                 traj.csv_rows())
     snap = [r.beta.snap_offset for r in traj.rows if r.beta is not None]
@@ -334,23 +352,16 @@ def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
         "termination": traj.termination,
         "max_dimensionless_beta": traj.max_dimensionless_beta,
         "snap_offsets": snap,
-        "solver": {"tol": tol}})
+        "solver": {"tol": f["tol"]}})
 
 
 def _cmd_bounds_check(cfg, w: RunWriter):
     p = _params(cfg)
-    a = cfg.get("audit", {})
-    regime, h_top, h_bot, N, x_points = (_int_key(a, "audit", key, default) for key, default in (
-        ("regime", 1), ("h_top", -2), ("h_bottom", -5), ("N", 28), ("x_points", 25)))
-    if regime not in (1, 2):
-        raise ConfigError(f"audit.regime must be 1 or 2, got {regime}")
-    if h_bot > h_top:
-        raise ConfigError(f"audit.h_bottom = {h_bot} lies above audit.h_top = {h_top}")
-    if regime == 2 and not p.r > 0:
-        raise ConfigError(f"audit.regime = 2 needs a semimetal (r > 0), got r = {p.r:g}")
+    a = cfg["audit"]
+    regime = a["regime"]
     c0 = initial_couplings(p, regime=regime)
-    rep = decay_audit(range(h_bot, h_top + 1), lambda h: c0.replace(h=h), p,
-                      regime=regime, N=N, x_points=x_points,
+    rep = decay_audit(range(a["h_bottom"], a["h_top"] + 1), lambda h: c0.replace(h=h), p,
+                      regime=regime, N=a["N"], x_points=a["x_points"],
                       h_star=crossover_scale(p) if regime == 2 else None)
     w.write_csv("decay.csv",
                 ("h", "sup_norm", "fitted_constant", "width_x0", "width_x3", "l1_mass"),
@@ -359,9 +370,7 @@ def _cmd_bounds_check(cfg, w: RunWriter):
 
 
 def _cmd_trees(cfg, w: RunWriter):
-    t = cfg.get("trees", {})
-    n_max, regime, l, h = (_int_key(t, "trees", key, default) for key, default in (
-        ("n_max", 3), ("regime", 1), ("l", 4), ("h", -6)))
+    n_max, regime, l, h = (cfg["trees"][key] for key in ("n_max", "regime", "l", "h"))
     counts = {n: trees.count_shapes(n) for n in range(1, n_max + 1)}
     dims = {str(ll): str(trees.scaling_dimension(regime, ll)) for ll in (2, 4, 6)}
     sums = {n: trees.scale_sum_audit(n, l, regime, h=h).value
@@ -376,15 +385,7 @@ def _cmd_trees(cfg, w: RunWriter):
 
 
 def _cmd_bbf_verify(cfg, w: RunWriter):
-    v = cfg.get("verify", {})
-    n_s2, n_s3, n_gram = (_int_key(v, "verify", key, default) for key, default in (
-        ("n_s2", 100), ("n_s3", 20), ("n_gram", 200)))
-    for key, n in (("n_s2", n_s2), ("n_s3", n_s3), ("n_gram", n_gram)):
-        if not 0 <= n <= MAX_VERIFY_CASES:
-            raise ConfigError(f"verify.{key} = {n} lies outside [0, {MAX_VERIFY_CASES}]")
-    if n_s2 + n_s3 < 1:
-        raise ConfigError("verify.n_s2 + verify.n_s3 must be at least 1: "
-                          "otherwise no BBF case is checked")
+    n_s2, n_s3, n_gram = (cfg["verify"][key] for key in ("n_s2", "n_s3", "n_gram"))
     rng = np.random.default_rng(w.seed)
 
     def rand_clusters(sizes):
@@ -441,7 +442,7 @@ def dispatch(argv) -> int:
         prog="weylrg",
         description="Numerical toolkit for the two-regime multiscale analysis "
                     "of an interacting lattice Weyl semimetal")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
@@ -449,15 +450,12 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    writer = RunWriter(args.out, cfg, args.subcommand, args.seed)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # left empty if the config is rejected
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            cfg = load_config(args.config)
+            writer = RunWriter(args.out, cfg.written, args.subcommand, args.seed)
             _DISPATCH[args.subcommand](cfg, writer)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

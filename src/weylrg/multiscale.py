@@ -48,6 +48,8 @@ from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
 from .propagator import GridSpec, PropagatorGrid, _paired_sums
 
 MIN_BAND_POINTS = 100
+#: Fewest position samples per axis that resolve 4 octaves of decay.
+MIN_X_POINTS = 9
 
 
 class ConfigurationError(ValueError):
@@ -546,8 +548,8 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
     cutoff = cutoff or default_cutoff(p)
     if regime == 2 and h_star is None:
         h_star = crossover_scale(p)
-    if x_points < 9:
-        raise InsufficientGridError("x_points < 9 cannot resolve 4 octaves of decay")
+    if x_points < MIN_X_POINTS:
+        raise InsufficientGridError(f"x_points < {MIN_X_POINTS} cannot resolve 4 octaves of decay")
     rows = []
     expected = 2.5 if regime == 1 else 3.0
     for h in sorted(h_range, reverse=True):

@@ -17,7 +17,6 @@ the phase sign chosen so the equal-time jump S0(0,0+) - S0(0,0-) is +I
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -405,15 +404,15 @@ class PropagatorGrid:
         """Read what to_csv wrote, or the CLI's propagator.csv (manifest line first)."""
         buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf, newline="")
         try:
-            rows = list(csv.reader(buf))
+            line = buf.readline()
+            if line.startswith("# manifest:"):
+                line = buf.readline()
+            if line.rstrip("\r\n").split(",") != _CSV_HEADER:
+                raise ValueError("unexpected propagator CSV header")
+            data = np.loadtxt(buf, delimiter=",", ndmin=2).reshape(-1, 12)
         finally:
             if buf is not path_or_buf:
                 buf.close()
-        if rows and rows[0] and rows[0][0].startswith("# manifest:"):
-            rows = rows[1:]
-        if not rows or rows[0] != _CSV_HEADER:
-            raise ValueError("unexpected propagator CSV header")
-        data = np.array([[float(c) for c in r] for r in rows[1:]]).reshape(-1, 12)
         vals = np.ascontiguousarray(data[:, 4:]).view(complex).reshape(-1, 2, 2)
         return cls(grid=grid, momenta=data[:, :4].copy(), values=vals)
 

@@ -1,12 +1,19 @@
 import hashlib
 import json
+import math
+import re
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylrg import propagator
-from weylrg.cli import H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, MAX_VERIFY_CASES, dispatch
+from weylrg.cli import (_SCHEMA, H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, MAX_VERIFY_CASES,
+                        dispatch, load_config)
 from weylrg.lattice import build_params
 from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
 
@@ -234,6 +241,7 @@ def test_integer_key_rejected_up_front(tmp_path, sub, block, key, out, bad):
     {"n_s2": MAX_VERIFY_CASES + 1},
     {"n_s3": MAX_VERIFY_CASES + 1},
     {"n_gram": MAX_VERIFY_CASES + 1},
+    {"n_gram": 0},                           # used to write gram_all_hold true unchecked
 ])
 def test_verify_counts_rejected_up_front(tmp_path, verify):
     path = write_cfg(tmp_path, dict(BASE, verify=verify))
@@ -324,3 +332,97 @@ def test_threads_flag_gone(tmp_path):
     assert dispatch(["weyl", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
     assert dispatch(["weyl", "--config", cfg, "--out", str(out)]) == 0
     assert "threads" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_top_level_seed_rejected(tmp_path):
+    # seeds come only from --seed; a "seed" key used to be accepted and ignored
+    path = write_cfg(tmp_path, dict(BASE, seed=7))
+    assert dispatch(["trees", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_readme_example_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert cfg.written == json.loads(block)
+    assert dispatch(["weyl", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_flow_u_defaults_to_model_u(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, dict(BASE, flow={"h_min": -3})))
+    assert cfg["flow"]["U"] == BASE["model"]["U"]
+    assert cfg.written["flow"] == {"h_min": -3}  # the manifest hashes the config as written
+
+
+# the subcommands that read each block; every run also tries one that does not,
+# since load_config checks every block the config has
+_READERS = {
+    "model": ("band", "weyl", "phase", "propagator", "scales", "flow", "solve-nu",
+              "bounds-check", "trees"),
+    "grid": ("band", "propagator", "weyl"),
+    "flow": ("flow", "solve-nu", "weyl"),
+    "audit": ("bounds-check", "weyl"),
+    "trees": ("trees", "weyl"),
+    "verify": ("bbf-verify", "weyl"),
+}
+
+
+def _bad_values(kind, bounds):
+    """Values of the wrong JSON type, non-finite, or outside the bounds."""
+    bad = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                    st.lists(st.integers(), max_size=2),
+                    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+    if kind in ("int", "even"):
+        lo, hi = bounds
+        bad |= st.floats() | st.integers(max_value=lo - 1)  # 15.0 is no JSON integer
+        if hi < math.inf:
+            bad |= st.integers(min_value=hi + 1)
+        if kind == "even":
+            bad |= st.integers(lo // 2, 10 ** 6).map(lambda n: 2 * n + 1)
+    else:
+        bad |= st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
+        if kind == "pos":
+            bad |= st.floats(max_value=0.0) | st.integers(max_value=0)
+    return bad
+
+
+def _with(block, values):
+    return dict(BASE, **{block: dict(BASE.get(block, {}), **values)})
+
+
+@pytest.mark.parametrize("row", _SCHEMA, ids=[f"{r[0]}.{r[1]}" for r in _SCHEMA])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schema_rejects_bad_values_up_front(row, data):
+    block, key, kind, default, bounds = row
+    bad = data.draw(_bad_values(kind, bounds), label=f"{block}.{key}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), _with(block, {key: bad}))
+        for sub in _READERS[block]:
+            out = Path(tmp) / sub
+            t0 = time.perf_counter()
+            assert dispatch([sub, "--config", path, "--out", str(out)]) == 1
+            assert time.perf_counter() - t0 < 1.0
+            assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("row", _SCHEMA, ids=[f"{r[0]}.{r[1]}" for r in _SCHEMA])
+def test_schema_accepts_edge_values(tmp_path, row):
+    block, key, kind, default, bounds = row
+    big, tiny = sys.float_info.max, 5e-324
+    if kind == "num":
+        edges = [-big, -tiny, 0, big]
+    elif kind == "pos":
+        edges = [tiny, 1, big]
+    else:
+        lo, hi = bounds
+        edges = [lo, lo + 1 if kind == "int" else lo + 2] + ([hi] if hi < math.inf else [])
+    for edge in edges:
+        # an audit scale range needs h_bottom <= h_top
+        values = {"h_top": edge, "h_bottom": edge} if key in ("h_top", "h_bottom") else {key: edge}
+        cfg = load_config(write_cfg(tmp_path, _with(block, values)))
+        assert cfg[block][key] == edge

@@ -257,22 +257,47 @@ def _csv_writer_bytes(pg):
     return out.getvalue()
 
 
-def test_to_csv_across_chunks_and_repeated_values(monkeypatch):
-    # 7-row chunks cross many chunk boundaries; each special value recurs within
-    # a column, across columns and across chunks, and NaN comes with both signs
-    # and a payload, so distinct bit patterns share one repr
-    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+def _special_cells_grid():
+    """45 rows drawn from special values: each recurs within a column, across
+    columns and across 7-row chunks, and NaN comes with both signs and a
+    payload, so distinct bit patterns share one repr."""
     special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                         -2.2250738585072014e-308, 0.1, -1e300])
     pool = np.append(special.view(np.uint64), np.uint64(0x7FF8000000000001))
     cells = np.random.default_rng(11).choice(pool, size=(45, 12)).view(float)
     assert set(cells.view(np.uint64).ravel().tolist()) == set(pool.tolist())
-    pg = PropagatorGrid(GRID, cells[:, :4].copy(),
-                        cells[:, 4:].copy().view(complex).reshape(-1, 2, 2))
+    return PropagatorGrid(GRID, cells[:, :4].copy(),
+                          cells[:, 4:].copy().view(complex).reshape(-1, 2, 2))
+
+
+def _cells(pg):
+    return np.concatenate([pg.momenta, pg.values.reshape(-1, 4).view(float)], axis=1)
+
+
+def test_to_csv_across_chunks_and_repeated_values(monkeypatch):
+    # 7-row chunks cross many chunk boundaries
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+    pg = _special_cells_grid()
     got = io.StringIO(newline="")
     pg.to_csv(got)
     assert got.getvalue() == _csv_writer_bytes(pg)
     assert got.getvalue().count("\r\n") == len(pg) + 1
+
+
+def test_from_csv_roundtrips_special_cells(monkeypatch):
+    # every non-NaN cell comes back bit for bit (so -0.0 keeps its sign); repr
+    # writes every NaN as "nan", so NaNs come back by position only
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+    pg = _special_cells_grid()
+    buf = io.StringIO(newline="")
+    buf.write("# manifest: 0123456789abcdef\n")
+    pg.to_csv(buf)
+    buf.seek(0)
+    want, got = _cells(pg), _cells(PropagatorGrid.from_csv(buf, GRID))
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
 
 
 def test_from_csv_rejects_bad_header():
