@@ -39,6 +39,12 @@ class ConfigError(ValueError):
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 
+#: Largest grid.L.  band costs about 30 us, 105 bytes of CSV and 0.75 KB of
+#: peak RSS per L (L = 10^6: 30 s, 106 MB, 757 MB peak on a 2-core Xeon); the
+#: propagator's row cap already rejects every L above 161.
+MAX_GRID_L = 2 ** 20
+
+
 #: Deepest scale the flow subcommands accept.  On a solved flow nu_h is a
 #: rounding residue of nu that doubles at each scale, about 2^(-h-53) |nu|:
 #: 2^-13 |nu| at h = -40, and |nu| itself by h = -53, where the counterterm
@@ -68,12 +74,12 @@ MIN_AUDIT_H = -28
 
 
 #: Largest audit.N and audit.x_points bounds-check accepts.  Memory grows about
-#: as N^3 x_points per scale, time also with the number of scales: the README
-#: audit (4 scales) peaks at 91 MB at N = 28, 226 MB at 40 and 393 MB at 48,
-#: and at 179 MB at x_points = 100; both at the cap over all 28 scales
-#: (h = -28..-1) take 40 s and 703 MB on a 2-core Xeon.  N starts at 6: at
-#: N = 5 a regime-2 band resolves 50 momenta, fewer than MIN_BAND_POINTS.
-MAX_AUDIT_N = 48
+#: as N^3 per scale (position_values pairs its k0 sums, 32 x0 at a time), time
+#: also with x_points and the scales: the README audit (4 scales) peaks at 45 MB
+#: at N = 28, 63 MB at 40, 81 MB at 48, 150 MB at 64 and 57 MB at x_points = 100;
+#: both caps over all 28 scales (h = -28..-1) take 29 s and 206 MB on a 2-core
+#: Xeon.  At N = 5 a regime-2 band resolves 50 momenta (< MIN_BAND_POINTS).
+MAX_AUDIT_N = 64
 MAX_X_POINTS = 100
 
 
@@ -91,7 +97,7 @@ _SCHEMA = (
     ("model", "mu", "num", None, None),
     ("model", "U", "num", 0.0, None),
     ("model", "kappa", "pos", 1.0, None),
-    ("grid", "L", "int", ..., (1, math.inf)),
+    ("grid", "L", "int", ..., (1, MAX_GRID_L)),
     ("grid", "beta", "pos", ..., None),
     ("grid", "M", "int", 12, (0, math.inf)),
     ("flow", "U", "num", None, None),
@@ -171,12 +177,23 @@ def load_config(path: str) -> Config:
     a, v = cfg["audit"], cfg["verify"]
     if a["h_bottom"] > a["h_top"]:
         raise ConfigError(f"audit.h_bottom = {a['h_bottom']} lies above audit.h_top = {a['h_top']}")
-    if a["regime"] == 2 and "model" in cfg and not _params(cfg).r > 0:
-        raise ConfigError("audit.regime = 2 needs a semimetal (r > 0)")
+    if "audit" in written and "model" in cfg:
+        _check_audit_window(cfg)
     if v["n_s2"] + v["n_s3"] < 1:
         raise ConfigError("verify.n_s2 + verify.n_s3 must be at least 1: "
                           "otherwise no BBF case is checked")
     return cfg
+
+
+def _check_audit_window(cfg: Config):
+    """Regime 1 holds the scales h >= h* (all at r = 0), regime 2 h <= h* - 1 (r > 0)."""
+    a, p = cfg["audit"], _params(cfg)
+    if a["regime"] == 2 and not p.r > 0:
+        raise ConfigError("audit.regime = 2 needs a semimetal (r > 0)")
+    h_star = crossover_scale(p)
+    if (a["h_bottom"] < h_star) if a["regime"] == 1 else (a["h_top"] > h_star - 1):
+        raise ConfigError(f"audit scales {a['h_bottom']}..{a['h_top']} leave regime "
+                          f"{a['regime']} (h* = {h_star})")
 
 
 def _params(cfg: Config):
@@ -356,6 +373,7 @@ def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
 
 
 def _cmd_bounds_check(cfg, w: RunWriter):
+    _check_audit_window(cfg)  # also when the audit block takes its defaults
     p = _params(cfg)
     a = cfg["audit"]
     regime = a["regime"]

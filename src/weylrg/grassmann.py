@@ -379,9 +379,11 @@ def bbf_evaluate(clusters, g):
         minus, plus, rows, cols = (np.array(a, dtype=int).reshape(len(coef), -1)
                                    for a in (minus, plus, rows, cols))
         wt, t = _tree_interpolation(tree, s)
-        # (n, P, m, m): the minor of each pairing at each quadrature point
-        det = np.linalg.det(t[:, rows[:, :, None], cols[:, None, :]]
-                            * garr[minus[:, :, None], plus[:, None, :]])
+        # (n, P, m, m): the minor of each pairing at each quadrature point; det
+        # meets log 0 on a minor singular in double precision, whose det 0 is right
+        with np.errstate(divide="ignore"):
+            det = np.linalg.det(t[:, rows[:, :, None], cols[:, None, :]]
+                                * garr[minus[:, :, None], plus[:, None, :]])
         total += float(np.asarray(coef) @ (wt @ det))
     return total
 

@@ -33,19 +33,24 @@ at h*, or nothing for the insulator tail.  Its k0 sum is the paired
 reduction over distinct lambda^2 the Matsubara sums use
 (propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
 (_valley_split) also serves quasiparticle_split and disconnection_check.
+
+Position values (decay audits, the relativistic remainder) take the same
+reduction with the pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]: real (s0, a)
+per column, so the entries a +- m3 s0 and (m1 -+ i m2) s0 need only real
+fields summed over the spatial phases, one x0 at a time, in O(box) memory.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cutoff import shell_cutoff, smooth_cutoff
 from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
-from .propagator import GridSpec, PropagatorGrid, _paired_sums
+from .propagator import GridSpec, PropagatorGrid, _ainv_entries, _paired_sums
 
 MIN_BAND_POINTS = 100
 #: Fewest position samples per axis that resolve 4 octaves of decay.
@@ -202,45 +207,45 @@ class BandGrid:
         c = self.couplings
         return mass_vector(*box, self.params, c.v, c.v3, self.regime, self.omega)
 
-    def _entry_iter(self, mass_override=None):
-        """The entries 00, 01, 10, 11 of entries(), made one at a time."""
-        m1, m2, m3 = self.mass_arrays() if mass_override is None else mass_override
-        k0 = self.k0s[:, None, None, None]
-        den = k0 ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None]
-        w = self.weight / (self.couplings.Z * den)
-        yield w * (1j * k0 + m3[None])
-        yield w * (m1 - 1j * m2)[None]
-        yield w * (m1 + 1j * m2)[None]
-        yield w * (1j * k0 - m3[None])
+    def position_values(self, x0s, x1s, x2s, x3s, m3=None) -> np.ndarray:
+        """g(x) = cell * sum_k e^{-i k.x} f A^{-1}/Z on the tensor x-grid, as
+        (nx0, nx1, nx2, nx3, 2, 2); m3 replaces the sigma3 coefficient of A.
 
-    def entries(self, mass_override=None):
-        """f_h A_h^{-1} / Z_h on the box: four (nk0, n1, n2, n3) complex arrays."""
-        return tuple(self._entry_iter(mass_override))
-
-    def position_values(self, x0s, x1s, x2s, x3s, entries=None) -> np.ndarray:
-        """g(x) = cell * sum_k e^{-i k.x} f A^{-1}/Z on the tensor x-grid.
-
-        Returns (nx0, nx1, nx2, nx3, 2, 2); separable phase contraction.  The
-        band's own entries (default) are made one at a time to bound memory.
-        """
-        ent = self._entry_iter() if entries is None else entries
-        p0, p1, p2, p3 = (np.exp(-1j * np.outer(np.asarray(x, float), k)) for x, k in zip(
-            (x0s, x1s, x2s, x3s), (self.k0s, self.k1s, self.k2s, self.k3s)))
-        out = np.empty((len(p0), len(p1), len(p2), len(p3), 2, 2), complex)
-        for idx, f in zip(((0, 0), (0, 1), (1, 0), (1, 1)), ent):
-            g = np.einsum("abcd,ea->ebcd", f, p0, optimize=True)
-            g = np.einsum("ebcd,fb->efcd", g, p1, optimize=True)
-            g = np.einsum("efcd,gc->efgd", g, p2, optimize=True)
-            g = np.einsum("efgd,hd->efgh", g, p3, optimize=True)
-            out[..., idx[0], idx[1]] = self.cell * g
-        return out
+        Real (s0, a) = cell/Z sum_k0 e^{-i k0 x0} [1, i k0] f/(k0^2 + lambda^2)
+        by _paired_sums over the distinct (table column, lambda^2) pairs, 32 x0
+        at a time; the four real fields of the entries a +- m3 s0, (m1 -+ i m2)
+        s0 meet the spatial phases one x0 at a time, in O(box) memory."""
+        m1, m2, m3_band = self.mass_arrays()
+        m3 = m3_band if m3 is None else np.broadcast_to(m3, m1.shape)
+        lam2u, lam = np.unique(m1 ** 2 + m2 ** 2 + m3 ** 2, return_inverse=True)
+        pairs, key = np.unique(self.key.ravel() * lam2u.size + lam.ravel(), return_inverse=True)
+        key = key.reshape(m1.shape)
+        lam2u, table = lam2u[pairs % lam2u.size], self.table[:, pairs // lam2u.size]
+        k0 = self.k0s[self.k0s.size // 2:]
+        p1, p2, p3 = (np.exp(-1j * np.outer(np.asarray(x, float), k)) for x, k in zip(
+            (x1s, x2s, x3s), (self.k1s, self.k2s, self.k3s)))
+        x0s, out = np.asarray(x0s, float), []
+        for lo in range(0, x0s.size, 32):
+            x0 = x0s[lo:lo + 32, None]
+            w = (2.0 * self.cell / self.couplings.Z) * np.concatenate(
+                [np.cos(k0 * x0), k0 * np.sin(k0 * x0)])
+            sums = _paired_sums(k0, w, lam2u, table)
+            for s0, a in zip(sums[:x0.size], sums[x0.size:]):
+                s0 = s0[key]
+                f = np.stack([a[key], m3 * s0, m1 * s0, m2 * s0]).reshape(4, len(self.k1s), -1)
+                g = p1.real @ f + 1j * (p1.imag @ f)  # real fields: two real products
+                ga, g3, g1, g2 = p2 @ g.reshape(4, len(p1), len(self.k2s), -1) @ p3.T
+                out.append(np.stack([ga + g3, g1 - 1j * g2, g1 + 1j * g2, ga - g3], axis=-1))
+        return np.array(out).reshape(x0s.size, len(p1), len(p2), len(p3), 2, 2)
 
     def flatten(self, grid: GridSpec) -> PropagatorGrid:
         """Support points as a PropagatorGrid (regime-2 momenta stay relative)."""
-        mask = self.weight > 0
+        w = self.weight
+        idx = np.nonzero(w > 0)
         mom = np.column_stack([ax[i] for ax, i in zip(
-            (self.k0s, self.k1s, self.k2s, self.k3s), np.nonzero(mask))])
-        vals = np.stack([f[mask] for f in self._entry_iter()], axis=-1)
+            (self.k0s, self.k1s, self.k2s, self.k3s), idx)])
+        ent = _ainv_entries(mom[:, 0], *(m[idx[1:]] for m in self.mass_arrays()))
+        vals = np.stack(ent, axis=-1) * (w[idx] / self.couplings.Z)[:, None]
         return PropagatorGrid(grid=grid, momenta=mom, values=vals.reshape(-1, 2, 2))
 
 
@@ -466,15 +471,14 @@ def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
 def relativistic_split_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
                           grid: GridSpec | None, cutoff: CutoffSpec, h_star: int,
                           spacings=None):
-    """(g_rel, remainder) on the regime-2 band: g_rel drops the curvature E',
-    remainder = g - g_rel pointwise, so they resum exactly."""
+    """(bg, g_rel, remainder) on the regime-2 band bg, the last two as maps
+    (x0s, x1s, x2s, x3s) -> position values: g_rel keeps f_h but drops the
+    curvature E' (m3_rel = -omega v3 sin k3'), and remainder = g - g_rel."""
     bg = band_grid_r2(h, omega, c, p, grid, cutoff, h_star,
                       warn_sparse=False, spacings=spacings)
-    full = bg.entries()
-    m1, m2, _ = bg.mass_arrays()
-    rel = bg.entries(mass_override=(m1, m2, -omega * c.v3 * np.sin(bg.k3s)))
-    rem = tuple(a - b for a, b in zip(full, rel))
-    return bg, rel, rem
+    m3 = -omega * c.v3 * np.sin(bg.k3s)
+    return (bg, lambda *xs: bg.position_values(*xs, m3=m3),
+            lambda *xs: bg.position_values(*xs) - bg.position_values(*xs, m3=m3))
 
 
 # --- decay audits -----------------------------------------------------------
@@ -504,15 +508,7 @@ class DecayAuditReport:
                 for r in self.rows]
 
     def summary(self) -> dict:
-        return {
-            "regime": self.regime,
-            "sup_exponent": self.sup_exponent,
-            "width_x0_exponent": self.width_x0_exponent,
-            "width_x3_exponent": self.width_x3_exponent,
-            "l1_exponent": self.l1_exponent,
-            "max_constant_deviation": self.max_constant_deviation,
-            "rows": [r.__dict__ for r in self.rows],
-        }
+        return asdict(self)
 
 
 def _half_width(xs, sizes):
@@ -526,11 +522,8 @@ def _half_width(xs, sizes):
 
 
 def _fit_slope(hs, values):
-    hs = np.asarray(hs, float)
-    y = np.log2(np.asarray(values, float))
-    a = np.vstack([hs, np.ones_like(hs)]).T
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(sol[0])
+    a = np.vstack([hs, np.ones(len(hs))]).T.astype(float)
+    return float(np.linalg.lstsq(a, np.log2(np.asarray(values, float)), rcond=None)[0][0])
 
 
 def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int = 1,
@@ -552,6 +545,7 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
         raise InsufficientGridError(f"x_points < {MIN_X_POINTS} cannot resolve 4 octaves of decay")
     rows = []
     expected = 2.5 if regime == 1 else 3.0
+    xps = np.array([0.0, 1.0, 2.0])
     for h in sorted(h_range, reverse=True):
         c = c_of_h(h)
         bg = _adapted_band(h, regime, omega, c, p, cutoff, N, h_star)
@@ -563,30 +557,22 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
         w3 = 1.0 / max(np.max(np.abs(bg.k3s)), 1e-12)
         x0s = np.linspace(0.0, 6.0 * w0, x_points)
         x3s = np.linspace(0.0, 6.0 * w3, x_points)
-        xps = np.array([0.0, 1.0, 2.0])
-        vals = bg.position_values(x0s, xps, xps, x3s)
-        sizes = np.max(np.abs(vals), axis=(-2, -1))
+        sizes = np.max(np.abs(bg.position_values(x0s, xps, xps, x3s)), axis=(-2, -1))
         sup = float(sizes.max())
-        prof0 = sizes[:, 0, 0, 0]
-        prof3 = sizes[0, 0, 0, :]
-        width0 = _half_width(x0s, prof0)
-        width3 = _half_width(x3s, prof3)
         # L1 mass over the sampled (x0, x3) sheet (report-only)
-        cellv = (x0s[1] - x0s[0]) * (x3s[1] - x3s[0])
-        l1 = float(np.sum(sizes[:, 0, 0, :]) * cellv)
+        l1 = float(np.sum(sizes[:, 0, 0, :]) * ((x0s[1] - x0s[0]) * (x3s[1] - x3s[0])))
         const = sup * 2.0 ** (-expected * h) * c.Z * (c.v3 if regime == 2 else 1.0)
-        rows.append(DecayRow(h=h, sup=sup, width_x0=width0, width_x3=width3,
-                             l1_mass=l1, constant=const))
+        rows.append(DecayRow(h=h, sup=sup, width_x0=_half_width(x0s, sizes[:, 0, 0, 0]),
+                             width_x3=_half_width(x3s, sizes[0, 0, 0, :]), l1_mass=l1,
+                             constant=const))
     hs = [r.h for r in rows]
-    report = DecayAuditReport(
+    log_const = np.log2([r.constant for r in rows])
+    return DecayAuditReport(
         regime=regime,
         rows=rows,
         sup_exponent=_fit_slope(hs, [r.sup for r in rows]),
         width_x0_exponent=_fit_slope(hs, [r.width_x0 for r in rows]),
         width_x3_exponent=_fit_slope(hs, [r.width_x3 for r in rows]),
         l1_exponent=_fit_slope(hs, [r.l1_mass for r in rows]),
-        max_constant_deviation=float(np.max(np.abs(
-            np.log2([r.constant for r in rows])
-            - np.mean(np.log2([r.constant for r in rows]))))),
+        max_constant_deviation=float(np.max(np.abs(log_const - np.mean(log_const)))),
     )
-    return report

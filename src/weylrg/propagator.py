@@ -326,10 +326,6 @@ class PropagatorGrid:
     def __len__(self):
         return self.momenta.shape[0]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.momenta.shape[0] == 0
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self) else 0.0
 

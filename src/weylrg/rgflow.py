@@ -73,9 +73,6 @@ class InteractionSpec:
     def v_hat_0(self) -> float:
         return float(self.v_hat(0.0, 0.0, 0.0))
 
-    def real_space(self, x1: int, x2: int, x3: int) -> float:
-        return self.amplitude * math.exp(-self.kappa * (abs(x1) + abs(x2) + abs(x3)))
-
 
 def exponential_interaction(kappa: float = 1.0, amplitude: float = 1.0) -> InteractionSpec:
     if kappa <= 0:

@@ -126,7 +126,7 @@ def test_criterion_4_decay_bound_audits():
         x0s = np.linspace(0, 4 / emax, 9)
         x3s = np.linspace(0, 4 / max(abs(bg.k3s).max(), 1e-12), 9)
         g = bg.position_values(x0s, [0.0], [0.0], x3s)
-        r = bg.position_values(x0s, [0.0], [0.0], x3s, entries=rem)
+        r = rem(x0s, [0.0], [0.0], x3s)
         ratios[h] = float(np.max(np.abs(r)) / np.max(np.abs(g)))
     halving = [ratios[h + 1] / ratios[h] for h in (-3, -4)]
 

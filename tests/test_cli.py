@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylrg import propagator
-from weylrg.cli import (_SCHEMA, H_MIN_FLOOR, MAX_N_K, MAX_PROPAGATOR_ROWS, MAX_VERIFY_CASES,
-                        dispatch, load_config)
+from weylrg.cli import (_SCHEMA, H_MIN_FLOOR, MAX_GRID_L, MAX_N_K, MAX_PROPAGATOR_ROWS,
+                        MAX_VERIFY_CASES, dispatch, load_config)
 from weylrg.lattice import build_params
 from weylrg.propagator import GridSpec, PropagatorGrid, build_propagator_grid
 
@@ -155,6 +155,16 @@ def test_propagator_oversized_grid_fails_fast(tmp_path, grid):
     assert not (tmp_path / "o" / "propagator.csv").exists()
 
 
+@pytest.mark.parametrize("sub", ["band", "propagator"])
+@pytest.mark.parametrize("L", [MAX_GRID_L + 1, 10 ** 30])  # 10^30 used to exit 2 in band
+def test_oversized_grid_L_rejected_up_front(tmp_path, sub, L):
+    path = write_cfg(tmp_path, dict(BASE, grid=dict(BASE["grid"], L=L)))
+    t0 = time.perf_counter()
+    assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 @pytest.mark.parametrize("chunk_rows", [None, 7])
 def test_propagator_csv_pinned_bytes(tmp_path, monkeypatch, chunk_rows):
     """propagator.csv of an L = 3 grid (540 rows), byte for byte.  The sha256 was
@@ -197,6 +207,8 @@ def test_bounds_check_runs(tmp_path):
     {"h_top": -4, "h_bottom": -2},  # h_bottom above h_top
     {"r": 0.0},              # regime 2 at the critical point: used to escape as ZeroDivisionError
     {"r": -0.2},             # regime 2 in the insulator: used to exit 2
+    {"h_top": 0, "h_bottom": -2},   # regime 2 at h* = 0: used to exit 2
+    {"regime": 1, "h_top": -2, "h_bottom": -5},  # regime 1 below h* = 0: used to exit 2
 ])
 def test_audit_input_rejected_up_front(tmp_path, bad):
     audit = {"regime": 2, "h_top": -2, "h_bottom": -4, "N": 20, "x_points": 15}
@@ -424,5 +436,10 @@ def test_schema_accepts_edge_values(tmp_path, row):
     for edge in edges:
         # an audit scale range needs h_bottom <= h_top
         values = {"h_top": edge, "h_bottom": edge} if key in ("h_top", "h_bottom") else {key: edge}
-        cfg = load_config(write_cfg(tmp_path, _with(block, values)))
+        cfg = _with(block, values)
+        if block == "audit" and values.get("regime") != 2:
+            # a regime-1 window needs h_bottom >= h*, which every h is at r = 0
+            # (h* = -inf); the regime-2 default window lies below BASE's h* = 0
+            cfg["model"] = dict(BASE["model"], r=0.0)
+        cfg = load_config(write_cfg(tmp_path, cfg))
         assert cfg[block][key] == edge

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,6 +180,27 @@ def test_bbf_equals_cumulant_oracle(case):
     assert abs(gr.bbf_evaluate(clusters, g) - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
+def _singular_cases():
+    """Covariances with singular minors: all-zero ones, and one whose column 1
+    holds a subnormal beside an exact zero, where the determinant of some 2x2
+    minors meets log 0."""
+    cl = (((0, -1), (1, 1)), ((2, -1), (3, 1), (4, -1), (5, 1)))
+    g = 1.0 + np.arange(36.0).reshape(6, 6) / 144.0
+    g[4, 1], g[2, 1] = 5e-324, 0.0
+    return [(cl, np.zeros((6, 6))), (rand_clusters(np.random.default_rng(3), (2, 4, 4)),
+                                     np.zeros((10, 10))), (cl, g)]
+
+
+@pytest.mark.parametrize("case", _singular_cases())
+def test_bbf_singular_minors_match_oracle(case):
+    clusters, g = case
+    oracle = float(gr.truncated_expectation_oracle(clusters, g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = gr.bbf_evaluate(clusters, g)
+    assert abs(got - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), m=st.integers(1, 4))
 def test_wick_det_equals_expansion_exactly(data, m):
@@ -279,14 +301,16 @@ def test_gram_factors_from_scale_band(p_star):
     sp = (2 * emax / 10, 2 * ext12 / 10, 2 * k3max / 10)
     bg = ms.band_grid_r2(-2, +1, c, p_star, None, cut, 0, warn_sparse=False,
                          spacings=sp)
-    ent = bg.entries()
-    flat = [e.ravel() for e in ent]
+    # the 00 entry f (i k0 + m3) / (Z (k0^2 + lambda^2)) on the 4-D box
+    m1, m2, m3 = bg.mass_arrays()
+    k0 = bg.k0s[:, None, None, None]
+    e00 = bg.weight * (1j * k0 + m3) / (bg.couplings.Z * (k0 ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2))
     w = bg.weight.ravel()
     mask = w > 0
     # factor g(x,y)_{00} = sum_k (f A^{-1}/Z)_{00} e^{-ik(x-y)}: vectors
     # u_x(k) = e^{-ikx} sqrt(|F|), v_y(k) = e^{-iky} F sqrt(|F|)^{-1}... use
     # the simplest split F = sqrt(F) * sqrt(F) through the modulus/phase
-    F = flat[0][mask] * bg.cell
+    F = e00.ravel()[mask] * bg.cell
     xs = [0.0, 1.0, 2.0, 5.0]
     k3 = np.broadcast_to(bg.k3s[None, None, None, :], bg.weight.shape).ravel()[mask]
     root = np.sqrt(np.abs(F))

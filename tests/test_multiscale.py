@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylrg.cutoff import shell_cutoff, smooth_cutoff
 from weylrg.lattice import build_params, mass_vector, weyl_points
 from weylrg.propagator import GridSpec, free_propagator
-from weylrg import multiscale as ms
+from weylrg import multiscale as ms, rgflow as rg
 
 
 def const_couplings(p, regime):
@@ -150,26 +150,62 @@ def test_regime2_omega_symmetry(p_star):
     assert np.max(np.abs(np.abs(gp) - np.abs(gm))) < 1e-12 * max(1.0, np.max(np.abs(gp)))
 
 
-def test_position_values_match_all_entries_einsum(p_star):
-    cut = ms.default_cutoff(p_star)
-    c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
-    emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut, 0)
-    sp = (2 * emax / 10, 2 * ext12 / 10, 2 * k3max / 10)
-    bg = ms.band_grid_r2(-3, +1, c, p_star, None, cut, 0, warn_sparse=False, spacings=sp)
-    x0s, x1s, x2s = [0.0, 2.0 / emax], [0.0, 1.0 / ext12], [0.0, 2.0 / ext12, -1.0 / ext12]
-    x3s = np.linspace(0.0, 4.0 / k3max, 5)
+def _entries_oracle(bg, m3=None):
+    """f A^{-1}/Z on the band's 4-D box from its weight and mass arrays: four
+    (nk0, n1, n2, n3) complex arrays.  m3 replaces the sigma3 coefficient."""
+    m1, m2, m3_band = bg.mass_arrays()
+    m3 = m3_band if m3 is None else np.broadcast_to(m3, m1.shape)
+    k0 = bg.k0s[:, None, None, None]
+    w = bg.weight / (bg.couplings.Z * (k0 ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2))
+    return w * (1j * k0 + m3), w * (m1 - 1j * m2), w * (m1 + 1j * m2), w * (1j * k0 - m3)
+
+
+def _position_oracle(bg, xs, ent):
+    """cell sum_k e^{-i k.x} of each entry as one 4-D einsum: (nx0, ..., 2, 2)."""
     phases = [np.exp(-1j * np.outer(x, k))
-              for x, k in zip((x0s, x1s, x2s, x3s), (bg.k0s, bg.k1s, bg.k2s, bg.k3s))]
-    ent = bg.entries()
-    want = np.stack([bg.cell * np.einsum("abcd,ea,fb,gc,hd->efgh", f, *phases) for f in ent],
-                    axis=-1).reshape(2, 2, 3, 5, 2, 2)
-    got = bg.position_values(x0s, x1s, x2s, x3s)
-    assert isinstance(ent, tuple) and len(ent) == 4
+              for x, k in zip(xs, (bg.k0s, bg.k1s, bg.k2s, bg.k3s))]
+    return np.stack([bg.cell * np.einsum("abcd,ea,fb,gc,hd->efgh", f, *phases, optimize=True)
+                     for f in ent], axis=-1).reshape(*map(len, xs), 2, 2)
+
+
+def _oracle_band(p_star, name):
+    """A regime-1 or a regime-2 chain band, the bridge band with live valley
+    slices (b0 = 30: one table column per box point) or the insulator tail."""
+    cut = ms.default_cutoff(p_star)
+    c2 = ms.initial_couplings(p_star, regime=2).replace(h=-3)
+    emax, ext12, k3max = ms._band_bounds_r2(-3, c2, p_star, cut, 0)
+    sp = (2 * emax / 10, 2 * ext12 / 10, 2 * k3max / 10)
+    p1 = build_params(1.0, 0.5, 2.0, r=0.5 / 25600)
+    c1 = ms.initial_couplings(p1).replace(h=-3)
+    p_ins = build_params(1.0, 0.5, 2.0, r=-0.05)
+    c_ins = ms.initial_couplings(p_ins)
+    return {
+        "regime 1": lambda: ms._adapted_band(-3, 1, 1, c1, p1, ms.default_cutoff(p1), 10),
+        "regime 2": lambda: ms.band_grid_r2(-3, +1, c2, p_star, None, cut, 0,
+                                            warn_sparse=False, spacings=sp),
+        "bridge": lambda: rg._adapted_crossover(0, ms.initial_couplings(p_star), p_star,
+                                                ms.CutoffSpec(a0=p_star.a0, b0=30.0), 6),
+        "insulator tail": lambda: ms._adapted_band(0, 1, 1, c_ins, p_ins,
+                                                   ms.default_cutoff(p_ins), 8, lower=None),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["regime 1", "regime 2", "bridge", "insulator tail"])
+def test_position_values_match_all_entries_einsum(p_star, name):
+    bg = _oracle_band(p_star, name)
+    assert bg.support_points > 0
+    if name == "bridge":
+        assert bg.key.size == bg.table.shape[1]  # a column per box point
+    emax = bg.k0s.max()
+    ext12, k3max = bg.k1s.max(), np.abs(bg.k3s).max()
+    xs = ([0.0, 2.0 / emax], [0.0, 1.0 / ext12], [0.0, 2.0 / ext12, -1.0 / ext12],
+          np.linspace(0.0, 4.0 / k3max, 5))
+    ent = _entries_oracle(bg)
+    want = _position_oracle(bg, xs, ent)
+    got = bg.position_values(*xs)
     assert got.shape == (2, 2, 3, 5, 2, 2)
     # to 1e-13 of the largest sum of |summands|, which bounds every value
     assert np.max(np.abs(got - want)) <= 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
-    # the entries made one at a time and the entries passed in agree exactly
-    assert np.array_equal(got, bg.position_values(x0s, x1s, x2s, x3s, entries=ent))
 
 
 def test_quasiparticle_split_sum_rule(p_star):
@@ -222,15 +258,34 @@ def test_disconnection_check_rejects_small_b0(p_star):
     ms.disconnection_check(p_star, 0, c, ms.default_cutoff(p_star))  # passes
 
 
-def test_relativistic_split_resums_exactly(p_star):
+def _relativistic_case(p_star):
+    """The split at h = -3 on 12 steps per box axis, its x-grid and m3_rel."""
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
     emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut, 0)
     sp = (2 * emax / 12, 2 * ext12 / 12, 2 * k3max / 12)
     bg, rel, rem = ms.relativistic_split_r2(-3, +1, c, p_star, None, cut, 0, spacings=sp)
-    full = bg.entries()
-    for a, b, d in zip(full, rel, rem):
-        assert np.max(np.abs(a - (b + d))) < 1e-14
+    x0s = np.linspace(0, 4 / emax, 9)
+    x3s = np.linspace(0, 4 / max(abs(bg.k3s).max(), 1e-12), 9)
+    return bg, rel, rem, (x0s, [0.0, 1.0], [0.0], x3s), -c.v3 * np.sin(bg.k3s)
+
+
+def test_relativistic_split_resums_exactly(p_star):
+    bg, rel, rem, xs, _ = _relativistic_case(p_star)
+    bound = 1e-14 * bg.cell * max(np.sum(np.abs(f)) for f in _entries_oracle(bg))
+    assert np.max(np.abs(bg.position_values(*xs) - (rel(*xs) + rem(*xs)))) <= bound
+
+
+def test_relativistic_split_matches_all_entries_einsum(p_star):
+    """g_rel and the remainder against 4-D einsums of f A_rel^{-1}/Z and of the
+    pointwise difference f (A^{-1} - A_rel^{-1})/Z."""
+    bg, rel, rem, xs, m3_rel = _relativistic_case(p_star)
+    full, lin = _entries_oracle(bg), _entries_oracle(bg, m3_rel)
+    diff = [f - r for f, r in zip(full, lin)]
+    assert np.any(diff[0] != 0)
+    scale = bg.cell * max(np.sum(np.abs(f)) for f in full + lin)
+    for got, ent in ((rel(*xs), lin), (rem(*xs), diff)):
+        assert np.max(np.abs(got - _position_oracle(bg, xs, ent))) <= 1e-13 * scale
 
 
 def test_relativistic_split_agrees_at_origin(p_star):
@@ -252,7 +307,7 @@ def test_remainder_halves_per_scale(p_star):
         x0s = np.linspace(0, 4 / emax, 9)
         x3s = np.linspace(0, 4 / max(abs(bg.k3s).max(), 1e-12), 9)
         g = bg.position_values(x0s, [0.0], [0.0], x3s)
-        r = bg.position_values(x0s, [0.0], [0.0], x3s, entries=rem)
+        r = rem(x0s, [0.0], [0.0], x3s)
         ratios[h] = np.max(np.abs(r)) / np.max(np.abs(g))
     for h in (-3, -4):
         assert ratios[h + 1] / ratios[h] == pytest.approx(2.0, rel=0.3)

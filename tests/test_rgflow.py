@@ -110,16 +110,14 @@ def test_self_energy_matches_direct_cumulative_sum(p_star):
 
 
 def _direct_self_energy(kk_abs, bg, inter, U, weight=None):
-    """One band's one-loop kernel as 4-D einsums over its entries(), or over
-    weight A^{-1}/Z on the band's box when a 4-D weight is given."""
-    if weight is None:
-        e00, e01, e10, e11 = bg.entries()
-    else:
-        m1, m2, m3 = bg.mass_arrays()
-        k0 = bg.k0s[:, None, None, None]
-        w = weight / (bg.couplings.Z * (k0 ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2))
-        e00, e01 = w * (1j * k0 + m3), w * (m1 - 1j * m2)
-        e10, e11 = w * (m1 + 1j * m2), w * (1j * k0 - m3)
+    """One band's one-loop kernel as 4-D einsums over weight A^{-1}/Z on the
+    band's box: its own weight, or the 4-D weight given."""
+    weight = bg.weight if weight is None else weight
+    m1, m2, m3 = bg.mass_arrays()
+    k0 = bg.k0s[:, None, None, None]
+    w = weight / (bg.couplings.Z * (k0 ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2))
+    e00, e01 = w * (1j * k0 + m3), w * (m1 - 1j * m2)
+    e10, e11 = w * (m1 + 1j * m2), w * (1j * k0 - m3)
     origin = bg.omega * weyl_points(bg.params).p_F if bg.regime == 2 else 0.0
     d1 = inter.amplitude * inter.axis_value(kk_abs[1] - bg.k1s)
     d2 = inter.axis_value(kk_abs[2] - bg.k2s)
