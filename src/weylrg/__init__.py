@@ -12,12 +12,11 @@ from .propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
                          regularized_propagator_sum, schwinger_time_domain)
 from .cutoff import smooth_cutoff
 from .multiscale import (BandGrid, ConfigurationError, CutoffSpec,
-                         InsufficientGridError, RunningCouplings,
+                         InsufficientGridError, RunningCouplings, band_grid,
                          crossover_scale, decay_audit, default_cutoff,
                          disconnection_check, initial_couplings,
                          quasiparticle_split, relativistic_split_r2,
-                         scale_support, single_scale_propagator_r1,
-                         single_scale_propagator_r2)
+                         scale_support)
 from .rgflow import (FlowBlowupError, FlowTrajectory, InteractionSpec,
                      LocalizedKernel, QuadratureError, asymptotic_constants,
                      dressed_two_point, exponential_interaction, flow_step,

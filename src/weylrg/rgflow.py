@@ -30,9 +30,8 @@ import numpy as np
 from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, weyl_points
 from .propagator import GridSpec, _matsubara_sums, inverse_propagator
 from .cutoff import smooth_cutoff
-from .multiscale import (BandGrid, CutoffSpec, RunningCouplings, _adapted_band,
-                         _regime2_couplings, crossover_scale, default_cutoff,
-                         initial_couplings)
+from .multiscale import (BandGrid, CutoffSpec, RunningCouplings, _regime2_couplings,
+                         band_grid, crossover_scale, default_cutoff, initial_couplings)
 
 
 class FlowBlowupError(RuntimeError):
@@ -222,7 +221,7 @@ def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionS
     equals the direct cumulative-support sum by telescoping of the f_k.
     """
     cutoff = cutoff or default_cutoff(p)
-    bands = [_adapted_band(k, 1, 1, c.replace(h=k), p, cutoff, n_k) for k in range(0, h, -1)]
+    bands = [band_grid(k, 1, 1, c.replace(h=k), p, cutoff, n=n_k) for k in range(0, h, -1)]
     return band_self_energy(kk, _require_support(bands), inter, U)
 
 
@@ -232,17 +231,6 @@ def _require_support(bands):
             raise QuadratureError(f"band empty at h={bg.h} (regime {bg.regime}, "
                                   f"omega {bg.omega})")
     return bands
-
-
-def _adapted_crossover(h_star, c, p, cutoff, n_k) -> BandGrid:
-    """Bridge band on adapted regime-1 axes at h*: weight chi_{h*} minus the
-    two-component chi_{h*-1} of the valley split, clipped at 0.
-
-    The k3 axis is refined 8x: the bridge spans several energy octaves whose
-    valley slices are thin in k3 at steep dispersion (large r).
-    """
-    return _adapted_band(h_star, 1, 1, c, p, cutoff, n_k, lower="valleys",
-                         n3=max(96, 8 * n_k))
 
 
 # --- flow -------------------------------------------------------------------
@@ -305,16 +293,16 @@ class FlowTrajectory:
         return rows
 
 
-def flow_step(h: int, c: RunningCouplings, band_or_bands, inter: InteractionSpec,
+def flow_step(h: int, c: RunningCouplings, bands: list, inter: InteractionSpec,
               U: float, p: HoppingParams):
-    """One scale integration: localize the scale-h self-energy and update.
+    """One scale integration: localize the self-energy of the scale-h bands
+    and update.
 
     Returns (couplings at h-1, BetaRecord).  nu flows as nu_{h-1} = 2 nu_h +
     beta_nu with the dimensionless beta_nu = n_h 2^(1-h)/Z_{h-1}.  Regime-2
     kernels take k3' relative to p_F and are localized at k3' = 0.
     """
     regime = c.regime
-    bands = band_or_bands if isinstance(band_or_bands, list) else [band_or_bands]
     origin = weyl_points(p).p_F if regime == 2 else 0.0
 
     def kernel(kk):
@@ -350,8 +338,8 @@ def _check_window(c: RunningCouplings, ref: RunningCouplings, eps0: float):
 
 def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
              nu0: float = 0.0, n_k: int = 12, eps0: float = 0.5,
-             cutoff: CutoffSpec | None = None, keep_bands: bool = True) -> FlowTrajectory:
-    """Iterate flow steps from scale 0 down to h_min.
+             cutoff: CutoffSpec | None = None) -> FlowTrajectory:
+    """Iterate flow steps from scale 0 down to h_min, keeping every band.
 
     Regime 1 runs for h > h*; the h* step integrates the bridge band (upper
     regime-1 cutoff, lower two-component cutoff) after which v3 converts to
@@ -369,40 +357,39 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     bands_kept = []
     v3_cross = None
     termination = "completed"
-    insulator = p.r < 0
     finite_hstar = h_star != float("-inf")
 
     h = 0
     while h > h_min:
-        if finite_hstar and insulator and h == h_star:
+        at_crossover = finite_hstar and h == h_star
+        tail = at_crossover and p.r < 0
+        if tail:
             # the remaining infrared in one step: weight chi_{h*}, no lower
             # cutoff.  Near the window edge the whole infrared can be gapped out
             # (minimum energy t_perp |r| at or above the chi_{h*} support); the
             # band is then legitimately empty and the step trivial.
-            band = _adapted_band(h, 1, 1, c, p, cutoff, n_k, lower=None)
-            c_new, rec = flow_step(h, c, band, inter, U, p)
-            c_new = c_new.replace(nu=0.0)  # nu_{h*} = 0: no singularity to tune
-            rows.append(FlowRow(h=h, couplings=c, beta=rec))
-            if keep_bands:
-                bands_kept.append(band)
-            c = c_new
+            bands = [band_grid(h, 1, 1, c, p, cutoff, n=n_k, lower=None)]
+        elif at_crossover:
+            # k3 refined 8x: the bridge spans several energy octaves whose
+            # valley slices are thin in k3 at steep dispersion (large r)
+            bands = [band_grid(h, 1, 1, c, p, cutoff, n=n_k, n3=max(96, 8 * n_k),
+                               lower="valleys")]
+        elif c.regime == 1:
+            bands = [band_grid(h, 1, 1, c, p, cutoff, n=n_k)]
+        else:
+            bands = [band_grid(h, 2, om, c, p, cutoff, n=n_k, h_star=h_star)
+                     for om in (+1, -1)]
+        c_new, rec = flow_step(h, c, bands if tail else _require_support(bands), inter, U, p)
+        rows.append(FlowRow(h=h, couplings=c, beta=rec))
+        bands_kept.extend(bands)
+        if tail:
+            c = c_new.replace(nu=0.0)  # nu_{h*} = 0: no singularity to tune
             termination = "insulator-stop"
             break
-        at_crossover = finite_hstar and h == h_star
-        if at_crossover:
-            bands = [_adapted_crossover(h_star, c, p, cutoff, n_k)]
-        elif c.regime == 1:
-            bands = [_adapted_band(h, 1, 1, c, p, cutoff, n_k)]
-        else:
-            bands = [_adapted_band(h, 2, om, c, p, cutoff, n_k, h_star) for om in (+1, -1)]
-        c_new, rec = flow_step(h, c, _require_support(bands), inter, U, p)
         if at_crossover:
             # enter regime 2: the axial coupling becomes the Weyl velocity
             c_new = _regime2_couplings(c_new, p)
             v3_cross = c_new.v3
-        rows.append(FlowRow(h=h, couplings=c, beta=rec))
-        if keep_bands:
-            bands_kept.extend(bands)
         ref = ref1 if c_new.regime == 1 else ref1.replace(v3=v3_cross)
         _check_window(c_new, ref, eps0)
         c = c_new
@@ -428,9 +415,8 @@ def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     otherwise the map is not affine and FlowBlowupError is raised.
     Returns (nu, trajectory at the solved value).
     """
-    nu = _nu_target(run_flow(p, U, inter, h_min, nu0=0.0, n_k=n_k, cutoff=cutoff,
-                             keep_bands=False))
-    traj = run_flow(p, U, inter, h_min, nu0=nu, n_k=n_k, cutoff=cutoff, keep_bands=True)
+    nu = _nu_target(run_flow(p, U, inter, h_min, nu0=0.0, n_k=n_k, cutoff=cutoff))
+    traj = run_flow(p, U, inter, h_min, nu0=nu, n_k=n_k, cutoff=cutoff)
     resid = abs(_nu_target(traj) - nu)
     if not resid < tol:
         raise FlowBlowupError(f"nu counterterm is not affine: the flow at nu = {nu:.17g} "

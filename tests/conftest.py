@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -22,13 +20,6 @@ def p_insulator():
 def p_small_r():
     """Deep two-regime point: h* = -4 at t_perp = 1/2."""
     return build_params(1.0, 0.5, 2.0, r=3.125e-4)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_band_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
 
 
 def _brute_matsubara_sums(grid, lam2, M, x0=0.0, extra=None):

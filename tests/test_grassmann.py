@@ -297,10 +297,7 @@ def test_gram_factors_from_scale_band(p_star):
     from weylrg import multiscale as ms
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2).replace(h=-2)
-    emax, ext12, k3max = ms._band_bounds_r2(-2, c, p_star, cut, 0)
-    sp = (2 * emax / 10, 2 * ext12 / 10, 2 * k3max / 10)
-    bg = ms.band_grid_r2(-2, +1, c, p_star, None, cut, 0, warn_sparse=False,
-                         spacings=sp)
+    bg = ms.band_grid(-2, 2, +1, c, p_star, cut, n=10, h_star=0)
     # the 00 entry f (i k0 + m3) / (Z (k0^2 + lambda^2)) on the 4-D box
     m1, m2, m3 = bg.mass_arrays()
     k0 = bg.k0s[:, None, None, None]

@@ -123,7 +123,8 @@ def test_weyl_points_examples(p_star, p_insulator):
     assert wp.v30 == pytest.approx(0.433013, abs=1e-6)
     assert not wp.degenerate
 
-    p_half = build_params(1.0, 0.5, 2.0, mu=2.0)  # mu = t': r = 1
+    with pytest.warns(UserWarning, match="outside the narrow crossover window"):
+        p_half = build_params(1.0, 0.5, 2.0, mu=2.0)  # mu = t': r = 1
     wp2 = weyl_points(p_half)
     assert wp2.p_F == pytest.approx(np.pi / 2)
     assert wp2.v30 == pytest.approx(0.5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylrg.cutoff import shell_cutoff, smooth_cutoff
 from weylrg.lattice import build_params, mass_vector, weyl_points
 from weylrg.propagator import GridSpec, free_propagator
-from weylrg import multiscale as ms, rgflow as rg
+from weylrg import multiscale as ms
 
 
 def const_couplings(p, regime):
@@ -75,42 +77,95 @@ def test_scale_support_examples(p_small_r):
     assert smooth_cutoff(e / (cut.a0 * 2.0 ** -3)) == 0.0
 
 
-def test_scale_support_telescoping(p_small_r):
-    c = ms.initial_couplings(p_small_r)
+#: (regime, omega) -> (top scale, half-widths of its support box) at p_small_r:
+#: regime 1 from h = 0 in absolute momenta (e < 2 a0 = 0.1, quadratic in k3),
+#: regime 2 from h* - 1 = -5 in k' around the Weyl point omega p_F
+#: (e < 4 2^-5/b0 = 7.8e-5, v3 = 0.5).
+_TELESCOPE = {(1, 1): (0, (0.1, 0.1, 0.1, 0.65)),
+              (2, 1): (-5, (8e-5, 8e-5, 8e-5, 1.6e-4)),
+              (2, -1): (-5, (8e-5, 8e-5, 8e-5, 1.6e-4))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_TELESCOPE)),
+       u=st.tuples(*[st.floats(-1.0, 1.0)] * 4), j=st.integers(0, 7))
+def test_scale_support_telescoping(p_small_r, case, u, j):
+    """Seven single-scale weights f_h sum to chi_top - chi_{top-7} pointwise,
+    at momenta shrunk by 2^-j (2^(-j/2) along the regime-1 k3 axis) so that
+    every shell is reached."""
+    regime, omega = case
+    top, box = _TELESCOPE[case]
+    c = ms.initial_couplings(p_small_r, regime=regime)
     cut = ms.default_cutoff(p_small_r)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        kk = (rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5),
-              rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5))
-        total = 0.0
-        for h in range(0, -7, -1):
-            chi, f = ms.scale_support(kk, h, c, p_small_r, cut)
-            assert -1e-15 <= f <= 1.0
-            total += f
-        chi0, _ = ms.scale_support(kk, 0, c, p_small_r, cut)
-        chim7, _ = ms.scale_support(kk, -7, c, p_small_r, cut)
-        assert abs(total + chim7 - chi0) < 1e-14
+    shrink = (2.0 ** -j,) * 3 + (2.0 ** (-j / 2 if regime == 1 else -j),)
+    kk = tuple(a * b * s for a, b, s in zip(u, box, shrink))
+    total = 0.0
+    for h in range(top, top - 7, -1):
+        chi, f = ms.scale_support(kk, h, c, p_small_r, cut, regime, omega)
+        assert -1e-15 <= f <= 1.0
+        total += f
+    chi_top, _ = ms.scale_support(kk, top, c, p_small_r, cut, regime, omega)
+    chi_bottom, _ = ms.scale_support(kk, top - 7, c, p_small_r, cut, regime, omega)
+    assert abs(total + chi_bottom - chi_top) < 1e-14
 
 
 def test_band_values_match_direct_inversion(p_small_r):
     c = ms.initial_couplings(p_small_r).replace(h=-2)
     cut = ms.default_cutoff(p_small_r)
     grid = GridSpec(L=2048, beta=2048.0, M=0)
-    pg = ms.single_scale_propagator_r1(-2, c, p_small_r, grid, cut)
-    assert len(pg) > 100
+    bg = ms.band_grid(-2, 1, 1, c, p_small_r, cut, grid=grid)
+    support = np.argwhere(bg.weight > 0)
+    assert len(support) == bg.support_points > 100
+    ent = _entries_oracle(bg)
     # at bare couplings A_h == A, so the band value is f * A^{-1} / Z
     rng = np.random.default_rng(8)
-    for i in rng.integers(0, len(pg), size=25):
-        kk = tuple(pg.momenta[i])
+    for i in rng.integers(0, len(support), size=25):
+        idx = tuple(support[i])
+        kk = tuple(ax[j] for ax, j in zip((bg.k0s, bg.k1s, bg.k2s, bg.k3s), idx))
         _, f = ms.scale_support(kk, -2, c, p_small_r, cut)
+        assert abs(bg.weight[idx] - f) < 1e-12
+        got = np.array([[ent[0][idx], ent[1][idx]], [ent[2][idx], ent[3][idx]]])
         expect = f * free_propagator(kk, p_small_r) / c.Z
-        assert np.max(np.abs(pg.values[i] - expect)) < 1e-12
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_band_empty_support_warning(p_small_r):
     c = ms.initial_couplings(p_small_r).replace(h=-5)
+    cut = ms.default_cutoff(p_small_r)
     with pytest.warns(UserWarning, match="grid too coarse"):
-        ms.band_grid_r1(-5, c, p_small_r, GridSpec(L=8, beta=16.0, M=0))
+        ms.band_grid(-5, 1, 1, c, p_small_r, cut, grid=GridSpec(L=8, beta=16.0, M=0))
+
+
+def test_only_grid_bands_warn(p_small_r):
+    """The same sparse band on the grid's own spacings, or on n = 2 steps per
+    axis, is built without a warning."""
+    c = ms.initial_couplings(p_small_r).replace(h=-5)
+    cut = ms.default_cutoff(p_small_r)
+    sp = (2.0 * np.pi / 16.0, 2.0 * np.pi / 8.0, 2.0 * np.pi / 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sparse = ms.band_grid(-5, 1, 1, c, p_small_r, cut, spacings=sp)
+        coarse = ms.band_grid(-5, 1, 1, c, p_small_r, cut, n=2)
+    assert sparse.support_points < ms.MIN_BAND_POINTS
+    assert coarse.support_points < ms.MIN_BAND_POINTS
+
+
+@pytest.mark.parametrize("chosen", [(), ("grid", "spacings"), ("grid", "n"),
+                                    ("spacings", "n"), ("grid", "spacings", "n")])
+def test_band_grid_needs_exactly_one_resolution(p_small_r, chosen):
+    c = ms.initial_couplings(p_small_r)
+    res = {"grid": GridSpec(L=8, beta=16.0, M=0), "spacings": (0.1, 0.1, 0.1), "n": 10}
+    with pytest.raises(ValueError, match="exactly one of grid, spacings or n"):
+        ms.band_grid(0, 1, 1, c, p_small_r, ms.default_cutoff(p_small_r),
+                     **{k: res[k] for k in chosen})
+
+
+def test_regime2_band_above_crossover_rejected(p_small_r):
+    c = ms.initial_couplings(p_small_r, regime=2).replace(h=-4)
+    cut = ms.default_cutoff(p_small_r)
+    ms.band_grid(-5, 2, +1, c, p_small_r, cut, n=10, h_star=-4)  # h = h* - 1 builds
+    with pytest.raises(ValueError, match=r"h <= h\*-1 = -5"):
+        ms.band_grid(-4, 2, +1, c, p_small_r, cut, n=10, h_star=-4)
 
 
 def test_regime1_sup_scaling(p_small_r):
@@ -139,10 +194,8 @@ def test_regime2_sup_scaling(p_star):
 def test_regime2_omega_symmetry(p_star):
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
-    emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut, 0)
-    sp = (2 * emax / 16, 2 * ext12 / 16, 2 * k3max / 16)
-    bp = ms.band_grid_r2(-3, +1, c, p_star, None, cut, 0, warn_sparse=False, spacings=sp)
-    bm = ms.band_grid_r2(-3, -1, c, p_star, None, cut, 0, warn_sparse=False, spacings=sp)
+    bp = ms.band_grid(-3, 2, +1, c, p_star, cut, n=16, h_star=0)
+    bm = ms.band_grid(-3, 2, -1, c, p_star, cut, n=16, h_star=0)
     x0s, xps, x3s = [0.0, 5.0], [0.0], np.linspace(0, 30, 7)
     gp = bp.position_values(x0s, xps, xps, x3s)
     gm = bm.position_values(x0s, xps, xps, -x3s)
@@ -173,20 +226,18 @@ def _oracle_band(p_star, name):
     slices (b0 = 30: one table column per box point) or the insulator tail."""
     cut = ms.default_cutoff(p_star)
     c2 = ms.initial_couplings(p_star, regime=2).replace(h=-3)
-    emax, ext12, k3max = ms._band_bounds_r2(-3, c2, p_star, cut, 0)
-    sp = (2 * emax / 10, 2 * ext12 / 10, 2 * k3max / 10)
     p1 = build_params(1.0, 0.5, 2.0, r=0.5 / 25600)
     c1 = ms.initial_couplings(p1).replace(h=-3)
     p_ins = build_params(1.0, 0.5, 2.0, r=-0.05)
     c_ins = ms.initial_couplings(p_ins)
     return {
-        "regime 1": lambda: ms._adapted_band(-3, 1, 1, c1, p1, ms.default_cutoff(p1), 10),
-        "regime 2": lambda: ms.band_grid_r2(-3, +1, c2, p_star, None, cut, 0,
-                                            warn_sparse=False, spacings=sp),
-        "bridge": lambda: rg._adapted_crossover(0, ms.initial_couplings(p_star), p_star,
-                                                ms.CutoffSpec(a0=p_star.a0, b0=30.0), 6),
-        "insulator tail": lambda: ms._adapted_band(0, 1, 1, c_ins, p_ins,
-                                                   ms.default_cutoff(p_ins), 8, lower=None),
+        "regime 1": lambda: ms.band_grid(-3, 1, 1, c1, p1, ms.default_cutoff(p1), n=10),
+        "regime 2": lambda: ms.band_grid(-3, 2, +1, c2, p_star, cut, n=10, h_star=0),
+        "bridge": lambda: ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star,
+                                       ms.CutoffSpec(a0=p_star.a0, b0=30.0), n=6, n3=96,
+                                       lower="valleys"),
+        "insulator tail": lambda: ms.band_grid(0, 1, 1, c_ins, p_ins, ms.default_cutoff(p_ins),
+                                               n=8, lower=None),
     }[name]()
 
 
@@ -266,7 +317,7 @@ def _relativistic_case(p_star):
     """The split at h = -3 on 12 steps per box axis, its x-grid and m3_rel."""
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
-    emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut, 0)
+    emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut)
     sp = (2 * emax / 12, 2 * ext12 / 12, 2 * k3max / 12)
     bg, rel, rem = ms.relativistic_split_r2(-3, +1, c, p_star, None, cut, 0, spacings=sp)
     x0s = np.linspace(0, 4 / emax, 9)
@@ -304,7 +355,7 @@ def test_remainder_halves_per_scale(p_star):
     ratios = {}
     for h in (-2, -3, -4):
         c = ms.initial_couplings(p_star, regime=2).replace(h=h)
-        emax, ext12, k3max = ms._band_bounds_r2(h, c, p_star, cut, 0)
+        emax, ext12, k3max = ms._band_bounds_r2(h, c, p_star, cut)
         sp = (2 * emax / 20, 2 * ext12 / 20, 2 * k3max / 20)
         bg, rel, rem = ms.relativistic_split_r2(h, +1, c, p_star, None, cut, 0,
                                                 spacings=sp)

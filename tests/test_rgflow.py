@@ -96,9 +96,7 @@ def test_self_energy_matches_direct_cumulative_sum(p_star):
                                      cutoff=cut)
 
     # direct route: one box over the whole chi_0 \ chi_{-2} region
-    emax, ext12, k3lo, k3hi = ms._band_bounds_r1(0, c, p_star, cut)
-    sp = (2 * emax / 40, 2 * ext12 / 40, 2 * k3hi / 96)
-    bg = ms.band_grid_r1(0, c, p_star, cutoff=cut, warn_sparse=False, spacings=sp)
+    bg = ms.band_grid(0, 1, 1, c, p_star, cut, n=40, n3=96)
     K1, K2, K3 = np.meshgrid(bg.k1s, bg.k2s, bg.k3s, indexing="ij")
     m1, m2, m3 = mass_vector(K1, K2, K3, p_star, c.v, c.v3)
     e = np.sqrt(bg.k0s[:, None, None, None] ** 2 + (m1 ** 2 + m2 ** 2 + m3 ** 2)[None])
@@ -128,16 +126,21 @@ def _direct_self_energy(kk_abs, bg, inter, U, weight=None):
     return U * bg.cell * (hartree * np.eye(2) - fock)
 
 
+def _bridge_band(h_star, c, p, cut, n_k):
+    """The bridge band as run_flow builds it at h*."""
+    return ms.band_grid(h_star, 1, 1, c, p, cut, n=n_k, n3=max(96, 8 * n_k), lower="valleys")
+
+
 def _test_bands(p_star, p_small_r):
     """A regime-1 band, both regime-2 valleys and the bridge band."""
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star)
     cut2 = ms.default_cutoff(p_small_r)
     c2 = ms.initial_couplings(p_small_r, regime=2).replace(h=-5)
-    return {"regime 1": ms._adapted_band(-1, 1, 1, c.replace(h=-1), p_star, cut, 10),
-            "valley +1": ms._adapted_band(-5, 2, +1, c2, p_small_r, cut2, 10, -4),
-            "valley -1": ms._adapted_band(-5, 2, -1, c2, p_small_r, cut2, 10, -4),
-            "bridge": rg._adapted_crossover(0, c, p_star, cut, 10)}
+    return {"regime 1": ms.band_grid(-1, 1, 1, c.replace(h=-1), p_star, cut, n=10),
+            "valley +1": ms.band_grid(-5, 2, +1, c2, p_small_r, cut2, n=10, h_star=-4),
+            "valley -1": ms.band_grid(-5, 2, -1, c2, p_small_r, cut2, n=10, h_star=-4),
+            "bridge": _bridge_band(0, c, p_star, cut, 10)}
 
 
 def test_cached_band_sums_match_direct_einsum(p_star, p_small_r):
@@ -178,7 +181,7 @@ def test_bridge_weight_matches_scalar_oracle(p_star, b0):
     cut = ms.default_cutoff(p_star) if b0 is None else ms.CutoffSpec(a0=p_star.a0, b0=b0)
     c = ms.initial_couplings(p_star)
     h_star = ms.crossover_scale(p_star)
-    band = rg._adapted_crossover(h_star, c, p_star, cut, 10)
+    band = _bridge_band(h_star, c, p_star, cut, 10)
     p, p_f = p_star, weyl_points(p_star).p_F
     # 26 points of the upper cutoff's support, and the whole k0 axis through
     # each Weyl point, where both cutoffs' ramps are crossed
@@ -237,9 +240,9 @@ def test_bridge_lower_edge_is_first_regime2_upper_edge(p_star):
 def test_flow_step_deterministic(p_star):
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star)
-    band = rg._adapted_crossover(0, c, p_star, cut, 10)
-    c1, r1 = rg.flow_step(0, c, band, INTER, 0.05, p_star)
-    c2, r2 = rg.flow_step(0, c, band, INTER, 0.05, p_star)
+    bands = [_bridge_band(0, c, p_star, cut, 10)]
+    c1, r1 = rg.flow_step(0, c, bands, INTER, 0.05, p_star)
+    c2, r2 = rg.flow_step(0, c, bands, INTER, 0.05, p_star)
     assert r1 == r2 and c1 == c2  # bit-for-bit on a fixed band
     assert np.isfinite(r1.beta_nu) and np.isfinite(r1.max_dimensionless)
 
