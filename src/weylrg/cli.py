@@ -281,7 +281,8 @@ def _cmd_band(cfg, w: RunWriter):
     grid = GridSpec(**cfg["grid"])
     ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
     rows = [(0.0, 0.0, k3, lam) for k3, lam in zip(ks, dispersion((0.0, 0.0, ks), p))]
-    rows += [(k, k, 0.0, lam) for k, lam in zip(ks, dispersion((ks, ks, 0.0), p))]  # planar diagonal
+    # the planar diagonal
+    rows += [(k, k, 0.0, lam) for k, lam in zip(ks, dispersion((ks, ks, 0.0), p))]
     w.write_csv("band.csv", ("k1", "k2", "k3", "lambda"), rows)
 
 

@@ -29,9 +29,9 @@ scale at a GridSpec's lattice spacings, at given spacings or at n steps per
 box axis.  A band is a table of its weight chi_h(e) minus a lower cutoff on
 (positive k0, distinct lambda^2), e = sqrt(k0^2 + lambda^2): chi_{h-1} of the
 same chain (one shell_cutoff ramp), the two-component chi_{h*-1} of the
-valley split for the bridge band at h*, or nothing for the insulator tail.  Its k0 sum is the paired
-reduction over distinct lambda^2 the Matsubara sums use
-(propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
+valley split for the bridge band at h*, or nothing for the insulator tail.
+Its k0 sum is the paired reduction over distinct lambda^2 the Matsubara sums
+use (propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
 (_valley_split) also serves quasiparticle_split and disconnection_check.
 
 Position values (decay audits, the relativistic remainder) take the same
@@ -298,8 +298,8 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     if regime == 1:
         emax, ext12, k3_lo, k3_hi = _band_bounds_r1(h, c, p, cutoff)
     else:
-        if h > h_star - 1:
-            raise ValueError(f"regime-2 band needs h <= h*-1 = {h_star - 1}")
+        if h_star is None or h > h_star - 1:
+            raise ValueError(f"regime-2 band needs h <= h_star - 1, got h={h}, h_star={h_star}")
         emax, ext12, k3_hi = _band_bounds_r2(h, c, p, cutoff)
     if grid is not None:
         d12 = d3 = 2.0 * np.pi / grid.L

@@ -164,8 +164,9 @@ def test_regime2_band_above_crossover_rejected(p_small_r):
     c = ms.initial_couplings(p_small_r, regime=2).replace(h=-4)
     cut = ms.default_cutoff(p_small_r)
     ms.band_grid(-5, 2, +1, c, p_small_r, cut, n=10, h_star=-4)  # h = h* - 1 builds
-    with pytest.raises(ValueError, match=r"h <= h\*-1 = -5"):
-        ms.band_grid(-4, 2, +1, c, p_small_r, cut, n=10, h_star=-4)
+    for h, h_star in ((-4, -4), (-5, None)):
+        with pytest.raises(ValueError, match="needs h <= h_star - 1"):
+            ms.band_grid(h, 2, +1, c, p_small_r, cut, n=10, h_star=h_star)
 
 
 def test_regime1_sup_scaling(p_small_r):
