@@ -21,6 +21,7 @@ assignment, and the audit asserts exactly that.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -64,7 +65,7 @@ def gain_weight(regime: int, l: int) -> Fraction:
 
 # --- structure ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """Reduced tree node: an endpoint (no children) or a branch (>= 2)."""
 
@@ -90,7 +91,7 @@ class Node:
                 yield from c.branches()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GNTree:
     """Labeled expansion tree with root scale h; root's child chain starts at h+1."""
 
@@ -137,16 +138,12 @@ def count_shapes(n: int) -> int:
 
 
 def _label(shape, min_scale: int, kind_choices):
-    """Yield labeled Nodes for `shape` with scale > min_scale for the top vertex."""
+    """Labeled Nodes for `shape` with scale > min_scale for the top vertex."""
     if shape == ():  # endpoint: scale in [min_scale+1, 1]
-        for s in range(min_scale + 1, 2):
-            for kind in kind_choices:
-                yield Node(scale=s, children=(), kind=kind)
-        return
+        return [Node(s, (), kind) for s in range(min_scale + 1, 2) for kind in kind_choices]
     # branch: scale in [min_scale+1, 0]; endpoints above force <= 0
-    for s in range(min_scale + 1, 1):
-        for kids in product(*[_label(c, s, kind_choices) for c in shape]):
-            yield Node(scale=s, children=tuple(kids))
+    return [Node(s, kids) for s in range(min_scale + 1, 1)
+            for kids in product(*[_label(c, s, kind_choices) for c in shape])]
 
 
 def enumerate_trees(n: int, h: int, kinds=(INTERACTION,),
@@ -156,22 +153,27 @@ def enumerate_trees(n: int, h: int, kinds=(INTERACTION,),
     kinds lists the endpoint kinds to enumerate; with require_interaction the
     subset with at least one interaction endpoint is returned (the beta-kernel
     family; pure-nu chains vanish identically and are excluded there).
+
+    No Node appears twice in one tree (enumerate_assignments keys on
+    id(node)): each child position makes its own _label call, and trees share
+    only whole subtrees.  The trees are acyclic, so the cyclic garbage
+    collector is paused for the build; at n = 5 it would walk every node.
     """
     if not 1 <= n <= MAX_ENDPOINTS:
         raise SizeLimitError(f"n = {n} outside 1..{MAX_ENDPOINTS}")
     if not MIN_ROOT_SCALE <= h <= -1:
         raise SizeLimitError(f"h = {h} outside {MIN_ROOT_SCALE}..-1")
-    out = []
-    for shape in _shapes(n):
-        # the unique vertex above the root sits at h+1; the shape's top vertex
-        # is at >= h+1, i.e. strictly above scale h
-        for node in _label(shape, h, tuple(kinds)):
-            if node.is_endpoint and node.scale == h + 1:
-                continue  # v0 cannot be an endpoint
-            t = GNTree(root_scale=h, top=node)
-            if require_interaction and all(e.kind == NU for e in t.endpoints()):
-                continue
-            out.append(t)
+    low = h + 1 if n == 1 else h  # v0, at h+1, is never an endpoint
+    kinds = tuple(kinds)
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = [GNTree(h, node) for shape in _shapes(n) for node in _label(shape, low, kinds)]
+        if require_interaction:
+            out = [t for t in out if any(e.kind != NU for e in t.top.endpoints())]
+    finally:
+        if gc_enabled:
+            gc.enable()
     return out
 
 
@@ -272,11 +274,10 @@ def _materialize(tree: GNTree, assignment):
     endpoint_rows = []
 
     def subtree_fields(node):
-        return sum(_FIELDS[e.kind] for e in node.endpoints()) if not node.is_endpoint \
-            else _FIELDS[node.kind]
+        return sum(_FIELDS[e.kind] for e in node.endpoints())
 
     def subtree_eps(node):
-        return sum(1 for _ in node.endpoints()) if not node.is_endpoint else 1
+        return sum(1 for _ in node.endpoints())
 
     def walk(parent_scale, node):
         p_here = assignment[id(node)]
@@ -297,8 +298,6 @@ def _materialize(tree: GNTree, assignment):
             walk(node.scale, c)
 
     walk(tree.root_scale, tree.top)
-    # fix h_v' of each vertex: immediate predecessor scale on its path (always
-    # one below in the materialized chain; the first vertex precedes the root)
     return vertices, endpoint_rows
 
 

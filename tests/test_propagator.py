@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from weylrg import propagator
 from weylrg.lattice import ID2, bloch_matrix, build_params, mass_vector, weyl_points
@@ -391,3 +391,16 @@ def test_mass_vector_invariants(kk, omega, r, t, t_perp):
     assert r1[0] == r2[0] and r1[1] == r2[1]
     assert abs(r1[2] - r2[2]) <= 8 * eps * (p.t_perp + p.t_prime)
 
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kk=st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE), r=st.floats(-0.4, 0.5),
+       t=st.floats(0.5, 2.0), t_perp=st.floats(0.25, 1.0), t_prime=st.floats(2.0, 4.0))
+def test_free_propagator_conjugation_property(kk, r, t, t_perp, t_prime):
+    # G(-k0, kbar) = G(k0, kbar)^dagger; negating k0 is exact, so bit for bit
+    p = build_params(t, t_perp, t_prime, r=r)
+    k0, k1, k2, k3 = kk
+    try:
+        g = free_propagator(kk, p)
+    except SingularMomentumError:
+        reject()
+    assert np.array_equal(free_propagator((-k0, k1, k2, k3), p), g.conj().T)

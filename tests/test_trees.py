@@ -1,4 +1,7 @@
+import gc
+import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -114,8 +117,6 @@ def test_structural_identities_all_trees():
 
 def test_structural_identities_hand_tree():
     # 3 endpoints on one nontrivial vertex: sum (s_v - 1) = 2
-    shape = ((), (), ())
-    node = tr._proto(shape, iter([tr.INTERACTION] * 3))
     node = tr.Node(scale=-2, children=tuple(
         tr.Node(scale=0, children=(), kind=tr.INTERACTION) for _ in range(3)))
     t = tr.GNTree(-3, node)
@@ -178,3 +179,80 @@ def test_pure_nu_filter():
     assert len(filtered) < len(both)
     assert all(any(e.kind == tr.INTERACTION for e in t.endpoints())
                for t in filtered)
+
+
+def _count_trees(n, h, n_kinds):
+    """Labeled trees counted without building them, over leaf counts rather
+    than shapes: `sub(m, low)` counts subtrees with m leaves whose top vertex
+    sits above `low`, and `seq(m, s)` ordered runs of such subtrees (children
+    of one vertex at s) with m leaves in all."""
+
+    @lru_cache(maxsize=None)
+    def sub(m, low):
+        if m == 1:  # endpoint: scales low+1 .. 1, any kind
+            return (1 - low) * n_kinds
+        # branch at s in low+1 .. 0 with >= 2 children: runs minus lone children
+        return sum(seq(m, s) - sub(m, s) for s in range(low + 1, 1))
+
+    @lru_cache(maxsize=None)
+    def seq(m, s):
+        if m == 0:
+            return 1
+        return sum(sub(j, s) * seq(m - j, s) for j in range(1, m + 1))
+
+    # a lone endpoint may not be v0 at h+1
+    return sub(1, h + 1) if n == 1 else sub(n, h)
+
+
+def test_count_oracle_seed_counts():
+    # the benchmark's two enumerations, 630,881 trees in all
+    assert _count_trees(4, -8, 1) == 173_502
+    assert _count_trees(5, -6, 1) == 457_379
+
+
+_COUNT_CASES = [pytest.param(n, h, kinds, req,
+                             id=f"n{n}-h{h}-kinds{len(kinds)}{'-req' * req}")
+                for n in range(1, 6) for h in (-1, -3, -5)
+                for kinds in ((tr.INTERACTION,), (tr.INTERACTION, tr.NU))
+                for req in (False, True)
+                # 3,266,912 trees: 7.9 s and 631 MB peak RSS to build (2-core Xeon)
+                if not (n == 5 and h == -5 and len(kinds) == 2)]
+
+
+@pytest.mark.parametrize("n,h,kinds,req", _COUNT_CASES)
+def test_enumeration_matches_count_oracle(n, h, kinds, req):
+    want = _count_trees(n, h, len(kinds))
+    if req and tr.NU in kinds:
+        want -= _count_trees(n, h, 1)  # the pure-nu trees
+    assert len(tr.enumerate_trees(n, h, kinds=kinds, require_interaction=req)) == want
+
+
+def test_tree_nodes_are_distinct_objects():
+    # assignments key on id(node), so no Node may occur twice in one tree
+    for n in range(1, 5):
+        for t in tr.enumerate_trees(n, -3, kinds=(tr.INTERACTION, tr.NU)):
+            nodes = t.endpoints() + t.branches()
+            assert len({id(x) for x in nodes}) == len(nodes)
+
+
+def test_enumeration_order_and_repr_pinned():
+    # sha256 of the reprs, one per line: the trees, their order and their repr
+    digest = hashlib.sha256()
+    for n, h, kinds, req in ((3, -3, (tr.INTERACTION, tr.NU), True),
+                             (4, -2, (tr.INTERACTION, tr.NU), False),
+                             (1, -4, (tr.NU, tr.INTERACTION), False)):
+        for t in tr.enumerate_trees(n, h, kinds=kinds, require_interaction=req):
+            digest.update(repr(t).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "c2061ccc5492cea88eb4597988d87cab0d8abee9b975d072ba5aeaf63fc211e1"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_gc_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        tr.enumerate_trees(3, -3)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
