@@ -25,11 +25,11 @@ chosen so that support is disconnected across the k3 = 0 plane; the default
 puts the cutoff argument at 4 on the inter-valley saddle (energy t_perp |r|).
 
 Every band is built by band_grid, the one builder, on the support box of its
-scale at a GridSpec's lattice spacings, at given spacings or at n steps per
-box axis.  A band is a table of its weight chi_h(e) minus a lower cutoff on
-(positive k0, distinct lambda^2), e = sqrt(k0^2 + lambda^2): chi_{h-1} of the
-same chain (one shell_cutoff ramp), the two-component chi_{h*-1} of the
-valley split for the bridge band at h*, or nothing for the insulator tail.
+scale at n steps per box axis (n3 in k3).  A band is a table of its weight
+chi_h(e) minus a lower cutoff on (positive k0, distinct lambda^2),
+e = sqrt(k0^2 + lambda^2): chi_{h-1} of the same chain (one shell_cutoff
+ramp), the two-component chi_{h*-1} of the valley split for the bridge band
+at h*, or nothing for the insulator tail.
 Its k0 sum is the paired reduction over distinct lambda^2 the Matsubara sums
 use (propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
 (_valley_split) also serves quasiparticle_split and disconnection_check.
@@ -43,14 +43,13 @@ fields summed over the spatial phases, one x0 at a time, in O(box) memory.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cutoff import shell_cutoff, smooth_cutoff
 from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
-from .propagator import GridSpec, _paired_sums
+from .propagator import _paired_sums
 
 MIN_BAND_POINTS = 100
 #: Fewest position samples per axis that resolve 4 octaves of decay.
@@ -174,7 +173,8 @@ class BandGrid:
     point on the bridge band's live valley slices; `key` maps the spatial box
     to its columns.  `moments` = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 + lambda^2)
     is all an instantaneous vertex sees (the ik0 part cancels in pairs).
-    `cell` is 1/(beta L^3) of the generating grid; regime-2 axes hold k'.
+    `cell` is d0 d12^2 d3/(2pi)^4 of the virtual grid and `emax` the box's
+    energy extent; regime-2 axes hold k'.
     """
 
     h: int
@@ -189,6 +189,7 @@ class BandGrid:
     moments: np.ndarray
     support_points: int
     cell: float
+    emax: float
     couplings: RunningCouplings
     params: HoppingParams
     snap_offset: float = 0.0  # regime 2: p_F minus its grid-snapped value
@@ -271,17 +272,13 @@ def _band_bounds_r2(h, c, p, cutoff):
 
 
 def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingParams,
-              cutoff: CutoffSpec, *, grid: GridSpec | None = None, spacings=None,
-              n: int | None = None, n3: int | None = None, h_star: int | None = None,
-              lower="chain") -> BandGrid:
+              cutoff: CutoffSpec, *, n: int, n3: int | None = None,
+              h_star: int | None = None, lower="chain") -> BandGrid:
     """The one band builder: the scale-h support box, its mass arrays and the
     table of chi_h(e) - lower, e = sqrt(k0^2 + lambda^2).
 
-    Exactly one of grid, spacings or n sets the resolution: a GridSpec's
-    isotropic lattice spacings 2pi/L (2pi/beta in k0), whose band warns when
-    it holds fewer than MIN_BAND_POINTS momenta; (d0, d12, d3) given
-    directly; or the virtual grid that spans each axis of the box in n steps
-    (n3 steps in k3, default n).
+    The resolution is the virtual grid that spans each axis of the box in n
+    steps (n3 steps in k3, default n).
 
     lower is "chain" (chi_{h-1} of the same chain: f_h, one shell_cutoff ramp
     as the argument doubles per scale), "valleys" (the two-component chi_{h-1}
@@ -293,22 +290,14 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     k3 axis spacing.  The topmost regime-2 scale has the two-component cutoff
     chibar(b0 2^-h* e) as its upper edge.
     """
-    if sum(x is not None for x in (grid, spacings, n)) != 1:
-        raise ValueError("pass exactly one of grid, spacings or n")
     if regime == 1:
         emax, ext12, k3_lo, k3_hi = _band_bounds_r1(h, c, p, cutoff)
     else:
         if h_star is None or h > h_star - 1:
             raise ValueError(f"regime-2 band needs h <= h_star - 1, got h={h}, h_star={h_star}")
         emax, ext12, k3_hi = _band_bounds_r2(h, c, p, cutoff)
-    if grid is not None:
-        d12 = d3 = 2.0 * np.pi / grid.L
-        d0, cell = 2.0 * np.pi / grid.beta, 1.0 / (grid.beta * grid.L ** 3)
-    else:
-        if n is not None:
-            spacings = (2.0 * emax / n, 2.0 * ext12 / n, max(2.0 * k3_hi / (n3 or n), 1e-12))
-        d0, d12, d3 = spacings
-        cell = d0 * d12 ** 2 * d3 / (2.0 * np.pi) ** 4
+    d0, d12, d3 = 2.0 * emax / n, 2.0 * ext12 / n, max(2.0 * k3_hi / (n3 or n), 1e-12)
+    cell = d0 * d12 ** 2 * d3 / (2.0 * np.pi) ** 4
     fields = {}
     if regime == 1:
         arc = _axis_values(d3, max(0.0, k3_lo - d3), min(np.pi, k3_hi + d3))
@@ -345,12 +334,8 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     support = 2 * int(np.bincount(key.ravel(), minlength=lam2u.size) @ np.sum(table > 0, axis=0))
     for arr in (table, key, moments):
         arr.flags.writeable = False
-    bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, key, moments, support,
-                  cell, c, p, **fields)
-    if grid is not None and bg.support_points < MIN_BAND_POINTS:
-        warnings.warn(f"regime-{regime} band at h={h} holds {bg.support_points} grid "
-                      f"momenta (< {MIN_BAND_POINTS}); grid too coarse", stacklevel=2)
-    return bg
+    return BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, key, moments, support,
+                    cell, emax, c, p, **fields)
 
 
 # --- quasi-particle split --------------------------------------------------
@@ -409,12 +394,12 @@ def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
 # --- relativistic split ----------------------------------------------------
 
 def relativistic_split_r2(h: int, omega: int, c: RunningCouplings, p: HoppingParams,
-                          grid: GridSpec | None, cutoff: CutoffSpec, h_star: int,
-                          spacings=None):
-    """(bg, g_rel, remainder) on the regime-2 band bg, the last two as maps
-    (x0s, x1s, x2s, x3s) -> position values: g_rel keeps f_h but drops the
-    curvature E' (m3_rel = -omega v3 sin k3'), and remainder = g - g_rel."""
-    bg = band_grid(h, 2, omega, c, p, cutoff, grid=grid, spacings=spacings, h_star=h_star)
+                          cutoff: CutoffSpec, h_star: int, n: int):
+    """(bg, g_rel, remainder) on the regime-2 band bg at n steps per box axis,
+    the last two as maps (x0s, x1s, x2s, x3s) -> position values: g_rel keeps
+    f_h but drops the curvature E' (m3_rel = -omega v3 sin k3'), and remainder
+    = g - g_rel."""
+    bg = band_grid(h, 2, omega, c, p, cutoff, n=n, h_star=h_star)
     m3 = -omega * c.v3 * np.sin(bg.k3s)
     return (bg, lambda *xs: bg.position_values(*xs, m3=m3),
             lambda *xs: bg.position_values(*xs) - bg.position_values(*xs, m3=m3))
@@ -466,8 +451,8 @@ def _fit_slope(hs, values):
 
 
 def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int = 1,
-                cutoff: CutoffSpec | None = None, h_star: int | None = None,
-                N: int = 28, x_points: int = 25) -> DecayAuditReport:
+                h_star: int | None = None, N: int = 28,
+                x_points: int = 25) -> DecayAuditReport:
     """Fit sup-norms and decay half-widths of position-space single-scale
     propagators against the dimensional scaling exponents.
 
@@ -477,7 +462,7 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
     samples per axis.  The x-grids extend 8 core widths, so at least 4 octaves
     of decay are resolved or InsufficientGridError is raised.
     """
-    cutoff = cutoff or default_cutoff(p)
+    cutoff = default_cutoff(p)
     if regime == 2 and h_star is None:
         h_star = crossover_scale(p)
     if x_points < MIN_X_POINTS:
@@ -492,7 +477,7 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
             raise InsufficientGridError(
                 f"band at h={h} resolves only {bg.support_points} momenta")
         # core widths from the band extents; sample ~6 widths per axis
-        w0 = 1.0 / (_band_bounds_r1 if regime == 1 else _band_bounds_r2)(h, c, p, cutoff)[0]
+        w0 = 1.0 / bg.emax
         w3 = 1.0 / max(np.max(np.abs(bg.k3s)), 1e-12)
         x0s = np.linspace(0.0, 6.0 * w0, x_points)
         x3s = np.linspace(0.0, 6.0 * w3, x_points)

@@ -226,54 +226,34 @@ def _frequency_reduced(x0: float, grid: GridSpec, p: HoppingParams, M: int):
     return a + m3 * s0, (m1 - 1j * m2) * s0, (m1 + 1j * m2) * s0, a - m3 * s0
 
 
-def _spatial_sum_direct(fields, kbar, x, L):
-    phase = np.exp(-1j * (kbar[:, 0] * x[0] + kbar[:, 1] * x[1] + kbar[:, 2] * x[2]))
-    return [np.sum(phase * f) / L ** 3 for f in fields]
+def regularized_all_spatial(x0: float, grid: GridSpec, p: HoppingParams,
+                            M: int | None = None) -> np.ndarray:
+    """g_M(x0, xbar) for every lattice displacement at once; (L, L, L, 2, 2).
 
-
-def _spatial_sum_fft(fields, L):
-    """All lattice displacements at once: value[x] = (1/L^3) sum_k e^{-ik.x} f(k)."""
-    out = []
-    for f in fields:
-        cube = f.reshape(L, L, L)
-        out.append(np.fft.fftn(cube) / L ** 3)
+    One FFT per entry: value[xbar] = (1/L^3) sum_kbar e^{-i kbar.xbar} f(kbar).
+    """
+    M = grid.M if M is None else M
+    L = grid.L
+    out = np.empty((L, L, L, 2, 2), complex)
+    for i, f in enumerate(_frequency_reduced(x0, grid, p, M)):
+        out[..., i // 2, i % 2] = np.fft.fftn(f.reshape(L, L, L)) / L ** 3
     return out
 
 
 def regularized_propagator_sum(x, grid: GridSpec, p: HoppingParams,
-                               M: int | None = None, method: str = "auto") -> np.ndarray:
-    """g_M(x): finite momentum sum of A^{-1} under the smooth UV cutoff.
+                               M: int | None = None) -> np.ndarray:
+    """g_M(x): finite momentum sum of A^{-1} under the smooth UV cutoff, the
+    regularized_all_spatial entry at (x1, x2, x3) mod L.  The displacement
+    must be integral: a fractional one raises ValueError, never truncates.
 
     Converges to schwinger_time_domain(x) away from x = (0 mod beta, 0bar)
     and to the mean of the two one-sided limits at x = 0 (tail ~ 2^-M there).
-    Direct summation and the FFT path agree to 1e-10 and are selectable for
-    cross-checks; "auto" sums directly on small grids (L <= 16).
     """
-    M = grid.M if M is None else M
     x0, x1, x2, x3 = x
-    fields = _frequency_reduced(x0, grid, p, M)
-    if method not in ("auto", "direct", "fft"):
-        raise ValueError("method must be auto, direct or fft")
-    use_direct = method == "direct" or (method == "auto" and grid.L <= 16)
-    if use_direct:
-        kbar = grid.spatial_momenta()
-        e00, e01, e10, e11 = _spatial_sum_direct(fields, kbar, (x1, x2, x3), grid.L)
-    else:
-        cubes = _spatial_sum_fft(fields, grid.L)
-        ix = (int(x1) % grid.L, int(x2) % grid.L, int(x3) % grid.L)
-        e00, e01, e10, e11 = [c[ix] for c in cubes]
-    return np.array([[e00, e01], [e10, e11]], dtype=complex)
-
-
-def regularized_all_spatial(x0: float, grid: GridSpec, p: HoppingParams,
-                            M: int | None = None) -> np.ndarray:
-    """g_M(x0, xbar) for every lattice displacement at once; (L, L, L, 2, 2)."""
-    M = grid.M if M is None else M
-    cubes = _spatial_sum_fft(_frequency_reduced(x0, grid, p, M), grid.L)
-    out = np.empty((grid.L, grid.L, grid.L, 2, 2), complex)
-    out[..., 0, 0], out[..., 0, 1] = cubes[0], cubes[1]
-    out[..., 1, 0], out[..., 1, 1] = cubes[2], cubes[3]
-    return out
+    if not all(float(xi).is_integer() for xi in (x1, x2, x3)):
+        raise ValueError(f"lattice displacement {(x1, x2, x3)} is not integral")
+    L = grid.L
+    return regularized_all_spatial(x0, grid, p, M)[int(x1) % L, int(x2) % L, int(x3) % L]
 
 
 def equal_time_jump(grid: GridSpec, p: HoppingParams) -> np.ndarray:

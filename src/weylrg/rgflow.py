@@ -213,14 +213,13 @@ def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndar
 
 
 def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionSpec,
-                            U: float, p: HoppingParams, n_k: int = 12,
-                            cutoff: CutoffSpec | None = None) -> np.ndarray:
+                            U: float, p: HoppingParams, n_k: int = 12) -> np.ndarray:
     """One-loop self-energy of the scales above h at frozen couplings.
 
     Builds the regime-1 bands h+1..0 (frozen at c) and sums Hartree + Fock;
     equals the direct cumulative-support sum by telescoping of the f_k.
     """
-    cutoff = cutoff or default_cutoff(p)
+    cutoff = default_cutoff(p)
     bands = [band_grid(k, 1, 1, c.replace(h=k), p, cutoff, n=n_k) for k in range(0, h, -1)]
     return band_self_energy(kk, _require_support(bands), inter, U)
 
@@ -406,7 +405,7 @@ def _nu_target(traj: FlowTrajectory) -> float:
 
 
 def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
-             n_k: int = 12, tol: float = 1e-10, cutoff: CutoffSpec | None = None):
+             n_k: int = 12, tol: float = 1e-10):
     """Scale-0 counterterm making nu_h bounded, from two flows.
 
     At one loop nu enters the flow affinely and the betas do not depend on
@@ -415,8 +414,8 @@ def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     otherwise the map is not affine and FlowBlowupError is raised.
     Returns (nu, trajectory at the solved value).
     """
-    nu = _nu_target(run_flow(p, U, inter, h_min, nu0=0.0, n_k=n_k, cutoff=cutoff))
-    traj = run_flow(p, U, inter, h_min, nu0=nu, n_k=n_k, cutoff=cutoff)
+    nu = _nu_target(run_flow(p, U, inter, h_min, nu0=0.0, n_k=n_k))
+    traj = run_flow(p, U, inter, h_min, nu0=nu, n_k=n_k)
     resid = abs(_nu_target(traj) - nu)
     if not resid < tol:
         raise FlowBlowupError(f"nu counterterm is not affine: the flow at nu = {nu:.17g} "
@@ -487,14 +486,14 @@ def dressed_det_scan(traj: FlowTrajectory, inter: InteractionSpec, L: int):
 
 
 def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpec,
-                         delta: float = np.pi / 64.0, support: str = "full",
-                         cutoff: CutoffSpec | None = None):
+                         delta: float = np.pi / 64.0, support: str = "full"):
     """First-order velocity slopes from the stated one-loop integrals.
 
     a3 is the sigma3 contraction of the k3 derivative at +p_F of the Fock map
     built on the UV-regularized propagator (quadrature over `grid`), with the
     regime-2 basis orientation (-sin k3') applied; aplus the sigma1
-    contraction of the sin k+ slope.  v3 = v30 + a3 U + O(U^2) and
+    contraction of the sin k+ slope.  Both come from localize_kernel at
+    stencil spacing delta.  v3 = v30 + a3 U + O(U^2) and
     v = t + aplus U + O(U^2); the output is per unit U.
 
     support selects the integration region: "full" (everything under the
@@ -507,24 +506,14 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
     kbar, moments = _grid_moments(p, grid, None if support == "full" else
-                                  _scale0_weight(cutoff or default_cutoff(p), support))
+                                  _scale0_weight(default_cutoff(p), support))
 
-    def fock(kvec):  # the sigma3 and sigma1 parts
-        return -(moments @ inter.v_hat(*(np.asarray(kvec)[:, None] - kbar.T)))[[2, 0]]
+    def fock(kk):
+        f1, f2, f3 = moments @ inter.v_hat(*(np.asarray(kk[1:])[:, None] - kbar.T))
+        return -(f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3)
 
-    pF = wp.p_F
-
-    def d3(d):
-        return (fock((0.0, 0.0, pF + d)) - fock((0.0, 0.0, pF - d))) / (2.0 * d)
-
-    def dp(d):
-        return (fock((d, d, pF)) - fock((-d, -d, pF))) / (2.0 * d)
-
-    s3 = (4.0 * d3(delta / 2.0) - d3(delta)) / 3.0
-    sp = (4.0 * dp(delta / 2.0) - dp(delta)) / 3.0
-    a3 = -s3[0]   # basis -sin k3' at omega = +1
-    aplus = sp[1]
-    return float(a3), float(aplus)
+    loc = localize_kernel(fock, regime=2, point=(0.0, 0.0, 0.0, wp.p_F), spacing=delta)
+    return -loc.b3_h, loc.bplus_h  # basis -sin k3' at omega = +1
 
 
 def relativistic_form(kkprime, omega: int, Z: float, v: float, v3: float) -> np.ndarray:

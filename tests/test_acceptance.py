@@ -119,11 +119,8 @@ def test_criterion_4_decay_bound_audits():
     ratios = {}
     for h in (-2, -3, -4):
         c = c2.replace(h=h)
-        emax, ext12, k3max = ms._band_bounds_r2(h, c, P_STAR, cut)
-        sp = (2 * emax / 20, 2 * ext12 / 20, 2 * k3max / 20)
-        bg, rel, rem = ms.relativistic_split_r2(h, +1, c, P_STAR, None, cut, 0,
-                                                spacings=sp)
-        x0s = np.linspace(0, 4 / emax, 9)
+        bg, rel, rem = ms.relativistic_split_r2(h, +1, c, P_STAR, cut, 0, n=20)
+        x0s = np.linspace(0, 4 / bg.emax, 9)
         x3s = np.linspace(0, 4 / max(abs(bg.k3s).max(), 1e-12), 9)
         g = bg.position_values(x0s, [0.0], [0.0], x3s)
         r = rem(x0s, [0.0], [0.0], x3s)

@@ -1,12 +1,10 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylrg.cutoff import shell_cutoff, smooth_cutoff
 from weylrg.lattice import build_params, mass_vector, weyl_points
-from weylrg.propagator import GridSpec, free_propagator
+from weylrg.propagator import free_propagator
 from weylrg import multiscale as ms
 
 
@@ -112,8 +110,7 @@ def test_scale_support_telescoping(p_small_r, case, u, j):
 def test_band_values_match_direct_inversion(p_small_r):
     c = ms.initial_couplings(p_small_r).replace(h=-2)
     cut = ms.default_cutoff(p_small_r)
-    grid = GridSpec(L=2048, beta=2048.0, M=0)
-    bg = ms.band_grid(-2, 1, 1, c, p_small_r, cut, grid=grid)
+    bg = ms.band_grid(-2, 1, 1, c, p_small_r, cut, n=24)
     support = np.argwhere(bg.weight > 0)
     assert len(support) == bg.support_points > 100
     ent = _entries_oracle(bg)
@@ -127,37 +124,6 @@ def test_band_values_match_direct_inversion(p_small_r):
         got = np.array([[ent[0][idx], ent[1][idx]], [ent[2][idx], ent[3][idx]]])
         expect = f * free_propagator(kk, p_small_r) / c.Z
         assert np.max(np.abs(got - expect)) < 1e-12
-
-
-def test_band_empty_support_warning(p_small_r):
-    c = ms.initial_couplings(p_small_r).replace(h=-5)
-    cut = ms.default_cutoff(p_small_r)
-    with pytest.warns(UserWarning, match="grid too coarse"):
-        ms.band_grid(-5, 1, 1, c, p_small_r, cut, grid=GridSpec(L=8, beta=16.0, M=0))
-
-
-def test_only_grid_bands_warn(p_small_r):
-    """The same sparse band on the grid's own spacings, or on n = 2 steps per
-    axis, is built without a warning."""
-    c = ms.initial_couplings(p_small_r).replace(h=-5)
-    cut = ms.default_cutoff(p_small_r)
-    sp = (2.0 * np.pi / 16.0, 2.0 * np.pi / 8.0, 2.0 * np.pi / 8.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sparse = ms.band_grid(-5, 1, 1, c, p_small_r, cut, spacings=sp)
-        coarse = ms.band_grid(-5, 1, 1, c, p_small_r, cut, n=2)
-    assert sparse.support_points < ms.MIN_BAND_POINTS
-    assert coarse.support_points < ms.MIN_BAND_POINTS
-
-
-@pytest.mark.parametrize("chosen", [(), ("grid", "spacings"), ("grid", "n"),
-                                    ("spacings", "n"), ("grid", "spacings", "n")])
-def test_band_grid_needs_exactly_one_resolution(p_small_r, chosen):
-    c = ms.initial_couplings(p_small_r)
-    res = {"grid": GridSpec(L=8, beta=16.0, M=0), "spacings": (0.1, 0.1, 0.1), "n": 10}
-    with pytest.raises(ValueError, match="exactly one of grid, spacings or n"):
-        ms.band_grid(0, 1, 1, c, p_small_r, ms.default_cutoff(p_small_r),
-                     **{k: res[k] for k in chosen})
 
 
 def test_regime2_band_above_crossover_rejected(p_small_r):
@@ -318,10 +284,8 @@ def _relativistic_case(p_star):
     """The split at h = -3 on 12 steps per box axis, its x-grid and m3_rel."""
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
-    emax, ext12, k3max = ms._band_bounds_r2(-3, c, p_star, cut)
-    sp = (2 * emax / 12, 2 * ext12 / 12, 2 * k3max / 12)
-    bg, rel, rem = ms.relativistic_split_r2(-3, +1, c, p_star, None, cut, 0, spacings=sp)
-    x0s = np.linspace(0, 4 / emax, 9)
+    bg, rel, rem = ms.relativistic_split_r2(-3, +1, c, p_star, cut, 0, n=12)
+    x0s = np.linspace(0, 4 / bg.emax, 9)
     x3s = np.linspace(0, 4 / max(abs(bg.k3s).max(), 1e-12), 9)
     return bg, rel, rem, (x0s, [0.0, 1.0], [0.0], x3s), -c.v3 * np.sin(bg.k3s)
 
@@ -356,11 +320,8 @@ def test_remainder_halves_per_scale(p_star):
     ratios = {}
     for h in (-2, -3, -4):
         c = ms.initial_couplings(p_star, regime=2).replace(h=h)
-        emax, ext12, k3max = ms._band_bounds_r2(h, c, p_star, cut)
-        sp = (2 * emax / 20, 2 * ext12 / 20, 2 * k3max / 20)
-        bg, rel, rem = ms.relativistic_split_r2(h, +1, c, p_star, None, cut, 0,
-                                                spacings=sp)
-        x0s = np.linspace(0, 4 / emax, 9)
+        bg, rel, rem = ms.relativistic_split_r2(h, +1, c, p_star, cut, 0, n=20)
+        x0s = np.linspace(0, 4 / bg.emax, 9)
         x3s = np.linspace(0, 4 / max(abs(bg.k3s).max(), 1e-12), 9)
         g = bg.position_values(x0s, [0.0], [0.0], x3s)
         r = rem(x0s, [0.0], [0.0], x3s)

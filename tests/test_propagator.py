@@ -12,8 +12,8 @@ from weylrg.propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
                                _matsubara_sums,
                                build_propagator_grid, counterterm_nu_C, energy_scale,
                                equal_time_jump, free_propagator, inverse_propagator,
-                               normalize_time, regularized_propagator_sum,
-                               schwinger_time_domain)
+                               normalize_time, regularized_all_spatial,
+                               regularized_propagator_sum, schwinger_time_domain)
 
 GRID = GridSpec(L=4, beta=8.0, M=12)
 
@@ -138,12 +138,17 @@ def test_regularized_sum_u_independence(p_star):
     assert np.array_equal(a, b)
 
 
-def test_direct_vs_fft_spatial_sum(p_star):
+def test_point_sum_reads_the_fft_cube(p_star):
+    # one lattice sum: the point value is the all-displacement cube's entry,
+    # bit for bit, with displacements taken mod L on both sides of the cube
     grid = GridSpec(L=8, beta=8.0, M=8)
-    for x in ((0.5, 1, 2, 3), (-2.0, 0, 5, 1)):
-        d = regularized_propagator_sum(x, grid, p_star, method="direct")
-        f = regularized_propagator_sum(x, grid, p_star, method="fft")
-        assert np.max(np.abs(d - f)) < 1e-10
+    for x0 in (0.5, -2.0):
+        cube = regularized_all_spatial(x0, grid, p_star)
+        for xbar in ((1, 2, 3), (-1, 0, -7), (8, 13, -9), (0, 0, 0)):
+            got = regularized_propagator_sum((x0,) + xbar, grid, p_star)
+            assert np.array_equal(got, cube[tuple(x % 8 for x in xbar)])
+    with pytest.raises(ValueError, match="not integral"):
+        regularized_propagator_sum((0.5, 1.5, 0, 0), grid, p_star)
 
 
 def test_counterterm_nu_c(p_star):

@@ -92,8 +92,7 @@ def test_self_energy_matches_direct_cumulative_sum(p_star):
     cut = ms.default_cutoff(p_star)
     U = 0.05
     kk = (0.0, 0.0, 0.0, weyl_points(p_star).p_F)
-    sig = rg.self_energy_first_order(kk, -2, c, INTER, U, p_star, n_k=24,
-                                     cutoff=cut)
+    sig = rg.self_energy_first_order(kk, -2, c, INTER, U, p_star, n_k=24)
 
     # direct route: one box over the whole chi_0 \ chi_{-2} region
     bg = ms.band_grid(0, 1, 1, c, p_star, cut, n=40, n3=96)

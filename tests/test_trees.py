@@ -210,6 +210,21 @@ def test_count_oracle_seed_counts():
     assert _count_trees(5, -6, 1) == 457_379
 
 
+def test_tree_count_cap_raises_before_building(monkeypatch):
+    # the caps on n and h admit (6, -8): 149,590,922 trees, counted, never built
+    want = _count_trees(6, -8, 1)
+    assert want > tr.MAX_TREES >= _count_trees(5, -6, 1)
+
+    def no_build(*args):
+        raise AssertionError("trees built past the size cap")
+
+    monkeypatch.setattr(tr, "_label", no_build)
+    with pytest.raises(tr.SizeLimitError, match=f"makes {want} trees"):
+        tr.enumerate_trees(6, -8)
+    with pytest.raises(tr.SizeLimitError, match=f"makes {_count_trees(5, -8, 2)} trees"):
+        tr.enumerate_trees(5, -8, kinds=(tr.INTERACTION, tr.NU))
+
+
 _COUNT_CASES = [pytest.param(n, h, kinds, req,
                              id=f"n{n}-h{h}-kinds{len(kinds)}{'-req' * req}")
                 for n in range(1, 6) for h in (-1, -3, -5)
