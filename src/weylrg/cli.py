@@ -359,7 +359,7 @@ def _cmd_flow(cfg, w: RunWriter, solve: bool = False):
         nu, traj = 0.0, run_flow(p, U, inter, h_min, n_k=n_k, eps0=f["eps0"])
     w.write_csv("flow.csv", ("h", "Z", "v", "v3", "nu", "beta_nu", "regime"),
                 traj.csv_rows())
-    snap = [r.beta.snap_offset for r in traj.rows if r.beta is not None]
+    snap = [r.beta.snap_offset for r in traj.rows]
     w.write_json("flow.json", {
         "U": U, "h_min": h_min, "n_k": n_k,
         "h_star": None if traj.h_star == float("-inf") else traj.h_star,
@@ -378,8 +378,7 @@ def _cmd_bounds_check(cfg, w: RunWriter):
     regime = a["regime"]
     c0 = initial_couplings(p, regime=regime)
     rep = decay_audit(range(a["h_bottom"], a["h_top"] + 1), lambda h: c0.replace(h=h), p,
-                      regime=regime, N=a["N"], x_points=a["x_points"],
-                      h_star=crossover_scale(p) if regime == 2 else None)
+                      regime=regime, N=a["N"], x_points=a["x_points"])
     w.write_csv("decay.csv",
                 ("h", "sup_norm", "fitted_constant", "width_x0", "width_x3", "l1_mass"),
                 rep.to_rows())

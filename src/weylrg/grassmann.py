@@ -42,14 +42,12 @@ from itertools import combinations, groupby, permutations, product
 
 import numpy as np
 
+from .trees import SizeLimitError
+
 MAX_CLUSTERS_ORACLE = 4
 MAX_FIELDS_ORACLE = 12
 MAX_CLUSTERS_BBF = 3
 MAX_FIELDS_BBF = 10
-
-
-class SizeLimitError(ValueError):
-    pass
 
 
 class WickMismatchError(ArithmeticError):
@@ -57,12 +55,12 @@ class WickMismatchError(ArithmeticError):
 
 
 def _pair(x, y, g):
+    # g is nested lists or a 2-D array; g[a][b] indexes both
     (a, ea), (b, eb) = x, y
     if ea == -1 and eb == +1:
-        return g[a][b] if isinstance(g, list) else g[a, b]
+        return g[a][b]
     if ea == +1 and eb == -1:
-        v = g[b][a] if isinstance(g, list) else g[b, a]
-        return -v
+        return -g[b][a]
     return 0
 
 
@@ -133,7 +131,7 @@ def wick_expectation(mono, g, method: str = "auto"):
     if method in ("det", "auto"):
         sign, mi, pi = interleave_sign(mono)
         if exact:
-            sub = [[g[a][b] if isinstance(g, list) else g[a, b] for b in pi] for a in mi]
+            sub = [[g[a][b] for b in pi] for a in mi]
             d = sign * _det(sub)
         else:
             d = sign * (np.linalg.det(np.asarray(g)[np.ix_(mi, pi)]) if mi else 1.0)
@@ -152,8 +150,7 @@ def wick_expectation(mono, g, method: str = "auto"):
 
 
 def _is_exact(g):
-    probe = g[0][0] if isinstance(g, list) else g[0, 0]
-    return isinstance(probe, (int, Fraction))
+    return isinstance(g[0][0], (int, Fraction))
 
 
 # --- cumulants ----------------------------------------------------------------

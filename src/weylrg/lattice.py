@@ -62,9 +62,11 @@ class HoppingParams:
 def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> HoppingParams:
     """Validate couplings and return HoppingParams; pass exactly one of r, mu.
 
-    Rejects parameters outside mu + t' > 2 t_perp or |mu - t'|/t_perp >= 3/2.
-    |r| > 1/2 is admissible but triggers a warning (outside the narrow window
-    where r was introduced, still inside the analyticity hypotheses).
+    Rejects parameters outside mu + t' > 2 t_perp or |mu - t'|/t_perp >= 3/2,
+    the latter tested on r itself (-1/2 < r < 5/2) when r is given, since mu
+    is rounded.  |r| > 1/2 is admissible but triggers a warning (outside the
+    narrow window where r was introduced, still inside the analyticity
+    hypotheses).
     """
     if t <= 0 or t_perp <= 0 or t_prime <= 0:
         raise ParameterError("hoppings t, t_perp, t_prime must be positive")
@@ -78,7 +80,9 @@ def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> Ho
         raise ParameterError(
             f"mu + t_prime = {mu + t_prime:g} must exceed 2*t_perp = {2 * t_perp:g}"
         )
-    if abs(mu - t_prime) / t_perp >= 1.5:
+    if r is not None and not -0.5 < r < 2.5:
+        raise ParameterError(f"r = {r:g} is outside the theorem window (-1/2, 5/2)")
+    if r is None and abs(mu - t_prime) / t_perp >= 1.5:
         raise ParameterError(
             f"|mu - t_prime|/t_perp = {abs(mu - t_prime) / t_perp:g} is outside the "
             "theorem window (< 3/2)"

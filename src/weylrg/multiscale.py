@@ -112,21 +112,17 @@ def crossover_scale(p: HoppingParams):
     return int(math.floor(min(val, 0.0)))
 
 
-def default_cutoff(p: HoppingParams, h_star: int | None = None) -> CutoffSpec:
+def default_cutoff(p: HoppingParams) -> CutoffSpec:
     """CutoffSpec with the r-uniform default b0 = 4/a0^2.
 
     Since 2^h* <= 10|r|/a0, the cutoff argument on the inter-valley saddle
     (energy t_perp |r|) satisfies b0 2^-h* t_perp |r| >= b0 a0^2 = 4 >= 2, so
     the two-component support is disconnected for every admissible r; and
     b0 >= 2/a0 keeps that support inside the chi_{h*} plateau, making the
-    bridge band chi_{h*} - chi_{h*-1} a nonnegative partition piece.
+    bridge band chi_{h*} - chi_{h*-1} a nonnegative partition piece.  At r = 0
+    (h* = -inf) regime 2 never starts and b0 = 0.
     """
-    if h_star is None:
-        h_star = crossover_scale(p)
-    if h_star == float("-inf") or p.r == 0.0:
-        b0 = 0.0  # regime 2 never starts at r = 0
-    else:
-        b0 = 4.0 / p.a0 ** 2
+    b0 = 0.0 if p.r == 0.0 else 4.0 / p.a0 ** 2
     return CutoffSpec(a0=p.a0, b0=b0)
 
 
@@ -372,16 +368,16 @@ def quasiparticle_split(kk, h_star: int, c: RunningCouplings, p: HoppingParams,
 
 
 def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
-                        cutoff: CutoffSpec, n_scan: int = 9):
+                        cutoff: CutoffSpec):
     """Raise ConfigurationError if chi_{h*-1} is nonzero anywhere on k3 = 0.
 
-    Scans k0 = 0, k3 = 0 over a planar grid around the origin (the inter-valley
-    saddle sits at kbar = 0 with energy t_perp |r|); each valley carries
-    theta(0) = 1/2 of its chi_{h*-1} there.
+    Scans k0 = 0, k3 = 0 over a 9 x 9 planar grid around the origin (the
+    inter-valley saddle sits at kbar = 0 with energy t_perp |r|); each valley
+    carries theta(0) = 1/2 of its chi_{h*-1} there.
     """
     if weyl_points(p) is None:
         raise ConfigurationError("disconnection check needs semimetal parameters")
-    ks = np.linspace(-0.5, 0.5, n_scan)
+    ks = np.linspace(-0.5, 0.5, 9)
     K1, K2 = np.meshgrid(ks, ks, indexing="ij")
     split = _valley_split(0.0, K1, K2, np.zeros_like(K1), h_star, c, p, cutoff)
     chi = 2.0 * np.maximum(split[+1], split[-1])
@@ -450,17 +446,19 @@ def _fit_slope(hs, values):
     return float(np.linalg.lstsq(a, np.log2(np.asarray(values, float)), rcond=None)[0][0])
 
 
-def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int = 1,
+def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1,
                 h_star: int | None = None, N: int = 28,
                 x_points: int = 25) -> DecayAuditReport:
     """Fit sup-norms and decay half-widths of position-space single-scale
     propagators against the dimensional scaling exponents.
 
     h_range must lie within one regime; c_of_h maps a scale to its couplings
-    (pass a constant function for frozen couplings).  N sets the per-axis
-    momentum resolution of the per-scale virtual grids; x_points the position
-    samples per axis.  The x-grids extend 8 core widths, so at least 4 octaves
-    of decay are resolved or InsufficientGridError is raised.
+    (pass a constant function for frozen couplings).  Regime-2 bands are the
+    +1 valley's (the -1 valley is its mirror image), below h_star, which
+    defaults to crossover_scale(p).  N sets the per-axis momentum resolution
+    of the per-scale virtual grids; x_points the position samples per axis.
+    The x-grids extend 8 core widths, so at least 4 octaves of decay are
+    resolved or InsufficientGridError is raised.
     """
     cutoff = default_cutoff(p)
     if regime == 2 and h_star is None:
@@ -472,7 +470,7 @@ def decay_audit(h_range, c_of_h, p: HoppingParams, regime: int = 1, omega: int =
     xps = np.array([0.0, 1.0, 2.0])
     for h in sorted(h_range, reverse=True):
         c = c_of_h(h)
-        bg = band_grid(h, regime, omega, c, p, cutoff, n=N, h_star=h_star)
+        bg = band_grid(h, regime, 1, c, p, cutoff, n=N, h_star=h_star)
         if bg.support_points < MIN_BAND_POINTS:
             raise InsufficientGridError(
                 f"band at h={h} resolves only {bg.support_points} momenta")

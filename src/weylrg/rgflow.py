@@ -6,13 +6,14 @@ integrated), so each flow step computes
 
   sigma_h(kk) = U vhat(0) tr[g^(h)(0)] I  -  U (1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p),
 
-localizes it at the expansion point (0 in regime 1, omega p_F in regime 2)
-and absorbs the local part into (Z, v, v3, nu).  Raw localized coefficients
-are stored as plain derivatives (the symmetry-projected n, b0, b+, b-, b3);
+localizes it at the expansion point (0 in regime 1, +p_F in regime 2; the
+valleys are mirror images, so the +1 valley carries the local data) and
+absorbs the local part into (Z, v, v3, nu).  Raw localized coefficients are
+stored as plain derivatives (the symmetry-projected n, b0, b+, b-, b3);
 update_couplings applies the basis orientation of the reference matrix:
-the regime-1 axial basis function (cos k3 - 1) has second derivative -1 and
-the regime-2 one -omega sin k3' has slope -omega, so those coefficients enter
-with a compensating sign.
+the regime-1 axial basis function (cos k3 - 1) has second derivative -1 at
+0 and the regime-2 one -sin k3' of the +1 valley has slope -1, so b3 enters
+with the sign -1 in both regimes.
 
 nu bookkeeping is dimensionless: the local term at scale h is 2^h nu_h, and
 nu_{h-1} = 2 nu_h + beta_nu^(h) with beta_nu^(h) = n_h 2^(1-h) / Z_{h-1}.
@@ -96,8 +97,6 @@ class LocalizedKernel:
     bplus_h: float
     bminus_h: float
     b3_h: float
-    regime: int
-    omega: int = 1
     residual: float = 0.0
 
 
@@ -105,21 +104,16 @@ def _project(mat, pauli) -> float:
     return float(np.real(np.trace(pauli @ mat)) / 2.0)
 
 
-def _central(kernel, point, axis, delta):
-    up = list(point)
-    dn = list(point)
-    up[axis] += delta
-    dn[axis] -= delta
-    return (kernel(tuple(up)) - kernel(tuple(dn))) / (2.0 * delta)
-
-
-def _second(kernel, point, axis, delta, w0=None):
-    up = list(point)
-    dn = list(point)
-    up[axis] += delta
-    dn[axis] -= delta
-    w0 = kernel(tuple(point)) if w0 is None else w0
-    return (kernel(tuple(up)) - 2.0 * w0 + kernel(tuple(dn))) / delta ** 2
+def _stencil(kernel, point, u, w0=None):
+    """Central difference of kernel along the direction u in (k0, k1, k2, k3)
+    as a function of the spacing d: the slope (W(x + d u) - W(x - d u)) / 2d,
+    or, given the value w0 = W(x), the curvature (W(x + d u) - 2 w0 +
+    W(x - d u)) / d^2.  x + d u is exact for the components u in {0, +-1}."""
+    def diff(d):
+        up = kernel(tuple(x + d * e for x, e in zip(point, u)))
+        dn = kernel(tuple(x - d * e for x, e in zip(point, u)))
+        return (up - dn) / (2.0 * d) if w0 is None else (up - 2.0 * w0 + dn) / d ** 2
+    return diff
 
 
 def _richardson(stencil, delta):
@@ -128,67 +122,61 @@ def _richardson(stencil, delta):
     return (4.0 * d2 - d1) / 3.0
 
 
-def localize_kernel(kernel, regime: int, point=(0.0, 0.0, 0.0, 0.0), omega: int = 1,
+def localize_kernel(kernel, regime: int, point=(0.0, 0.0, 0.0, 0.0),
                     spacing: float = np.pi / 32.0) -> LocalizedKernel:
     """Extract the local Taylor data of kernel(kk) -> 2x2 at the expansion point.
 
     Regime 1 takes {value, k0 slope, sin k+- slopes, k3 curvature} at 0;
-    regime 2 {value, k0 slope, sin k+- slopes, k3' slope} at omega p_F (pass
-    the expansion point explicitly; regime-2 kernels take relative momenta).
-    Central differences, Richardson-extrapolated once.
+    regime 2 {value, k0 slope, sin k+- slopes, k3' slope} at p_F (pass the
+    expansion point explicitly; regime-2 kernels take relative momenta).
+    One central-difference stencil along four directions: (1,0,0,0) for b0,
+    (0,1,+-1,0) for the sin k+- slopes and (0,0,0,1) for b3, each
+    Richardson-extrapolated once.
     """
     if spacing < 1e-8:
         raise StencilError(f"stencil spacing {spacing:g} underflows")
     w0 = kernel(tuple(point))
-    n = _project(w0, SIGMA3)
-    d0 = _richardson(lambda d: _central(kernel, point, 0, d), spacing)
-    b0 = -float(np.imag(np.trace(d0)) / 2.0)  # dW/dk0 = -i b0 I + ...
 
-    # sin k+ direction: k1 = k2 = d; sin k-: k1 = -k2 = d
-    def dplus(d):
-        up = (point[0], point[1] + d, point[2] + d, point[3])
-        dn = (point[0], point[1] - d, point[2] - d, point[3])
-        return (kernel(up) - kernel(dn)) / (2.0 * d)
+    def derivative(u, w=None):
+        return _richardson(_stencil(kernel, point, u, w), spacing)
 
-    def dminus(d):
-        up = (point[0], point[1] + d, point[2] - d, point[3])
-        dn = (point[0], point[1] - d, point[2] + d, point[3])
-        return (kernel(up) - kernel(dn)) / (2.0 * d)
-
-    bplus = _project(_richardson(dplus, spacing), SIGMA1)
-    bminus = _project(_richardson(dminus, spacing), SIGMA2)
-    if regime == 1:
-        d3 = _richardson(lambda d: _second(kernel, point, 3, d, w0=w0), spacing)
-    else:
-        d3 = _richardson(lambda d: _central(kernel, point, 3, d), spacing)
-    b3 = _project(d3, SIGMA3)
+    b0 = -float(np.imag(np.trace(derivative((1, 0, 0, 0)))) / 2.0)  # dW/dk0 = -i b0 I + ...
+    bplus = _project(derivative((0, 1, 1, 0)), SIGMA1)
+    bminus = _project(derivative((0, 1, -1, 0)), SIGMA2)
+    b3 = _project(derivative((0, 0, 0, 1), w0 if regime == 1 else None), SIGMA3)
     # how much of the value sits outside the symmetry pattern
     resid = float(abs(np.trace(w0) / 2.0) + abs(_project(w0, SIGMA1)) + abs(_project(w0, SIGMA2)))
-    return LocalizedKernel(n_h=n, b0_h=b0, bplus_h=bplus, bminus_h=bminus, b3_h=b3,
-                           regime=regime, omega=omega, residual=resid)
+    return LocalizedKernel(n_h=_project(w0, SIGMA3), b0_h=b0, bplus_h=bplus, bminus_h=bminus,
+                           b3_h=b3, residual=resid)
 
 
 def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCouplings:
     """Absorb normalized localized coefficients (b / Z_h) into the couplings.
 
     Z_{h-1} = Z_h (1 + b0); v_{h-1} = (Z_h/Z_{h-1})(v_h + b+); the axial
-    coupling gets the orientation factor of its basis function: -1 in regime 1
-    ((cos k3 - 1) curvature) and -omega in regime 2 (-omega sin k3' slope).
-    nu is flown separately (flow_step).
+    coupling gets the orientation factor of its basis function, -1 in both
+    regimes: the curvature of (cos k3 - 1) at 0 in regime 1 and the slope of
+    -sin k3' in regime 2, which flow_step localizes at +p_F; so
+    v3_{h-1} = (Z_h/Z_{h-1})(v3_h - b3).  nu is flown separately (flow_step).
     """
     if 1.0 + loc.b0_h <= 0.0:
         raise FlowBlowupError(f"wavefunction update 1 + b0 = {1.0 + loc.b0_h:g} <= 0")
     z_new = c.Z * (1.0 + loc.b0_h)
     ratio = c.Z / z_new
     v_new = ratio * (c.v + loc.bplus_h)
-    s3 = -1.0 if loc.regime == 1 else -float(loc.omega)
-    v3_new = ratio * (c.v3 + s3 * loc.b3_h)
+    v3_new = ratio * (c.v3 - loc.b3_h)
     if v_new <= 0 or v3_new <= 0:
         raise FlowBlowupError("velocity turned non-positive")
     return c.replace(Z=z_new, v=v_new, v3=v3_new, h=c.h - 1)
 
 
 # --- one-loop self-energy ----------------------------------------------------
+
+def _pauli(f):
+    """f1 sigma1 + f2 sigma2 + f3 sigma3 for the Fock vector f = (f1, f2, f3)."""
+    f1, f2, f3 = f
+    return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
+
 
 def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
     """(1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p) over one band (2x2): its
@@ -197,8 +185,13 @@ def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
     d1 = inter.amplitude * inter.axis_value(kbar[0] - bg.k1s)
     d2 = inter.axis_value(kbar[1] - bg.k2s)
     d3 = inter.axis_value(kbar[2] - bg.k3_origin - bg.k3s)
-    f1, f2, f3 = bg.moments @ d3 @ d2 @ d1
-    return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
+    return _pauli(bg.moments @ d3 @ d2 @ d1)
+
+
+def _grid_fock(kbar, moments, inter: InteractionSpec, kk):
+    """The same Fock sum over a full momentum grid: the k0 moments of
+    _grid_moments contracted with vhat(kbar(kk) - kbar) point by point."""
+    return _pauli(moments @ inter.v_hat(*(np.asarray(kk[1:])[:, None] - kbar.T)))
 
 
 def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndarray:
@@ -252,7 +245,7 @@ class BetaRecord:
 class FlowRow:
     h: int
     couplings: RunningCouplings
-    beta: BetaRecord | None
+    beta: BetaRecord
 
 
 @dataclass
@@ -260,8 +253,6 @@ class FlowTrajectory:
     params: HoppingParams
     U: float
     h_star: int | float
-    h_min: int
-    cutoff: CutoffSpec
     nu0: float
     rows: list
     final: RunningCouplings
@@ -271,22 +262,19 @@ class FlowTrajectory:
 
     @property
     def max_dimensionless_beta(self) -> float:
-        vals = [r.beta.max_dimensionless for r in self.rows if r.beta is not None]
-        return max(vals) if vals else 0.0
+        return max((r.beta.max_dimensionless for r in self.rows), default=0.0)
 
     def nu_of_h(self) -> dict:
         out = {0: self.nu0}
         for r in self.rows:
-            if r.beta is not None:
-                out[r.h - 1] = 2.0 * out[r.h] + r.beta.beta_nu
+            out[r.h - 1] = 2.0 * out[r.h] + r.beta.beta_nu
         return out
 
     def csv_rows(self):
         rows = []
         for r in self.rows:
-            b = r.beta
             rows.append((r.h, r.couplings.Z, r.couplings.v, r.couplings.v3,
-                         r.couplings.nu, b.beta_nu if b else 0.0, r.couplings.regime))
+                         r.couplings.nu, r.beta.beta_nu, r.couplings.regime))
         rows.append((self.final.h, self.final.Z, self.final.v, self.final.v3,
                      self.final.nu, 0.0, self.final.regime))
         return rows
@@ -311,8 +299,7 @@ def flow_step(h: int, c: RunningCouplings, bands: list, inter: InteractionSpec,
     z = c.Z
     loc = LocalizedKernel(n_h=loc_raw.n_h / z, b0_h=loc_raw.b0_h / z,
                           bplus_h=loc_raw.bplus_h / z, bminus_h=loc_raw.bminus_h / z,
-                          b3_h=loc_raw.b3_h / z, regime=regime, omega=loc_raw.omega,
-                          residual=loc_raw.residual)
+                          b3_h=loc_raw.b3_h / z, residual=loc_raw.residual)
     c_new = update_couplings(c, loc)
     beta_nu = loc_raw.n_h * 2.0 ** (1 - h) / c_new.Z  # n normalized by Z_{h-1}
     nu_new = 2.0 * c.nu + beta_nu
@@ -394,14 +381,13 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
         c = c_new
         h -= 1
 
-    return FlowTrajectory(params=p, U=U, h_star=h_star, h_min=c.h, cutoff=cutoff,
-                          nu0=nu0, rows=rows, final=c, v3_crossover=v3_cross,
-                          termination=termination, bands=bands_kept)
+    return FlowTrajectory(params=p, U=U, h_star=h_star, nu0=nu0, rows=rows, final=c,
+                          v3_crossover=v3_cross, termination=termination, bands=bands_kept)
 
 
 def _nu_target(traj: FlowTrajectory) -> float:
     """-sum_h 2^(h-1) beta_nu^(h): the scale-0 nu that cancels the 2^-h growth."""
-    return -sum(2.0 ** (r.h - 1) * r.beta.beta_nu for r in traj.rows if r.beta is not None)
+    return -sum(2.0 ** (r.h - 1) * r.beta.beta_nu for r in traj.rows)
 
 
 def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
@@ -425,10 +411,10 @@ def solve_nu(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
 
 # --- dressed propagator and observables --------------------------------------
 
-def _scale0_weight(cutoff: CutoffSpec, support: str):
+def _scale0_weight(a0: float, support: str):
     """_matsubara_sums weight of the scale-0 split: chi_0 ("ir") or 1 - chi_0 ("uv")."""
     def weight(k0sq, lam2):
-        chi0 = smooth_cutoff(np.sqrt(k0sq + lam2) / cutoff.a0)
+        chi0 = smooth_cutoff(np.sqrt(k0sq + lam2) / a0)
         return chi0 if support == "ir" else 1.0 - chi0
     return weight
 
@@ -443,7 +429,7 @@ def _grid_moments(p: HoppingParams, grid: GridSpec, extra):
 
 
 def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
-                   grid: GridSpec, cutoff: CutoffSpec | None = None) -> np.ndarray:
+                   grid: GridSpec) -> np.ndarray:
     """One-loop self-energy of the region above scale 0: weight (1 - chi_0)
     under the 2^M frequency cutoff, by direct quadrature over `grid`.
 
@@ -451,23 +437,16 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
     complementary ultraviolet dressing when a full-support one-loop object is
     needed (e.g. comparing against the full-support velocity integrals).
     """
-    kbar, moments = _grid_moments(p, grid, _scale0_weight(cutoff or default_cutoff(p), "uv"))
-    f1, f2, f3 = moments @ inter.v_hat(*(np.asarray(kk_abs[1:])[:, None] - kbar.T))
-    return -U * (f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3)
+    kbar, moments = _grid_moments(p, grid, _scale0_weight(p.a0, "uv"))
+    return -U * _grid_fock(kbar, moments, inter, kk_abs)
 
 
-def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec,
-                    uv_grid: GridSpec | None = None) -> np.ndarray:
-    """A(kk) + nu sigma3 + sigma_total(kk) with the full accumulated one loop.
-
-    With uv_grid the above-scale-0 dressing (uv_self_energy) is added; by
-    default only the infrared scales the flow integrated enter, matching the
-    counterterm produced by solve_nu.
+def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec) -> np.ndarray:
+    """A(kk) + nu sigma3 + sigma(kk) with the one loop of every scale the flow
+    integrated, matching the counterterm produced by solve_nu; the
+    above-scale-0 dressing (uv_self_energy) is not included.
     """
     sig = band_self_energy(kk_abs, traj.bands, inter, traj.U)
-    if uv_grid is not None:
-        sig = sig + uv_self_energy(kk_abs, traj.params, inter, traj.U, uv_grid,
-                                   traj.cutoff)
     return inverse_propagator(kk_abs, traj.params) + traj.nu0 * SIGMA3 + sig
 
 
@@ -498,7 +477,9 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
 
     support selects the integration region: "full" (everything under the
     2^M frequency cutoff), "ir" (weighted by the scale-0 cumulative cutoff
-    chi_0, the part the flow integrates) or "uv" (its complement).
+    chi_0, the part the flow integrates) or "uv" (its complement).  A support
+    with zero weight at every point of `grid` (the "ir" split misses coarse
+    grids entirely) raises QuadratureError rather than returning zeros.
     """
     wp = weyl_points(p)
     if wp is None:
@@ -506,14 +487,13 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
     kbar, moments = _grid_moments(p, grid, None if support == "full" else
-                                  _scale0_weight(default_cutoff(p), support))
-
-    def fock(kk):
-        f1, f2, f3 = moments @ inter.v_hat(*(np.asarray(kk[1:])[:, None] - kbar.T))
-        return -(f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3)
-
-    loc = localize_kernel(fock, regime=2, point=(0.0, 0.0, 0.0, wp.p_F), spacing=delta)
-    return -loc.b3_h, loc.bplus_h  # basis -sin k3' at omega = +1
+                                  _scale0_weight(p.a0, support))
+    if not moments.any():
+        raise QuadratureError(f"no point of the L={grid.L}, beta={grid.beta:g} grid carries "
+                              f"{support} weight")
+    loc = localize_kernel(lambda kk: -_grid_fock(kbar, moments, inter, kk), regime=2,
+                          point=(0.0, 0.0, 0.0, wp.p_F), spacing=delta)
+    return -loc.b3_h, loc.bplus_h  # basis -sin k3' at +p_F
 
 
 def relativistic_form(kkprime, omega: int, Z: float, v: float, v3: float) -> np.ndarray:

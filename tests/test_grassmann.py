@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylrg import grassmann as gr
+from weylrg import trees as tr
 
 
 def rational_cov(rng, n):
@@ -266,6 +267,10 @@ def test_bbf_size_limits():
                 for i in range(4))
     with pytest.raises(gr.SizeLimitError):
         gr.bbf_evaluate(big, g)
+
+
+def test_size_limit_error_is_one_class():
+    assert gr.SizeLimitError is tr.SizeLimitError
 
 
 def test_gram_hadamard_orthonormal_equality():

@@ -31,6 +31,15 @@ def test_build_params_rejects_theorem_window():
         build_params(1.0, 0.5, 2.0, mu=2.8)  # |mu-t'|/t_perp = 1.6
 
 
+def test_build_params_tests_the_window_on_r():
+    # mu = t' + t_perp (r - 1) rounds onto the window edge |mu - t'|/t_perp = 3/2
+    p = build_params(1.0, 1.0, 2.0, r=-0.49999999999999994)
+    assert p.mu == 0.5
+    for r in (-0.5, 2.5):
+        with pytest.raises(ParameterError, match="theorem window"):
+            build_params(1.0, 1.0, 2.0, r=r)
+
+
 def test_build_params_warns_outside_narrow_window():
     with pytest.warns(UserWarning):
         build_params(1.0, 0.5, 2.0, r=0.8)

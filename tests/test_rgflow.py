@@ -59,17 +59,17 @@ def test_localize_kernel_zero_and_stencil_error():
 
 def test_update_couplings_examples(p_star):
     c = ms.initial_couplings(p_star)
-    zero = rg.LocalizedKernel(0, 0, 0, 0, 0, regime=1)
+    zero = rg.LocalizedKernel(0, 0, 0, 0, 0)
     c2 = rg.update_couplings(c, zero)
     assert (c2.Z, c2.v, c2.v3) == (c.Z, c.v, c.v3) and c2.h == c.h - 1
 
-    bump = rg.LocalizedKernel(0, 0.01, 0, 0, 0, regime=1)
+    bump = rg.LocalizedKernel(0, 0.01, 0, 0, 0)
     c3 = rg.update_couplings(c, bump)
     assert c3.Z == pytest.approx(1.01 * c.Z)
     assert c3.v == pytest.approx(c.v / 1.01)
 
     with pytest.raises(rg.FlowBlowupError):
-        rg.update_couplings(c, rg.LocalizedKernel(0, -1.0, 0, 0, 0, regime=1))
+        rg.update_couplings(c, rg.LocalizedKernel(0, -1.0, 0, 0, 0))
 
 
 def test_self_energy_zero_interaction(p_star):
@@ -392,6 +392,16 @@ def test_asymptotic_constants_sign_flip(p_star):
     assert a3p == pytest.approx(-a3m) and app == pytest.approx(-apm)
 
 
+def test_asymptotic_constants_empty_ir_split_raises(p_star):
+    # no momentum of this grid lies inside chi_0 (smallest lambda 0.1036 > 2 a0),
+    # so the ir split would read (-0.0, 0.0) as if it were an answer
+    grid = GridSpec(L=8, beta=32.0, M=5)
+    with pytest.raises(rg.QuadratureError, match="ir weight"):
+        rg.asymptotic_constants(p_star, INTER, grid, support="ir")
+    assert rg.asymptotic_constants(p_star, INTER, grid, support="uv") == \
+        rg.asymptotic_constants(p_star, INTER, grid, support="full")
+
+
 def test_asymptotic_constants_support_additivity(p_star):
     grid = GridSpec(L=12, beta=48.0, M=5)
     full = rg.asymptotic_constants(p_star, INTER, grid, support="full")
@@ -418,6 +428,13 @@ def test_frequency_sums_match_brute_force(p_star, brute_matsubara, monkeypatch, 
     cases = [(lambda: rg.uv_self_energy(kk, p_star, INTER, 0.05, grid), one_minus_chi0)]
     cases += [(lambda s=s: rg.asymptotic_constants(p_star, INTER, grid, support=s), w)
               for s, w in (("full", None), ("ir", chi0), ("uv", one_minus_chi0))]
+
+    def evaluate(fn):
+        try:
+            return np.asarray(fn(), complex).ravel().view(float)
+        except rg.QuadratureError:
+            return None
+
     paired, brute = [], []
     for fn, weight in cases:
         def brute_sums(grid, lam2, M, x0=0.0, extra=None, weight=weight):
@@ -425,15 +442,20 @@ def test_frequency_sums_match_brute_force(p_star, brute_matsubara, monkeypatch, 
             assert np.all(s0.imag == 0.0)
             return s0.real, a.real
 
-        paired.append(np.asarray(fn(), complex).ravel().view(float))
+        paired.append(evaluate(fn))
         with monkeypatch.context() as m:
             m.setattr(rg, "_matsubara_sums", brute_sums)
-            brute.append(np.asarray(fn(), complex).ravel().view(float))
+            brute.append(evaluate(fn))
+    # the scale-0 support misses every frequency of the beta = 8 grid, so its
+    # ir split has no weight and both sums refuse it
+    refused = [False, False, grid.beta == 8.0, False]
+    assert [v is None for v in paired] == refused
+    assert [v is None for v in brute] == refused
     for got, want in zip(paired, brute):
+        if got is None:
+            continue
         assert np.array_equal(got == 0.0, want == 0.0)  # exact zeros stay exactly 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # the scale-0 support misses every frequency of the beta = 8 grid
-    assert np.all(paired[2] == 0.0) == (grid.beta == 8.0)
 
 
 @pytest.mark.slow
@@ -451,8 +473,9 @@ def test_asymptotic_constants_vs_dressed_slope(p_star):
         d = 5e-3
 
         def comp(mat, kk):
-            return float(np.real(np.trace(
-                mat @ rg.dressed_inverse(kk, traj, INTER, uv_grid=grid)))) / 2.0
+            dressed = (rg.dressed_inverse(kk, traj, INTER)
+                       + rg.uv_self_energy(kk, p_star, INTER, U, grid))
+            return float(np.real(np.trace(mat @ dressed))) / 2.0
 
         ax = -(comp(s3m, (0.0, 0.0, 0.0, wp.p_F + d))
                - comp(s3m, (0.0, 0.0, 0.0, wp.p_F - d))) / (2 * d)
