@@ -20,6 +20,13 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
+
+def pauli(f):
+    """f1 sigma1 + f2 sigma2 + f3 sigma3 for a vector f = (f1, f2, f3)."""
+    f1, f2, f3 = f
+    return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
+
+
 #: |  |mu - t'|/t_perp - 1 | below this counts as the critical boundary.
 CRITICAL_TOL = 1e-12
 
@@ -62,26 +69,29 @@ class HoppingParams:
 def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> HoppingParams:
     """Validate couplings and return HoppingParams; pass exactly one of r, mu.
 
-    Rejects parameters outside mu + t' > 2 t_perp or |mu - t'|/t_perp >= 3/2,
-    the latter tested on r itself (-1/2 < r < 5/2) when r is given, since mu
-    is rounded.  |r| > 1/2 is admissible but triggers a warning (outside the
-    narrow window where r was introduced, still inside the analyticity
-    hypotheses).
+    Rejects parameters outside mu + t' > 2 t_perp or |mu - t'|/t_perp >= 3/2.
+    When r is given the latter is tested on r itself (-1/2 < r < 5/2), and the
+    rounded mu is stepped inward by ulps until the stored r is inside as well.
+    |r| > 1/2 is admissible but triggers a warning (outside the narrow window
+    where r was introduced, still inside the analyticity hypotheses).
     """
-    if t <= 0 or t_perp <= 0 or t_prime <= 0:
-        raise ParameterError("hoppings t, t_perp, t_prime must be positive")
+    if not all(0.0 < x < math.inf for x in (t, t_perp, t_prime)):
+        raise ParameterError("hoppings t, t_perp, t_prime must be positive and finite")
     if kappa <= 0:
         raise ParameterError("interaction range kappa must be positive")
     if (r is None) == (mu is None):
         raise ParameterError("pass exactly one of r or mu")
-    if mu is None:
+    if r is not None:
+        if not -0.5 < r < 2.5:
+            raise ParameterError(f"r = {r:g} is outside the theorem window (-1/2, 5/2)")
         mu = t_prime + t_perp * (-1.0 + r)
+        # the rounded mu can put the stored r on an edge: step it inward by ulps
+        while not -0.5 < (mu - t_prime) / t_perp + 1.0 < 2.5:
+            mu = math.nextafter(mu, math.inf if r < 1.0 else -math.inf)
     if not mu + t_prime > 2.0 * t_perp:
         raise ParameterError(
             f"mu + t_prime = {mu + t_prime:g} must exceed 2*t_perp = {2 * t_perp:g}"
         )
-    if r is not None and not -0.5 < r < 2.5:
-        raise ParameterError(f"r = {r:g} is outside the theorem window (-1/2, 5/2)")
     if r is None and abs(mu - t_prime) / t_perp >= 1.5:
         raise ParameterError(
             f"|mu - t_prime|/t_perp = {abs(mu - t_prime) / t_perp:g} is outside the "
@@ -134,8 +144,7 @@ def band_energy(k0, m):
 
 def bloch_matrix(k, p: HoppingParams) -> np.ndarray:
     """Hermitian 2x2 Bloch matrix m.sigma of the bare mass vector."""
-    m1, m2, m3 = mass_vector(*k, p)
-    return m1 * SIGMA1 + m2 * SIGMA2 + m3 * SIGMA3
+    return pauli(mass_vector(*k, p))
 
 
 def dispersion(k, p: HoppingParams):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import smooth_cutoff
-from .lattice import (HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, band_energy,
-                      mass_vector)
+from .lattice import HoppingParams, ID2, band_energy, mass_vector, pauli
 
 Momentum4 = tuple  # (k0, k1, k2, k3)
 
@@ -76,8 +75,7 @@ class GridSpec:
 def inverse_propagator(kk, p: HoppingParams) -> np.ndarray:
     """A(kk) as a dense 2x2 complex matrix."""
     k0, k1, k2, k3 = kk
-    m1, m2, m3 = mass_vector(k1, k2, k3, p)
-    return -1j * k0 * ID2 + m1 * SIGMA1 + m2 * SIGMA2 + m3 * SIGMA3
+    return -1j * k0 * ID2 + pauli(mass_vector(k1, k2, k3, p))
 
 
 def energy_scale(kk, p: HoppingParams):
@@ -178,7 +176,7 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
     w2 = np.sum(phase * c1 * m2)
     w3 = np.sum(phase * c1 * m3)
     n = grid.L ** 3
-    return (w0 * ID2 + w1 * SIGMA1 + w2 * SIGMA2 + w3 * SIGMA3) / n
+    return (w0 * ID2 + pauli((w1, w2, w3))) / n
 
 
 # --- regularized momentum sums -------------------------------------------

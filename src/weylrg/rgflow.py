@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, weyl_points
+from .lattice import (HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, pauli,
+                      weyl_points)
 from .propagator import GridSpec, _matsubara_sums, inverse_propagator
 from .cutoff import smooth_cutoff
-from .multiscale import (BandGrid, CutoffSpec, RunningCouplings, _regime2_couplings,
+from .multiscale import (BandGrid, RunningCouplings, _regime2_couplings,
                          band_grid, crossover_scale, default_cutoff, initial_couplings)
 
 
@@ -100,8 +101,8 @@ class LocalizedKernel:
     residual: float = 0.0
 
 
-def _project(mat, pauli) -> float:
-    return float(np.real(np.trace(pauli @ mat)) / 2.0)
+def _project(mat, sigma) -> float:
+    return float(np.real(np.trace(sigma @ mat)) / 2.0)
 
 
 def _stencil(kernel, point, u, w0=None):
@@ -172,12 +173,6 @@ def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCoupli
 
 # --- one-loop self-energy ----------------------------------------------------
 
-def _pauli(f):
-    """f1 sigma1 + f2 sigma2 + f3 sigma3 for the Fock vector f = (f1, f2, f3)."""
-    f1, f2, f3 = f
-    return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
-
-
 def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
     """(1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p) over one band (2x2): its
     k0 moments contracted with the separable vhat one axis at a time; omega p_F
@@ -185,13 +180,13 @@ def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
     d1 = inter.amplitude * inter.axis_value(kbar[0] - bg.k1s)
     d2 = inter.axis_value(kbar[1] - bg.k2s)
     d3 = inter.axis_value(kbar[2] - bg.k3_origin - bg.k3s)
-    return _pauli(bg.moments @ d3 @ d2 @ d1)
+    return pauli(bg.moments @ d3 @ d2 @ d1)
 
 
 def _grid_fock(kbar, moments, inter: InteractionSpec, kk):
     """The same Fock sum over a full momentum grid: the k0 moments of
     _grid_moments contracted with vhat(kbar(kk) - kbar) point by point."""
-    return _pauli(moments @ inter.v_hat(*(np.asarray(kk[1:])[:, None] - kbar.T)))
+    return pauli(moments @ inter.v_hat(*(np.asarray(kk[1:])[:, None] - kbar.T)))
 
 
 def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndarray:
@@ -323,8 +318,7 @@ def _check_window(c: RunningCouplings, ref: RunningCouplings, eps0: float):
 
 
 def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
-             nu0: float = 0.0, n_k: int = 12, eps0: float = 0.5,
-             cutoff: CutoffSpec | None = None) -> FlowTrajectory:
+             nu0: float = 0.0, n_k: int = 12, eps0: float = 0.5) -> FlowTrajectory:
     """Iterate flow steps from scale 0 down to h_min, keeping every band.
 
     Regime 1 runs for h > h*; the h* step integrates the bridge band (upper
@@ -336,7 +330,7 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     if h_min > 0:
         raise ValueError("h_min must be <= 0")
     h_star = crossover_scale(p)
-    cutoff = cutoff or default_cutoff(p)
+    cutoff = default_cutoff(p)
     c = initial_couplings(p, regime=1).replace(nu=nu0)
     ref1 = c
     rows = []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,19 @@ def test_build_params_rejects_theorem_window():
 
 
 def test_build_params_tests_the_window_on_r():
-    # mu = t' + t_perp (r - 1) rounds onto the window edge |mu - t'|/t_perp = 3/2
+    # mu = t' + t_perp (r - 1) rounds onto the window edge |mu - t'|/t_perp = 3/2;
+    # the stored mu is stepped inward by ulps so that p.r stays inside too
     p = build_params(1.0, 1.0, 2.0, r=-0.49999999999999994)
-    assert p.mu == 0.5
+    assert 0.5 < p.mu <= 0.5 + 4 * math.ulp(0.5) and -0.5 < p.r
+    with pytest.warns(UserWarning):
+        p = build_params(1.0, 0.5, 2.0, r=2.4999999999999996)
+    assert 2.75 - 4 * math.ulp(2.75) <= p.mu < 2.75 and p.r < 2.5
     for r in (-0.5, 2.5):
         with pytest.raises(ParameterError, match="theorem window"):
             build_params(1.0, 1.0, 2.0, r=r)
+    for bad in (math.inf, math.nan):  # an infinite t' would leave mu - t' undefined
+        with pytest.raises(ParameterError, match="finite"):
+            build_params(1.0, 1.0, bad, r=0.5)
 
 
 def test_build_params_warns_outside_narrow_window():

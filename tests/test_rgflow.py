@@ -220,11 +220,15 @@ def test_bridge_lower_edge_is_first_regime2_upper_edge(p_star):
     """At U = 0 the bridge band is chi_{h*} minus theta(omega k3) times the
     upper edge chi_{h*-1} of the first regime-2 band of valley omega, point by
     point, so the scale partition telescopes across h*.  b0 = 30, between 1/a0
-    and 2/a0, puts that edge on the box's three smallest |k0|."""
+    and 2/a0, puts that edge on the box's three smallest |k0|.  The h* = 0
+    step leaves the couplings as they were, so both bands are built here as
+    run_flow builds them."""
     cut = ms.CutoffSpec(a0=p_star.a0, b0=30.0)
-    traj = rg.run_flow(p_star, 0.0, INTER, -2, n_k=10, cutoff=cut)
-    bridge, first = traj.bands[0], traj.bands[1]
-    assert (bridge.h, first.h, first.regime) == (0, -1, 2)
+    c = ms.initial_couplings(p_star)
+    assert ms.crossover_scale(p_star) == 0
+    bridge = _bridge_band(0, c, p_star, cut, 10)
+    first = ms.band_grid(-1, 2, +1, ms._regime2_couplings(c.replace(h=-1), p_star), p_star,
+                         cut, n=10, h_star=0)
     p_f = weyl_points(p_star).p_F
     k0, k1, k2, k3 = np.meshgrid(bridge.k0s, bridge.k1s, bridge.k2s, bridge.k3s,
                                  indexing="ij")
@@ -451,6 +455,8 @@ def test_frequency_sums_match_brute_force(p_star, brute_matsubara, monkeypatch, 
     refused = [False, False, grid.beta == 8.0, False]
     assert [v is None for v in paired] == refused
     assert [v is None for v in brute] == refused
+    if grid.beta != 8.0:  # the ir split this grid keeps must carry weight
+        assert not np.all(paired[2] == 0.0) and not np.all(brute[2] == 0.0)
     for got, want in zip(paired, brute):
         if got is None:
             continue
