@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -278,19 +279,9 @@ def counterterm_nu_C(grid: GridSpec, p: HoppingParams, v_hat_0: float) -> float:
 _CSV_HEADER = ["k0", "k1", "k2", "k3",
                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
 # rows per chunk in the CSV writer and the conjugation check: bounds the
-# temporaries (bit patterns, cell indices, cell strings, chunk text) to a few
-# MB, well under the peak of build_propagator_grid
+# temporaries (bit patterns, cell indices, cell strings, chunk text, paired
+# values) to a few MB, well under the peak of build_propagator_grid
 _CHUNK_ROWS = 1 << 14
-
-
-def _momentum_key(x):
-    """x rounded to 12 decimals, except where |x| >= 2^52: such a float is
-    already an integer, and rounding it overflows to inf above about 1.8e296."""
-    with np.errstate(over="ignore"):
-        key = np.round(x, 12)
-    big = np.abs(x) >= 2.0 ** 52
-    key[big] = x[big]
-    return key
 
 
 @dataclass
@@ -308,45 +299,30 @@ class PropagatorGrid:
         return float(np.max(np.abs(self.values))) if len(self) else 0.0
 
     def conjugation_defect(self) -> float:
-        """max |value(-k0, kbar) - value(k0, kbar)^dagger| over matched rows.
+        """max |value(-k0, kbar) - value(k0, kbar)^dagger| over all rows.
 
-        Rows match on momenta rounded to 12 decimals (-0.0 == 0.0), except
-        that |k| >= 2^52, already an integer, stays as it is; when several
-        rows share a key the last one is the match.  Rows without a mirror are
-        ignored, and so are NaN differences; a key holding a NaN matches
-        nothing.  Works for any row order.
+        The rows must be laid out as build_propagator_grid writes them and
+        from_csv reads them back: k0-major blocks of grid.spatial_momenta(),
+        k0 strictly increasing, and the k0 of block nk0 - 1 - i the exact
+        negative of block i's.  Any other layout raises ValueError.  Rows are
+        paired by position, and NaN differences are ignored.
         """
-        # kbar as one dense rank, re-ranked after each column so that no
-        # product of column counts overflows int64
-        kbar = np.zeros(len(self), np.int64)
-        for c in (1, 2, 3):
-            u, r = np.unique(_momentum_key(self.momenta[:, c]), return_inverse=True)
-            kbar *= u.size
-            kbar += r
-            del r  # in place and freed early: these temporaries set the peak
-            kbar = np.unique(kbar, return_inverse=True)[1]
-        n_kbar = int(kbar.max(initial=-1)) + 1
-        u, key = np.unique(_momentum_key(self.momenta[:, 0]), return_inverse=True)
-        # per distinct k0: n_kbar times the rank of -k0, or -n_kbar if -k0 is absent
-        m = np.searchsorted(u, -u)
-        m = np.where(u[np.minimum(m, u.size - 1)] == -u, m, -1) * n_kbar
-        # (k0 rank, kbar rank) as one int64 below len(self)^2; mirror < 0 is no match
-        mirror = m[key] + kbar
-        key *= n_kbar
-        key += kbar
-        del kbar
-        nan = np.isnan(self.momenta).any(axis=1)  # rounding keeps NaN and only NaN
-        key[nan] = mirror[nan] = -1  # a key that holds a NaN matches nothing
-        order = np.argsort(key, kind="stable")  # equal keys stay in row order
-        key = key[order]
-        worst = 0.0
-        for lo in range(0, len(self), _CHUNK_ROWS):
-            want = mirror[lo:lo + _CHUNK_ROWS]
-            # the last of equal keys sits just left of the right insertion point
-            pos = np.searchsorted(key, want, side="right") - 1
-            hit = (pos >= 0) & (want >= 0) & (key[pos] == want)
-            i, j = lo + np.flatnonzero(hit), order[pos[hit]]
-            diff = self.values[j] - self.values[i].conj().transpose(0, 2, 1)
+        n = self.grid.L ** 3
+        nk0, extra = divmod(len(self), n)
+        mom = self.momenta[:nk0 * n].reshape(nk0, n, 4)
+        k0, bits = mom[:, 0, 0], mom.view(np.uint64)
+        if extra or not (np.all(np.diff(k0) > 0)
+                         and np.array_equal(bits[:, 0, 0], (-k0[::-1]).view(np.uint64))
+                         and (bits[..., 0] == bits[:, :1, 0]).all()
+                         and (bits[..., 1:] == self.grid.spatial_momenta().view(np.uint64)).all()):
+            raise ValueError("propagator rows are not k0-major blocks of grid.spatial_momenta() "
+                             "with increasing, mirrored k0")
+        # the lower half's differences are the upper half's, negated and transposed
+        worst, half = 0.0, nk0 // 2 * n
+        for lo in range(0, half, _CHUNK_ROWS):
+            i = np.arange(lo, min(lo + _CHUNK_ROWS, half))
+            mirror = self.values[(nk0 - 1 - i // n) * n + i % n]  # block nk0-1-i//n, same kbar
+            diff = mirror - self.values[i].conj().transpose(0, 2, 1)
             worst = float(np.fmax.reduce(np.abs(diff).max(axis=(1, 2)), initial=worst))
         return worst
 
@@ -383,7 +359,9 @@ class PropagatorGrid:
                 line = buf.readline()
             if line.rstrip("\r\n").split(",") != _CSV_HEADER:
                 raise ValueError("unexpected propagator CSV header")
-            data = np.loadtxt(buf, delimiter=",", ndmin=2).reshape(-1, 12)
+            first = buf.readline()  # "" for a grid without rows, which loadtxt warns on
+            data = (np.loadtxt(chain([first], buf), delimiter=",", ndmin=2).reshape(-1, 12)
+                    if first else np.empty((0, 12)))
         finally:
             if buf is not path_or_buf:
                 buf.close()

@@ -134,8 +134,8 @@ def localize_kernel(kernel, regime: int, point=(0.0, 0.0, 0.0, 0.0),
     (0,1,+-1,0) for the sin k+- slopes and (0,0,0,1) for b3, each
     Richardson-extrapolated once.
     """
-    if spacing < 1e-8:
-        raise StencilError(f"stencil spacing {spacing:g} underflows")
+    if not 1e-8 <= spacing < math.inf:
+        raise StencilError(f"stencil spacing {spacing:g} is not finite and >= 1e-8")
     w0 = kernel(tuple(point))
 
     def derivative(u, w=None):
@@ -329,6 +329,8 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     """
     if h_min > 0:
         raise ValueError("h_min must be <= 0")
+    if not 0 < eps0 < math.inf:
+        raise ValueError(f"eps0 = {eps0} must be finite and > 0")
     h_star = crossover_scale(p)
     cutoff = default_cutoff(p)
     c = initial_couplings(p, regime=1).replace(nu=nu0)

@@ -41,10 +41,6 @@ class SizeLimitError(ValueError):
     """Enumeration request beyond the desk-scale caps."""
 
 
-class AssignmentError(ValueError):
-    """Field assignment violates the containment/parity constraints."""
-
-
 def scaling_dimension(regime: int, l: int) -> Fraction:
     """Exact D(l); l must be even and >= 2."""
     if l % 2 or l < 2:
@@ -168,10 +164,8 @@ def enumerate_trees(n: int, h: int, kinds=(INTERACTION,),
     subset with at least one interaction endpoint is returned (the beta-kernel
     family; pure-nu chains vanish identically and are excluded there).
 
-    No Node appears twice in one tree (enumerate_assignments keys on
-    id(node)): each child position makes its own _label call, and trees share
-    only whole subtrees.  The trees are acyclic, so the cyclic garbage
-    collector is paused for the build; at n = 5 it would walk every node.
+    The trees are acyclic, so the cyclic garbage collector is paused for the
+    build; at n = 5 it would walk every node.
     The caps on n and h do not bound the size, so the trees are counted first
     and more than MAX_TREES raise SizeLimitError.
     """
@@ -204,32 +198,31 @@ def enumerate_assignments(tree: GNTree):
     Endpoints carry |P| = |I_v| fixed by kind; a branch with children sizes
     (p_1..p_s) takes any even |P| with 2 <= |P| <= sum(p_i) - 2(s-1), the
     subtracted fields being contracted in pairs by the spanning lines.
-    Returns a list of dicts mapping id(node) -> |P_v|.
+    Returns a list of assignments shaped like the tree: (|P_v|, child
+    assignments), so an endpoint is (|P_v|, ()) and the root's size comes first.
     """
+    return _assignments(tree.top)
 
-    def rec(node):
-        if node.is_endpoint:
-            return [{id(node): _FIELDS[node.kind]}]
-        child_maps = [rec(c) for c in node.children]
-        out = []
-        for combo in product(*child_maps):
-            merged = {}
-            for m in combo:
-                merged.update(m)
-            total = sum(merged[id(c)] for c in node.children)
-            s = len(node.children)
-            top = total - 2 * (s - 1)
-            for pv in range(2, top + 1, 2):
-                m2 = dict(merged)
-                m2[id(node)] = pv
-                out.append(m2)
-        return out
 
-    return rec(tree.top)
+def _assignments(node: Node):
+    if node.is_endpoint:
+        return [(_FIELDS[node.kind], ())]
+    out = []
+    for kids in product(*map(_assignments, node.children)):
+        top = sum(k[0] for k in kids) - 2 * (len(kids) - 1)
+        out.extend((pv, kids) for pv in range(2, top + 1, 2))
+    return out
+
+
+def _vertices(assignment):
+    """Every (|P_v|, child assignments) of an assignment, in pre-order."""
+    yield assignment
+    for kid in assignment[1]:
+        yield from _vertices(kid)
 
 
 def root_legs(tree: GNTree, assignment) -> int:
-    return assignment[id(tree.top)]
+    return assignment[0]
 
 
 @dataclass(frozen=True)
@@ -256,32 +249,24 @@ def tree_bound(tree: GNTree, assignment, regime: int) -> TreeBound:
     sum_ep (|I_v|/2 - 1) - sum_v [sum_i |P_vi|/2 - |P_v|/2 - (s_v - 1)], which
     collapses to l/2 - 1 for every assignment.
     """
-    l = root_legs(tree, assignment)
-    dim = tree.root_scale * scaling_dimension(regime, l)
-    gain = Fraction(0)
+    dim = tree.root_scale * scaling_dimension(regime, assignment[0])
 
-    def walk(parent_scale: int, node: Node):
-        nonlocal gain
-        if node.is_endpoint:
-            jump = (node.scale - 1) - parent_scale
-            gain -= jump * gain_weight(regime, assignment[id(node)])
-            return
-        jump = node.scale - parent_scale
-        gain -= jump * gain_weight(regime, assignment[id(node)])
-        for c in node.children:
-            walk(node.scale, c)
-
-    walk(tree.root_scale, tree.top)
+    def gain(parent_scale: int, node: Node, a) -> Fraction:
+        top = node.scale - 1 if node.is_endpoint else node.scale
+        g = -(top - parent_scale) * gain_weight(regime, a[0])
+        for c, k in zip(node.children, a[1]):
+            g += gain(node.scale, c, k)
+        return g
 
     vel = Fraction(0)
     if regime == 2:
-        for e in tree.endpoints():
-            vel += Fraction(assignment[id(e)], 2) - 1
-        for b in tree.branches():
-            kids = sum(assignment[id(c)] for c in b.children)
-            s_v = len(b.children)
-            vel -= Fraction(kids, 2) - Fraction(assignment[id(b)], 2) - (s_v - 1)
-    return TreeBound(dimension=dim, gain=gain, velocity_exponent=vel)
+        for size, kids in _vertices(assignment):
+            if kids:
+                vel -= Fraction(sum(k[0] for k in kids), 2) - Fraction(size, 2) - (len(kids) - 1)
+            else:
+                vel += Fraction(size, 2) - 1
+    return TreeBound(dimension=dim, gain=gain(tree.root_scale, tree.top, assignment),
+                     velocity_exponent=vel)
 
 
 # --- structural identities ----------------------------------------------------
@@ -298,8 +283,8 @@ def _materialize(tree: GNTree, assignment):
     def subtree_eps(node):
         return sum(1 for _ in node.endpoints())
 
-    def walk(parent_scale, node):
-        p_here = assignment[id(node)]
+    def walk(parent_scale, node, a):
+        p_here, kids = a
         if node.is_endpoint:
             for s in range(parent_scale + 1, node.scale):
                 vertices.append(dict(h=s, hp=s - 1, P=p_here, child_sum=p_here,
@@ -310,13 +295,13 @@ def _materialize(tree: GNTree, assignment):
             vertices.append(dict(h=s, hp=s - 1, P=p_here, child_sum=p_here,
                                  s_v=1, n_v=subtree_eps(node), I_v=subtree_fields(node)))
         vertices.append(dict(h=node.scale, hp=node.scale - 1, P=p_here,
-                             child_sum=sum(assignment[id(c)] for c in node.children),
+                             child_sum=sum(k[0] for k in kids),
                              s_v=len(node.children), n_v=subtree_eps(node),
                              I_v=subtree_fields(node)))
-        for c in node.children:
-            walk(node.scale, c)
+        for c, k in zip(node.children, kids):
+            walk(node.scale, c, k)
 
-    walk(tree.root_scale, tree.top)
+    walk(tree.root_scale, tree.top, assignment)
     return vertices, endpoint_rows
 
 
@@ -376,17 +361,17 @@ def _protos(shape, n, kinds):
         yield _proto(shape, iter(combo))
 
 
-def _sum_over_scales(enc, regime, parent_scale, memo, top=False):
+def _sum_over_scales(assignment, regime, parent_scale, memo, top=False):
     """DP sum of 2^gain over all admissible scale labelings above parent_scale.
 
-    enc = (|P_v|, (child encodings...)); endpoints have no children.  The
-    top-level vertex of an n = 1 chain cannot be the scale-(h+1) vertex, so
-    its scale starts one higher.
+    assignment is (|P_v|, child assignments).  The top-level vertex of an
+    n = 1 chain cannot be the scale-(h+1) vertex, so its scale starts one
+    higher.
     """
-    key = (enc, parent_scale, top)
+    key = (assignment, parent_scale, top)
     if key in memo:
         return memo[key]
-    size, kids = enc
+    size, kids = assignment
     g = float(gain_weight(regime, size))
     if not kids:  # endpoint at h_e, chain decay over (h_e - 1) - parent
         start = parent_scale + 2 if top else parent_scale + 1
@@ -401,13 +386,6 @@ def _sum_over_scales(enc, regime, parent_scale, memo, top=False):
             total += term
     memo[key] = total
     return total
-
-
-def _encode(assignment, node):
-    if node.is_endpoint:
-        return (assignment[id(node)], ())
-    return (assignment[id(node)],
-            tuple(_encode(assignment, c) for c in node.children))
 
 
 @dataclass
@@ -444,13 +422,11 @@ def scale_sum_audit(n: int, l: int, regime: int, h: int = MIN_ROOT_SCALE,
         for proto in _protos(shape, n, kinds):
             if require_interaction and all(e.kind == NU for e in proto.endpoints()):
                 continue
-            for assignment in enumerate_assignments(GNTree(h, proto)):
-                if assignment[id(proto)] != l:
-                    continue
-                enc = _encode(assignment, proto)
-                total += _sum_over_scales(enc, regime, h, memo,
-                                          top=proto.is_endpoint)
-                count += 1
+            for assignment in _assignments(proto):
+                if assignment[0] == l:
+                    total += _sum_over_scales(assignment, regime, h, memo,
+                                              top=proto.is_endpoint)
+                    count += 1
     return ScaleSumAudit(n=n, l=l, regime=regime, h=h, value=total,
                          fitted_C=total ** (1.0 / n) if total > 0 else 0.0,
                          term_count=count)
@@ -472,10 +448,10 @@ def combinatorial_inequality_value(n: int) -> float:
     total = 0.0
     for shape in _shapes(n):
         for proto in _protos(shape, n, (INTERACTION,)):
-            tree = GNTree(-4, proto)
-            for assignment in enumerate_assignments(tree):
+            for assignment in _assignments(proto):
                 term = 1.0
-                for b in tree.branches():
-                    term *= 2.0 ** (-assignment[id(b)] / 8.0)
+                for size, kids in _vertices(assignment):
+                    if kids:
+                        term *= 2.0 ** (-size / 8.0)
                 total += term
     return total

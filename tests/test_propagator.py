@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from weylrg import propagator
 from weylrg.lattice import ID2, bloch_matrix, build_params, mass_vector, weyl_points
@@ -192,45 +192,82 @@ def _defect_oracle(pg):
 
 def test_conjugation_defect_matches_dict_oracle(p_star):
     pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
-    rng = np.random.default_rng(7)
-    perm = rng.permutation(len(pg))
-    shuffled = PropagatorGrid(pg.grid, pg.momenta[perm], pg.values[perm])
-    assert shuffled.conjugation_defect() == _defect_oracle(shuffled) == pg.conjugation_defect()
+    assert pg.conjugation_defect() == _defect_oracle(pg)
     # a known perturbation of one entry is the whole defect
     delta = 1e-3
-    bumped = PropagatorGrid(pg.grid, shuffled.momenta, shuffled.values.copy())
+    bumped = PropagatorGrid(pg.grid, pg.momenta, pg.values.copy())
     bumped.values[5, 0, 1] += delta
     assert bumped.conjugation_defect() == _defect_oracle(bumped)
     assert bumped.conjugation_defect() == pytest.approx(delta, rel=1e-9)
-    # a row with no mirror is ignored, however wrong its value
-    lone = PropagatorGrid(pg.grid, np.vstack([pg.momenta, [[0.123, 0.0, 0.0, 0.0]]]),
-                          np.concatenate([pg.values, np.full((1, 2, 2), 5.0 + 1j)]))
-    assert lone.conjugation_defect() == _defect_oracle(lone) == pg.conjugation_defect()
-    # duplicate keys: the last row is the match (k0 = 0 rows mirror themselves)
-    dup = PropagatorGrid(pg.grid, np.zeros((2, 4)), np.array([np.eye(2), (1 + 1e-3j) * np.eye(2)]))
-    assert dup.conjugation_defect() == _defect_oracle(dup) == pytest.approx(2e-3)
-    # a -0.0 k0 is the key of 0.0: one key, so the last of the two rows is the match
-    signed = PropagatorGrid(pg.grid, np.vstack([shuffled.momenta, [[-0.0, 0.0, 0.0, 0.0]]]),
-                            np.concatenate([shuffled.values, [(1 + 1e-3j) * np.eye(2)]]))
-    signed.momenta[0] = 0.0
-    signed.values[0] = np.eye(2)
-    assert signed.conjugation_defect() == _defect_oracle(signed) == pytest.approx(2e-3)
-    # a key that holds a NaN matches nothing, not even itself or another NaN key
-    nan_rows = np.array([[math.nan, 0.0, 0.0, 0.0], [0.5, math.nan, 0.0, 0.0],
-                         [-0.5, math.nan, 0.0, 0.0]])
-    nan_key = PropagatorGrid(pg.grid, np.vstack([shuffled.momenta, nan_rows]),
-                             np.concatenate([shuffled.values, np.full((3, 2, 2), 5.0 + 1j)]))
-    nan_key.values[-1] *= 2.0
-    assert nan_key.conjugation_defect() == _defect_oracle(nan_key) == pg.conjugation_defect()
-    # momenta 1e300 and 2e300 are distinct keys: rounding to 12 decimals would
-    # make both inf, so the k0 = 0 rows would share a key and the k0 = 1e300
-    # row would mirror the k0 = -2e300 row
-    huge_rows = np.array([[0.0, 1e300, 0.0, 0.0], [0.0, 2e300, 0.0, 0.0],
-                          [1e300, 0.0, 0.0, 0.0], [-2e300, 0.0, 0.0, 0.0]])
-    huge = PropagatorGrid(pg.grid, np.vstack([shuffled.momenta, huge_rows]),
-                          np.concatenate([shuffled.values, [np.eye(2), 2 * np.eye(2),
-                                                            np.eye(2), 3 * np.eye(2)]]))
-    assert huge.conjugation_defect() == _defect_oracle(huge) == pg.conjugation_defect()
+
+
+def _off_layout_grids(pg, p):
+    """Grids whose rows are not build_propagator_grid's layout for their grid."""
+    n = pg.grid.L ** 3
+    perm = np.random.default_rng(7).permutation(len(pg))
+    yield "shuffled", pg.grid, pg.momenta[perm], pg.values[perm]
+    blocks = np.arange(len(pg)).reshape(-1, n)[::-1].ravel()
+    yield "decreasing k0", pg.grid, pg.momenta[blocks], pg.values[blocks]
+    yield ("lone row", pg.grid, np.vstack([pg.momenta, [[0.123, 0.0, 0.0, 0.0]]]),
+           np.concatenate([pg.values, np.full((1, 2, 2), 5.0 + 1j)]))
+    # a repeated block, and two k0 = 0 rows of a one-momentum grid
+    yield ("duplicate block", pg.grid, np.vstack([pg.momenta[:n], pg.momenta]),
+           np.concatenate([pg.values[:n], pg.values]))
+    one = GridSpec(L=1, beta=4.0, M=3)
+    yield "duplicate key", one, np.zeros((2, 4)), np.array([np.eye(2), np.eye(2)])
+    # 0.0 is not -0.0: a lone k0 = 0 block is not its own mirror, and a -0.0
+    # spatial component is not spatial_momenta()'s 0.0
+    yield "k0 = 0 block", one, np.zeros((1, 4)), np.eye(2)[None]
+    signed = pg.momenta.copy()
+    signed[0, 1] = -0.0
+    yield "-0.0 kbar", pg.grid, signed, pg.values
+    for row, col in ((0, 0), (1, 0), (n, 2)):
+        nan = pg.momenta.copy()
+        nan[row, col] = math.nan
+        yield f"NaN at ({row}, {col})", pg.grid, nan, pg.values
+    nan = pg.momenta.copy()
+    nan[:n, 0], nan[-n:, 0] = math.nan, -math.nan  # mirrored bit for bit
+    yield "NaN k0 pair", pg.grid, nan, pg.values
+    huge = pg.momenta.copy()
+    huge[:n, 0], huge[-n:, 0] = -2e300, 1e300
+    yield "huge k0", pg.grid, huge, pg.values
+    huge = pg.momenta.copy()
+    huge[n, 1] = 1e300
+    yield "huge kbar", pg.grid, huge, pg.values
+    # rows built for another L: 3^3 rows per block read as 1 and as 2^3 rows,
+    # and 2^3 rows per block as 3^3
+    for L in (1, 2):
+        yield f"L = {L}", GridSpec(L=L, beta=4.0, M=3), pg.momenta, pg.values
+    two = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p)
+    yield "L = 2 rows", pg.grid, two.momenta, two.values
+
+
+def test_conjugation_defect_refuses_other_layouts(p_star):
+    pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
+    for name, grid, momenta, values in _off_layout_grids(pg, p_star):
+        with pytest.raises(ValueError, match="k0-major blocks"):
+            PropagatorGrid(grid, momenta, values).conjugation_defect()
+            pytest.fail(f"the {name} grid passed the layout check")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(L=st.integers(1, 4), beta=st.floats(0.3, 8.0), M=st.integers(0, 4),
+       r=st.floats(-0.5, 0.5, exclude_min=True), t=st.floats(0.5, 2.0),
+       t_perp=st.floats(0.25, 1.0), t_prime=st.floats(2.0, 4.0))
+@example(L=1, beta=0.3, M=0, r=0.5, t=1.0, t_perp=0.5, t_prime=2.0)  # no rows
+def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
+    # every built grid is in the layout the check pairs by position, before
+    # and after a CSV round trip, and its defect is the dict oracle's
+    grid = GridSpec(L=L, beta=beta, M=M)
+    pg = build_propagator_grid(grid, build_params(t, t_perp, t_prime, r=r))
+    defect = pg.conjugation_defect()
+    assert defect == _defect_oracle(pg)
+    buf = io.StringIO(newline="")
+    pg.to_csv(buf)
+    buf.seek(0)
+    assert PropagatorGrid.from_csv(buf, grid).conjugation_defect() == defect
+    if (L, beta, M) == (1, 0.3, 0):
+        assert len(pg) == 0 and defect == 0.0
 
 
 def test_to_csv_bytes_match_csv_writer(p_star):

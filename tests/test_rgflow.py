@@ -52,9 +52,11 @@ def test_localize_kernel_regime2_slope(p_star):
 def test_localize_kernel_zero_and_stencil_error():
     loc = rg.localize_kernel(lambda kk: np.zeros((2, 2), complex), regime=1)
     assert loc.n_h == loc.b0_h == loc.bplus_h == loc.b3_h == 0.0
-    with pytest.raises(rg.StencilError):
-        rg.localize_kernel(lambda kk: np.zeros((2, 2), complex), regime=1,
-                           spacing=1e-9)
+    # NaN and inf used to pass the underflow test and return NaN slopes
+    for bad in (1e-9, math.nan, math.inf):
+        with pytest.raises(rg.StencilError):
+            rg.localize_kernel(lambda kk: np.zeros((2, 2), complex), regime=1,
+                               spacing=bad)
 
 
 def test_update_couplings_examples(p_star):
@@ -256,6 +258,13 @@ def test_run_flow_free_fixed_point(p_star):
     zs = [r.couplings.Z for r in traj.rows]
     assert all(z == 1.0 for z in zs)
     assert traj.final.v == p_star.t
+
+
+def test_run_flow_rejects_bad_eps0(p_star):
+    # a NaN window used to run to "completed": no comparison with NaN fires
+    for bad in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="eps0"):
+            rg.run_flow(p_star, 0.01, INTER, -2, n_k=10, eps0=bad)
 
 
 def test_run_flow_insulator_stops_at_crossover():

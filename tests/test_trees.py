@@ -242,14 +242,6 @@ def test_enumeration_matches_count_oracle(n, h, kinds, req):
     assert len(tr.enumerate_trees(n, h, kinds=kinds, require_interaction=req)) == want
 
 
-def test_tree_nodes_are_distinct_objects():
-    # assignments key on id(node), so no Node may occur twice in one tree
-    for n in range(1, 5):
-        for t in tr.enumerate_trees(n, -3, kinds=(tr.INTERACTION, tr.NU)):
-            nodes = t.endpoints() + t.branches()
-            assert len({id(x) for x in nodes}) == len(nodes)
-
-
 def test_enumeration_order_and_repr_pinned():
     # sha256 of the reprs, one per line: the trees, their order and their repr
     digest = hashlib.sha256()
