@@ -15,6 +15,7 @@ import math
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,7 @@ class RunWriter:
         (self.dir / name).write_bytes(payload)
         self.outputs[name] = hashlib.sha256(payload).hexdigest()
 
-    def finish(self):
+    def finish(self, warned: dict):
         manifest = {
             "config_sha": self.hash,
             "config": self.cfg,
@@ -270,6 +271,7 @@ class RunWriter:
             "numpy": np.__version__,
             "elapsed_s": round(time.time() - self.t0, 3),
             "outputs": self.outputs,
+            "warnings": warned,
         }
         (self.dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
@@ -468,8 +470,9 @@ def dispatch(argv) -> int:
         return 1 if exc.code not in (0, None) else 0
     Path(args.out).mkdir(parents=True, exist_ok=True)  # left empty if the config is rejected
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        # every warning is counted into the manifest instead of printed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             cfg = load_config(args.config)
             writer = RunWriter(args.out, cfg.written, args.subcommand, args.seed)
             _DISPATCH[args.subcommand](cfg, writer)
@@ -480,7 +483,7 @@ def dispatch(argv) -> int:
             ValueError, RuntimeError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    writer.finish()
+    writer.finish(Counter(str(w.message) for w in caught))
     return 0
 
 

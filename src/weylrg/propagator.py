@@ -279,9 +279,11 @@ def counterterm_nu_C(grid: GridSpec, p: HoppingParams, v_hat_0: float) -> float:
 _CSV_HEADER = ["k0", "k1", "k2", "k3",
                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
 # rows per chunk in the CSV writer and the conjugation check: bounds the
-# temporaries (bit patterns, cell indices, cell strings, chunk text, paired
-# values) to a few MB, well under the peak of build_propagator_grid
+# temporaries (bit patterns, cell indices, magnitude texts, tokens, chunk text,
+# paired values) to a few MB, well under the peak of build_propagator_grid
 _CHUNK_ROWS = 1 << 14
+# the writer's separator tokens of a nonnegative or NaN and of a negative value cell
+_SIGN = np.array([",", ",-"], dtype=object)
 
 
 @dataclass
@@ -298,25 +300,35 @@ class PropagatorGrid:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self) else 0.0
 
-    def conjugation_defect(self) -> float:
-        """max |value(-k0, kbar) - value(k0, kbar)^dagger| over all rows.
-
-        The rows must be laid out as build_propagator_grid writes them and
-        from_csv reads them back: k0-major blocks of grid.spatial_momenta(),
-        k0 strictly increasing, and the k0 of block nk0 - 1 - i the exact
-        negative of block i's.  Any other layout raises ValueError.  Rows are
-        paired by position, and NaN differences are ignored.
+    def _blocks(self):
+        """(k0 of each block, grid.spatial_momenta()) once the rows are checked to
+        be laid out as build_propagator_grid writes them and from_csv reads them
+        back: k0-major blocks of grid.spatial_momenta(), k0 strictly increasing,
+        and the k0 of block nk0 - 1 - i the exact negative of block i's, all bit
+        for bit.  Any other layout raises ValueError.
         """
-        n = self.grid.L ** 3
+        kbar = self.grid.spatial_momenta()
+        n = kbar.shape[0]
         nk0, extra = divmod(len(self), n)
         mom = self.momenta[:nk0 * n].reshape(nk0, n, 4)
         k0, bits = mom[:, 0, 0], mom.view(np.uint64)
         if extra or not (np.all(np.diff(k0) > 0)
                          and np.array_equal(bits[:, 0, 0], (-k0[::-1]).view(np.uint64))
                          and (bits[..., 0] == bits[:, :1, 0]).all()
-                         and (bits[..., 1:] == self.grid.spatial_momenta().view(np.uint64)).all()):
+                         and (bits[..., 1:] == kbar.view(np.uint64)).all()):
             raise ValueError("propagator rows are not k0-major blocks of grid.spatial_momenta() "
                              "with increasing, mirrored k0")
+        return k0, kbar
+
+    def conjugation_defect(self) -> float:
+        """max |value(-k0, kbar) - value(k0, kbar)^dagger| over all rows.
+
+        The rows must be in the layout _blocks checks (ValueError otherwise);
+        each is paired with its mirror by position, and NaN differences are
+        ignored.
+        """
+        k0, kbar = self._blocks()
+        nk0, n = k0.size, kbar.shape[0]
         # the lower half's differences are the upper half's, negated and transposed
         worst, half = 0.0, nk0 // 2 * n
         for lo in range(0, half, _CHUNK_ROWS):
@@ -329,22 +341,34 @@ class PropagatorGrid:
     def to_csv(self, path_or_buf):
         """Header plus one CRLF row per momentum, every float written by repr.
 
-        repr depends only on a float's bit pattern, so each chunk calls it once
-        per distinct pattern and looks every cell up in that table.
+        The rows must be in the layout _blocks checks (ValueError otherwise), so
+        the momenta are written from it: one "\\r\\n" + k0 + "," lead per block,
+        which starts each row, and one "k1,k2,k3" per spatial momentum.  A
+        value's repr is its magnitude's (the sign bit cleared) with "-" in
+        front when the sign bit is set and it is not NaN, which repr writes as
+        "nan" whatever its sign.  So each chunk calls repr once per distinct
+        magnitude, and every value cell is two tokens: "," or ",-", then the
+        magnitude's text.
         """
+        k0, kbar = self._blocks()
+        n = kbar.shape[0]
+        lead = np.array([f"\r\n{k!r}," for k in k0.tolist()], dtype=object)
+        spatial = np.array([",".join(map(repr, k)) for k in kbar.tolist()], dtype=object)
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
         try:
-            buf.write(",".join(_CSV_HEADER) + "\r\n")
+            buf.write(",".join(_CSV_HEADER))
             for lo in range(0, len(self), _CHUNK_ROWS):
                 vals = self.values[lo:lo + _CHUNK_ROWS].reshape(-1, 4).view(float)
-                rows = np.concatenate([self.momenta[lo:lo + _CHUNK_ROWS], vals], axis=1)
-                bits, cell = np.unique(rows.view(np.uint64), return_inverse=True)
-                cell = cell.reshape(rows.shape)
-                text = list(map(repr, bits.view(float).tolist()))
-                # cells of the last column index the second half, which ends rows
-                table = np.array([t + "," for t in text] + [t + "\r\n" for t in text], dtype=object)
-                cell[:, -1] += bits.size
-                buf.write("".join(table[cell].ravel().tolist()))
+                mag, cell = np.unique(np.abs(vals).view(np.uint64), return_inverse=True)
+                text = np.array(list(map(repr, mag.view(float).tolist())), dtype=object)
+                row = np.arange(lo, lo + vals.shape[0])
+                tokens = np.empty((row.size, 18), dtype=object)
+                tokens[:, 0] = lead[row // n]
+                tokens[:, 1] = spatial[row % n]
+                tokens[:, 2::2] = _SIGN[(np.signbit(vals) & ~np.isnan(vals)).view(np.int8)]
+                tokens[:, 3::2] = text[cell.reshape(vals.shape)]
+                buf.write("".join(tokens.ravel().tolist()))
+            buf.write("\r\n")
         finally:
             if buf is not path_or_buf:
                 buf.close()

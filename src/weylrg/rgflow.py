@@ -474,19 +474,30 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
     support selects the integration region: "full" (everything under the
     2^M frequency cutoff), "ir" (weighted by the scale-0 cumulative cutoff
     chi_0, the part the flow integrates) or "uv" (its complement).  A support
-    with zero weight at every point of `grid` (the "ir" split misses coarse
-    grids entirely) raises QuadratureError rather than returning zeros.
+    with zero weight at every point of `grid` raises QuadratureError rather
+    than returning zeros, and so does a split whose weight stays below 1/2 at
+    every point, i.e. that reaches no grid momentum on its side of
+    |k| = 3/2 a0, the middle of chi_0's ramp: the "ir" split of a coarse grid
+    would return a rounding residue (-8.5e-31 at L=12, beta=32, M=5, r=1/2).
     """
     wp = weyl_points(p)
     if wp is None:
         raise ValueError("asymptotic constants need semimetal parameters")
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
-    kbar, moments = _grid_moments(p, grid, None if support == "full" else
-                                  _scale0_weight(p.a0, support))
+    weight = None if support == "full" else _scale0_weight(p.a0, support)
+    kbar, moments = _grid_moments(p, grid, weight)
     if not moments.any():
         raise QuadratureError(f"no point of the L={grid.L}, beta={grid.beta:g} grid carries "
                               f"{support} weight")
+    if weight is not None:
+        # the weight is monotone in |k|, so it peaks at an end of the grid's |k| range
+        k0sq = grid.matsubara_frequencies() ** 2
+        lam2 = np.sum(np.square(mass_vector(*kbar.T, p)), axis=0)
+        top = max(weight(k0sq.min(), lam2.min()), weight(k0sq.max(), lam2.max()))
+        if top < 0.5:
+            raise QuadratureError(f"the largest {support} weight at a point of the L={grid.L}, "
+                                  f"beta={grid.beta:g} grid is {top:.2g}, below 1/2")
     loc = localize_kernel(lambda kk: -_grid_fock(kbar, moments, inter, kk), regime=2,
                           point=(0.0, 0.0, 0.0, wp.p_F), spacing=delta)
     return -loc.b3_h, loc.bplus_h  # basis -sin k3' at +p_F

@@ -115,6 +115,16 @@ def test_outputs_cross_reference_manifest(tmp_path):
     assert "trees.json" in manifest["outputs"]
 
 
+def test_manifest_counts_warnings(tmp_path):
+    # |r| > 1/2 is admissible but warned about; the warning goes to the manifest
+    for r, warned in ((0.75, {"|r| = 0.75 > 1/2: outside the narrow crossover window": 1}),
+                      (0.5, {})):
+        path = write_cfg(tmp_path, dict(BASE, model=dict(BASE["model"], r=r)))
+        out = tmp_path / f"o{r}"
+        assert dispatch(["phase", "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == warned
+
+
 def test_propagator_output(tmp_path):
     cfg = dict(BASE, grid={"L": 2, "beta": 4.0, "M": 3})
     path = write_cfg(tmp_path, cfg)

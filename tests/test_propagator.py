@@ -250,6 +250,19 @@ def test_conjugation_defect_refuses_other_layouts(p_star):
             pytest.fail(f"the {name} grid passed the layout check")
 
 
+def test_to_csv_refuses_other_layouts(p_star, tmp_path):
+    # the writer takes its momentum texts from the checked layout, so it
+    # refuses what conjugation_defect refuses, before writing anything
+    pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
+    for name, grid, momenta, values in _off_layout_grids(pg, p_star):
+        buf, path = io.StringIO(newline=""), tmp_path / "off.csv"
+        for target in (buf, path):
+            with pytest.raises(ValueError, match="k0-major blocks"):
+                PropagatorGrid(grid, momenta, values).to_csv(target)
+                pytest.fail(f"the {name} grid was written")
+        assert buf.getvalue() == "" and not path.exists()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(L=st.integers(1, 4), beta=st.floats(0.3, 8.0), M=st.integers(0, 4),
        r=st.floats(-0.5, 0.5, exclude_min=True), t=st.floats(0.5, 2.0),
@@ -264,6 +277,7 @@ def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
     assert defect == _defect_oracle(pg)
     buf = io.StringIO(newline="")
     pg.to_csv(buf)
+    assert buf.getvalue() == _csv_writer_bytes(pg)
     buf.seek(0)
     assert PropagatorGrid.from_csv(buf, grid).conjugation_defect() == defect
     if (L, beta, M) == (1, 0.3, 0):
@@ -272,19 +286,17 @@ def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
 
 def test_to_csv_bytes_match_csv_writer(p_star):
     pg = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
-    pg.momenta[0] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308]
-    pg.values[1] = [[-0.0 + 3.3e-296j, 1e-310 - 0.0j], [np.pi, -1e300]]
-    expect = io.StringIO(newline="")
-    w = csv.writer(expect)
-    w.writerow(["k0", "k1", "k2", "k3",
-                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"])
-    for kk, v in zip(pg.momenta, pg.values):
-        w.writerow([repr(float(c)) for c in kk]
-                   + [repr(float(f(e))) for e in v.ravel() for f in (np.real, np.imag)])
+    pg.values[0] = [[complex(-0.0, 0.0), complex(5e-324, -2.2250738585072014e-308)],
+                    [complex(-math.nan, 0.0), complex(-math.inf, 0.0)]]
+    assert np.signbit(pg.values[0].real).tolist() == [[True, False], [True, True]]
+    pg.values[9] = [[-0.0 + 3.3e-296j, 1e-310 - 0.0j], [np.pi, -1e300]]
     got = io.StringIO(newline="")
     pg.to_csv(got)
-    assert got.getvalue() == expect.getvalue()
-    assert "-0.0,0.0,5e-324," in got.getvalue()
+    assert got.getvalue() == _csv_writer_bytes(pg)
+    first = got.getvalue().split("\r\n")[1].split(",")
+    # a negative zero keeps its sign; a negative NaN is written "nan", as repr writes it
+    assert first[4:] == ["-0.0", "0.0", "5e-324", "-2.2250738585072014e-308",
+                         "nan", "0.0", "-inf", "0.0"]
 
 
 def _csv_writer_bytes(pg):
@@ -299,43 +311,49 @@ def _csv_writer_bytes(pg):
     return out.getvalue()
 
 
-def _special_cells_grid():
-    """45 rows drawn from special values: each recurs within a column, across
-    columns and across 7-row chunks, and NaN comes with both signs and a
-    payload, so distinct bit patterns share one repr."""
+_SPECIAL_GRID = GridSpec(L=2, beta=4.0, M=2)  # 10 blocks of 8 rows
+
+
+def _special_cells_grid(p):
+    """The 80 rows built on _SPECIAL_GRID with values drawn from special
+    values: each recurs within a column, across columns and across 7-row
+    chunks, and NaN comes with both signs and a payload, so distinct bit
+    patterns share one repr and distinct magnitudes one sign token."""
     special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
-                        -2.2250738585072014e-308, 0.1, -1e300])
+                        -5e-324, -2.2250738585072014e-308, 0.1, -1e300])
     pool = np.append(special.view(np.uint64), np.uint64(0x7FF8000000000001))
-    cells = np.random.default_rng(11).choice(pool, size=(45, 12)).view(float)
+    pg = build_propagator_grid(_SPECIAL_GRID, p)
+    cells = np.random.default_rng(11).choice(pool, size=(len(pg), 8)).view(float)
     assert set(cells.view(np.uint64).ravel().tolist()) == set(pool.tolist())
-    return PropagatorGrid(GRID, cells[:, :4].copy(),
-                          cells[:, 4:].copy().view(complex).reshape(-1, 2, 2))
+    pg.values = cells.view(complex).reshape(-1, 2, 2)
+    return pg
 
 
 def _cells(pg):
     return np.concatenate([pg.momenta, pg.values.reshape(-1, 4).view(float)], axis=1)
 
 
-def test_to_csv_across_chunks_and_repeated_values(monkeypatch):
-    # 7-row chunks cross many chunk boundaries
+def test_to_csv_across_chunks_and_repeated_values(monkeypatch, p_star):
+    # 7-row chunks cross many chunk boundaries, most of them inside a k0 block
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
-    pg = _special_cells_grid()
+    pg = _special_cells_grid(p_star)
     got = io.StringIO(newline="")
     pg.to_csv(got)
     assert got.getvalue() == _csv_writer_bytes(pg)
     assert got.getvalue().count("\r\n") == len(pg) + 1
+    assert "-nan" not in got.getvalue()
 
 
-def test_from_csv_roundtrips_special_cells(monkeypatch):
+def test_from_csv_roundtrips_special_cells(monkeypatch, p_star):
     # every non-NaN cell comes back bit for bit (so -0.0 keeps its sign); repr
     # writes every NaN as "nan", so NaNs come back by position only
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
-    pg = _special_cells_grid()
+    pg = _special_cells_grid(p_star)
     buf = io.StringIO(newline="")
     buf.write("# manifest: 0123456789abcdef\n")
     pg.to_csv(buf)
     buf.seek(0)
-    want, got = _cells(pg), _cells(PropagatorGrid.from_csv(buf, GRID))
+    want, got = _cells(pg), _cells(PropagatorGrid.from_csv(buf, _SPECIAL_GRID))
     assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), np.isnan(want))
     keep = ~np.isnan(want)

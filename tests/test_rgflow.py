@@ -415,6 +415,17 @@ def test_asymptotic_constants_empty_ir_split_raises(p_star):
         rg.asymptotic_constants(p_star, INTER, grid, support="full")
 
 
+def test_asymptotic_constants_negligible_ir_split_raises(p_star):
+    # the nearest momentum sits at |k| = 1.963 a0, far out on chi_0's ramp: the
+    # largest ir weight is 3.6e-12 and the split would read (-8.5e-31, 0.0)
+    grid = GridSpec(L=12, beta=32.0, M=5)
+    with pytest.raises(rg.QuadratureError, match="largest ir weight .* is 3.6e-12, below 1/2"):
+        rg.asymptotic_constants(p_star, INTER, grid, support="ir")
+    full = rg.asymptotic_constants(p_star, INTER, grid, support="full")
+    assert rg.asymptotic_constants(p_star, INTER, grid, support="uv") == \
+        pytest.approx(full, rel=1e-12)
+
+
 def test_asymptotic_constants_support_additivity(p_star):
     grid = GridSpec(L=12, beta=48.0, M=5)
     full = rg.asymptotic_constants(p_star, INTER, grid, support="full")
