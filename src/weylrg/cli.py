@@ -56,8 +56,8 @@ H_MIN_FLOOR = -40
 
 #: Largest flow.n_k the flow subcommands accept.  Bands are tables on (k0,
 #: lambda^2) over 3-D boxes, so memory grows as n_k^3: the README flow peaks
-#: at 51 MB at n_k = 24, 70 MB at 32, 104 MB at 40, 151 MB at 48 and 330 MB at
-#: 64, and the deepest flow (h_min = -40) keeps its bands at 1.1 GB at 64.
+#: at 47 MB at n_k = 24, 60 MB at 32, 84 MB at 40, 117 MB at 48 and 237 MB at
+#: 64 (ru_maxrss, 2-core Xeon); the deepest flow (h_min = -40) at 561 MB.
 MAX_N_K = 64
 
 
@@ -489,3 +489,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -81,20 +81,22 @@ def wick_expansion(mono, g):
     return total
 
 
+def _move_front_sign(order, items):
+    cur = list(order)
+    sign = 1
+    for item in items:
+        j = cur.index(item)
+        sign *= (-1) ** j
+        cur.pop(j)
+    return sign, cur
+
+
 def interleave_sign(mono):
     """Sign reordering mono into (-,+,-,+,...) keeping each kind's relative
     order; returns (sign, minus_indices, plus_indices)."""
     minus = [f for f in mono if f[1] == -1]
     plus = [f for f in mono if f[1] == +1]
-    target = []
-    for a, b in zip(minus, plus):
-        target.extend([a, b])
-    cur = list(mono)
-    sign = 1
-    for pos, item in enumerate(target):
-        j = cur.index(item)
-        sign *= (-1) ** (j - pos)
-        cur.insert(pos, cur.pop(j))
+    sign, _ = _move_front_sign(mono, [f for pair in zip(minus, plus) for f in pair])
     return sign, [f[0] for f in minus], [f[0] for f in plus]
 
 
@@ -329,16 +331,6 @@ def _tree_interpolation(tree, s):
                     t[:, i, u] = w[:, path[u]].min(axis=1)
                     stack.append(u)
     return wt, _frozen(t)
-
-
-def _move_front_sign(order, items):
-    cur = list(order)
-    sign = 1
-    for item in items:
-        j = cur.index(item)
-        sign *= (-1) ** j
-        cur.pop(j)
-    return sign, cur
 
 
 def bbf_evaluate(clusters, g):

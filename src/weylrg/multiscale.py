@@ -168,9 +168,10 @@ class BandGrid:
     positive k0s (the axis mirrors exactly) per distinct lambda^2, or per
     point on the bridge band's live valley slices; `key` maps the spatial box
     to its columns.  `moments` = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 + lambda^2)
-    is all an instantaneous vertex sees (the ik0 part cancels in pairs).
-    `cell` is d0 d12^2 d3/(2pi)^4 of the virtual grid and `emax` the box's
-    energy extent; regime-2 axes hold k'.
+    is all an instantaneous vertex sees (the ik0 part cancels in pairs); with
+    the spatial axes it is `box`, all a flow keeps.  `cell` is d0 d12^2
+    d3/(2pi)^4 of the virtual grid and `emax` the box's energy extent; regime-2
+    axes hold k'.  `couplings` and `params` serve mass_arrays (decay audits).
     """
 
     h: int
@@ -198,6 +199,11 @@ class BandGrid:
         w = np.concatenate([half[::-1], half])
         w.flags.writeable = False
         return w
+
+    @property
+    def box(self) -> tuple:
+        """(moments, k1s, k2s, k3s, k3_origin): what band_self_energy reads."""
+        return self.moments, self.k1s, self.k2s, self.k3s, self.k3_origin
 
     def mass_arrays(self):
         box = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")

@@ -8,7 +8,9 @@ integrated), so each flow step computes
 
 localizes it at the expansion point (0 in regime 1, +p_F in regime 2; the
 valleys are mirror images, so the +1 valley carries the local data) and
-absorbs the local part into (Z, v, v3, nu).  Raw localized coefficients are
+absorbs the local part into (Z, v, v3, nu).  Every one-loop self-energy
+(flow kernels, dressed inverse, uv split, asymptotic constants) is
+band_self_energy over separable boxes.  Raw localized coefficients are
 stored as plain derivatives (the symmetry-projected n, b0, b+, b-, b3);
 update_couplings applies the basis orientation of the reference matrix:
 the regime-1 axial basis function (cos k3 - 1) has second derivative -1 at
@@ -24,7 +26,7 @@ nu_h bounded; with nu = 0 it grows like 2^-h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .lattice import (HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, p
                       weyl_points)
 from .propagator import GridSpec, _matsubara_sums, inverse_propagator
 from .cutoff import smooth_cutoff
-from .multiscale import (BandGrid, RunningCouplings, _regime2_couplings,
-                         band_grid, crossover_scale, default_cutoff, initial_couplings)
+from .multiscale import (RunningCouplings, _regime2_couplings, band_grid, crossover_scale,
+                         default_cutoff, initial_couplings)
 
 
 class FlowBlowupError(RuntimeError):
@@ -67,12 +69,10 @@ class InteractionSpec:
         e = math.exp(-self.kappa)
         return (1.0 - e * e) / (1.0 - 2.0 * e * np.cos(np.asarray(q, float)) + e * e)
 
-    def v_hat(self, q1, q2, q3):
-        return self.amplitude * self.axis_value(q1) * self.axis_value(q2) * self.axis_value(q3)
-
     @property
     def v_hat_0(self) -> float:
-        return float(self.v_hat(0.0, 0.0, 0.0))
+        a = self.axis_value(0.0)
+        return float(self.amplitude * a * a * a)
 
 
 def exponential_interaction(kappa: float = 1.0, amplitude: float = 1.0) -> InteractionSpec:
@@ -173,31 +173,22 @@ def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCoupli
 
 # --- one-loop self-energy ----------------------------------------------------
 
-def _fock_from_band(bg: BandGrid, inter: InteractionSpec, kbar):
-    """(1/(beta L^3)) sum_p vhat(kbar - pbar) g^(h)(p) over one band (2x2): its
-    k0 moments contracted with the separable vhat one axis at a time; omega p_F
-    of a regime-2 band's relative momenta enters the third argument."""
-    d1 = inter.amplitude * inter.axis_value(kbar[0] - bg.k1s)
-    d2 = inter.axis_value(kbar[1] - bg.k2s)
-    d3 = inter.axis_value(kbar[2] - bg.k3_origin - bg.k3s)
-    return pauli(bg.moments @ d3 @ d2 @ d1)
+def band_self_energy(kk_abs, boxes, inter: InteractionSpec, U: float) -> np.ndarray:
+    """First-order self-energy at absolute momentum from boxes (moments, k1s,
+    k2s, k3s, k3_origin): the k0 moments (3, n1, n2, n3) of g on separable
+    axes, k3 relative to k3_origin, of a band (BandGrid.box) or a full grid.
 
-
-def _grid_fock(kbar, moments, inter: InteractionSpec, kk):
-    """The same Fock sum over a full momentum grid: the k0 moments of
-    _grid_moments contracted with vhat(kbar(kk) - kbar) point by point."""
-    return pauli(moments @ inter.v_hat(*(np.asarray(kk[1:])[:, None] - kbar.T)))
-
-
-def band_self_energy(kk_abs, bands, inter: InteractionSpec, U: float) -> np.ndarray:
-    """First-order self-energy from a collection of bands at absolute momentum.
-
-    sigma(kk) = U vhat(0) tr[g(0)] I - U sum_band Fock(kk), where tr g(0), the
-    bands' ik0 moment, is exactly 0 in +-k0 pairs (half filling).  The k0 of
-    kk only selects the instantaneous interaction (no k0 dependence).
+    sigma(kk) = U vhat(0) tr[g(0)] I - U sum_box sum_p vhat(kbar - pbar) g(p),
+    the Fock sum contracted one axis at a time; tr g(0), the ik0 moment, is
+    exactly 0 in +-k0 pairs (half filling).  kk's k0 is not read (the vertex
+    is instantaneous).
     """
-    return -U * sum((_fock_from_band(bg, inter, kk_abs[1:]) for bg in bands),
-                    np.zeros((2, 2), complex))
+    def fock(moments, k1s, k2s, k3s, k3_origin):
+        d1 = inter.amplitude * inter.axis_value(kk_abs[1] - k1s)
+        d2 = inter.axis_value(kk_abs[2] - k2s)
+        d3 = inter.axis_value(kk_abs[3] - k3_origin - k3s)
+        return pauli(moments @ d3 @ d2 @ d1)
+    return -U * sum((fock(*box) for box in boxes), np.zeros((2, 2), complex))
 
 
 def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionSpec,
@@ -209,7 +200,7 @@ def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionS
     """
     cutoff = default_cutoff(p)
     bands = [band_grid(k, 1, 1, c.replace(h=k), p, cutoff, n=n_k) for k in range(0, h, -1)]
-    return band_self_energy(kk, _require_support(bands), inter, U)
+    return band_self_energy(kk, [bg.box for bg in _require_support(bands)], inter, U)
 
 
 def _require_support(bands):
@@ -253,7 +244,7 @@ class FlowTrajectory:
     final: RunningCouplings
     v3_crossover: float | None
     termination: str
-    bands: list = field(default_factory=list)
+    boxes: list
 
     @property
     def max_dimensionless_beta(self) -> float:
@@ -286,9 +277,10 @@ def flow_step(h: int, c: RunningCouplings, bands: list, inter: InteractionSpec,
     """
     regime = c.regime
     origin = weyl_points(p).p_F if regime == 2 else 0.0
+    boxes = [b.box for b in bands]
 
     def kernel(kk):
-        return band_self_energy((kk[0], kk[1], kk[2], kk[3] + origin), bands, inter, U)
+        return band_self_energy((kk[0], kk[1], kk[2], kk[3] + origin), boxes, inter, U)
 
     loc_raw = localize_kernel(kernel, regime=regime)
     z = c.Z
@@ -319,7 +311,7 @@ def _check_window(c: RunningCouplings, ref: RunningCouplings, eps0: float):
 
 def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
              nu0: float = 0.0, n_k: int = 12, eps0: float = 0.5) -> FlowTrajectory:
-    """Iterate flow steps from scale 0 down to h_min, keeping every band.
+    """Iterate flow steps from scale 0 down to h_min, keeping every band's box.
 
     Regime 1 runs for h > h*; the h* step integrates the bridge band (upper
     regime-1 cutoff, lower two-component cutoff) after which v3 converts to
@@ -336,7 +328,7 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
     c = initial_couplings(p, regime=1).replace(nu=nu0)
     ref1 = c
     rows = []
-    bands_kept = []
+    boxes = []
     v3_cross = None
     termination = "completed"
     finite_hstar = h_star != float("-inf")
@@ -363,7 +355,7 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
                      for om in (+1, -1)]
         c_new, rec = flow_step(h, c, bands if tail else _require_support(bands), inter, U, p)
         rows.append(FlowRow(h=h, couplings=c, beta=rec))
-        bands_kept.extend(bands)
+        boxes.extend(b.box for b in bands)
         if tail:
             c = c_new.replace(nu=0.0)  # nu_{h*} = 0: no singularity to tune
             termination = "insulator-stop"
@@ -378,7 +370,7 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
         h -= 1
 
     return FlowTrajectory(params=p, U=U, h_star=h_star, nu0=nu0, rows=rows, final=c,
-                          v3_crossover=v3_cross, termination=termination, bands=bands_kept)
+                          v3_crossover=v3_cross, termination=termination, boxes=boxes)
 
 
 def _nu_target(traj: FlowTrajectory) -> float:
@@ -416,12 +408,14 @@ def _scale0_weight(a0: float, support: str):
 
 
 def _grid_moments(p: HoppingParams, grid: GridSpec, extra):
-    """(kbar, (m1, m2, m3) s0 / L^3): the k0 moments of A^{-1} extra on the
-    grid.  Its ik0 moment, the Hartree trace, is exactly 0 (half filling)."""
-    kbar = grid.spatial_momenta()
-    m = np.stack(mass_vector(*kbar.T, p))
+    """The grid as one box: the k0 moments (m1, m2, m3) s0 / L^3 of A^{-1}
+    extra, shaped (3, L, L, L) on the axes 2 pi j / L (spatial_momenta is an
+    ij-meshgrid ravel), origin 0.  Its ik0 moment, the Hartree trace, is
+    exactly 0 (half filling)."""
+    m = np.stack(mass_vector(*grid.spatial_momenta().T, p))
     s0, _ = _matsubara_sums(grid, m[0] ** 2 + m[1] ** 2 + m[2] ** 2, grid.M, extra=extra)
-    return kbar, m * s0 / grid.L ** 3
+    ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
+    return (m * s0 / grid.L ** 3).reshape(3, grid.L, grid.L, grid.L), ks, ks, ks, 0.0
 
 
 def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
@@ -433,8 +427,8 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
     complementary ultraviolet dressing when a full-support one-loop object is
     needed (e.g. comparing against the full-support velocity integrals).
     """
-    kbar, moments = _grid_moments(p, grid, _scale0_weight(p.a0, "uv"))
-    return -U * _grid_fock(kbar, moments, inter, kk_abs)
+    return band_self_energy(kk_abs, [_grid_moments(p, grid, _scale0_weight(p.a0, "uv"))],
+                            inter, U)
 
 
 def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec) -> np.ndarray:
@@ -442,7 +436,7 @@ def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec) -> np.
     integrated, matching the counterterm produced by solve_nu; the
     above-scale-0 dressing (uv_self_energy) is not included.
     """
-    sig = band_self_energy(kk_abs, traj.bands, inter, traj.U)
+    sig = band_self_energy(kk_abs, traj.boxes, inter, traj.U)
     return inverse_propagator(kk_abs, traj.params) + traj.nu0 * SIGMA3 + sig
 
 
@@ -486,19 +480,20 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
     if support not in ("full", "ir", "uv"):
         raise ValueError("support must be full, ir or uv")
     weight = None if support == "full" else _scale0_weight(p.a0, support)
-    kbar, moments = _grid_moments(p, grid, weight)
-    if not moments.any():
+    box = _grid_moments(p, grid, weight)
+    if not box[0].any():
         raise QuadratureError(f"no point of the L={grid.L}, beta={grid.beta:g} grid carries "
                               f"{support} weight")
     if weight is not None:
         # the weight is monotone in |k|, so it peaks at an end of the grid's |k| range
         k0sq = grid.matsubara_frequencies() ** 2
-        lam2 = np.sum(np.square(mass_vector(*kbar.T, p)), axis=0)
+        lam2 = np.sum(np.square(mass_vector(*grid.spatial_momenta().T, p)), axis=0)
         top = max(weight(k0sq.min(), lam2.min()), weight(k0sq.max(), lam2.max()))
         if top < 0.5:
             raise QuadratureError(f"the largest {support} weight at a point of the L={grid.L}, "
                                   f"beta={grid.beta:g} grid is {top:.2g}, below 1/2")
-    loc = localize_kernel(lambda kk: -_grid_fock(kbar, moments, inter, kk), regime=2,
+    # at U = 1 the self-energy is exactly -Fock, the map the slopes localize
+    loc = localize_kernel(lambda kk: band_self_energy(kk, [box], inter, 1.0), regime=2,
                           point=(0.0, 0.0, 0.0, wp.p_F), spacing=delta)
     return -loc.b3_h, loc.bplus_h  # basis -sin k3' at +p_F
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylrg import propagator
+from weylrg import cli, propagator
 from weylrg.cli import (_SCHEMA, H_MIN_FLOOR, MAX_GRID_L, MAX_N_K, MAX_PROPAGATOR_ROWS,
                         MAX_VERIFY_CASES, dispatch, load_config)
 from weylrg.lattice import build_params, dispersion
@@ -84,6 +86,23 @@ def test_unknown_subcommand_usage_error(tmp_path):
 def test_missing_config_is_validation_error(tmp_path):
     assert dispatch(["weyl", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+def test_module_entry_point(tmp_path):
+    """python -m weylrg.cli runs the subcommand and returns dispatch's exit code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def run(cfg, out):
+        return subprocess.run([sys.executable, "-m", "weylrg.cli", "band", "--config", cfg,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+    done = run(write_cfg(tmp_path, BASE), tmp_path / "o")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "band.csv").read_text().startswith("# manifest:")
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    done = run(str(empty), tmp_path / "bad")
+    assert done.returncode == 1 and "cannot read config" in done.stderr
+    assert not (tmp_path / "bad" / "band.csv").exists()
 
 
 def test_determinism_byte_identical(tmp_path):

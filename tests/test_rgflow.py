@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from weylrg.cutoff import smooth_cutoff
-from weylrg.lattice import build_params, mass_vector, weyl_points
-from weylrg.propagator import GridSpec, inverse_propagator
+from weylrg.lattice import build_params, mass_vector, pauli, weyl_points
+from weylrg.propagator import GridSpec, _matsubara_sums, inverse_propagator
 from weylrg import multiscale as ms
 from weylrg import rgflow as rg
 
@@ -150,7 +151,7 @@ def test_cached_band_sums_match_direct_einsum(p_star, p_small_r):
         assert bg.support_points > 0, name
         for kk in ((0.0, 0.0, 0.0, 0.0), (0.3, 0.1, -0.2, p_f),
                    (0.0, -0.4, 0.25, -p_f + 0.1), (0.0, 1.0, 2.0, 3.0)):
-            got = rg.band_self_energy(kk, [bg], INTER, 0.05)
+            got = rg.band_self_energy(kk, [bg.box], INTER, 0.05)
             want = _direct_self_energy(kk, bg, INTER, 0.05)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (name, kk)
 
@@ -158,13 +159,13 @@ def test_cached_band_sums_match_direct_einsum(p_star, p_small_r):
 def test_band_weight_cannot_be_written(p_star, p_small_r):
     kk = (0.0, 0.1, -0.2, 0.3)
     for name, bg in _test_bands(p_star, p_small_r).items():
-        before = rg.band_self_energy(kk, [bg], INTER, 0.05)
+        before = rg.band_self_energy(kk, [bg.box], INTER, 0.05)
         with pytest.raises(AttributeError):
             bg.weight = 0.5 * bg.weight
         for arr in (bg.weight, bg.table, bg.moments):
             with pytest.raises(ValueError):  # read-only
                 arr[(0,) * arr.ndim] = 1.0
-        assert np.array_equal(rg.band_self_energy(kk, [bg], INTER, 0.05), before), name
+        assert np.array_equal(rg.band_self_energy(kk, [bg.box], INTER, 0.05), before), name
 
 
 @pytest.mark.parametrize("b0", [None, 18.0])
@@ -433,6 +434,64 @@ def test_asymptotic_constants_support_additivity(p_star):
     uv = rg.asymptotic_constants(p_star, INTER, grid, support="uv")
     assert full[0] == pytest.approx(ir[0] + uv[0], rel=1e-10)
     assert full[1] == pytest.approx(ir[1] + uv[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(L=8, beta=32.0, M=5), GridSpec(L=16, beta=128.0, M=6)])
+def test_grid_box_fock_matches_pointwise_sum(p_star, grid):
+    """The full grid as one separable box against the Fock sum written out
+    point by point: the k0 moments at the L^3 momenta of spatial_momenta
+    contracted with vhat(kbar(kk) - kbar) = amplitude prod_i axis_value(q_i)."""
+    kbar = grid.spatial_momenta()
+    m = np.stack(mass_vector(*kbar.T, p_star))
+    p_f = weyl_points(p_star).p_F
+    for support in ("full", "uv", "ir"):
+        weight = None if support == "full" else rg._scale0_weight(p_star.a0, support)
+        box = rg._grid_moments(p_star, grid, weight)
+        s0, _ = _matsubara_sums(grid, np.sum(m ** 2, axis=0), grid.M, extra=weight)
+        moments = m * s0 / grid.L ** 3
+        for kk in ((0.0, 0.0, 0.0, p_f), (0.1, 0.2, 0.3, 1.0), (0.0, -0.4, 0.25, -p_f + 0.1),
+                   (0.0, 1.0, 2.0, 3.0), (0.0, np.pi / 64, np.pi / 64, p_f)):
+            q = np.asarray(kk[1:])[:, None] - kbar.T
+            vhat = INTER.amplitude * INTER.axis_value(q[0]) * INTER.axis_value(q[1]) \
+                * INTER.axis_value(q[2])
+            want = -pauli(moments @ vhat)
+            got = rg.band_self_energy(kk, [box], INTER, 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (support, kk)
+
+
+def _held_arrays(obj, seen=None, found=None):
+    """{id: array} of every ndarray reachable from obj through dataclass
+    fields, lists and tuples; raises on a BandGrid."""
+    seen = set() if seen is None else seen
+    found = {} if found is None else found
+    if id(obj) in seen:
+        return found
+    seen.add(id(obj))
+    assert not isinstance(obj, ms.BandGrid)
+    if isinstance(obj, np.ndarray):
+        found[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            _held_arrays(x, seen, found)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _held_arrays(getattr(obj, f.name), seen, found)
+    return found
+
+
+def test_run_flow_keeps_boxes_not_bands(p_star):
+    """A flow keeps each band's box (moments and spatial axes) and nothing
+    else of it: no BandGrid, no table or key, no k0 axis."""
+    traj = rg.run_flow(p_star, 0.05, INTER, -3, n_k=8)
+    assert len(traj.boxes) == 5  # the bridge at h* = 0, both valleys at -1 and -2
+    p_f = weyl_points(p_star).p_F
+    boxes = {}
+    for (moments, k1s, k2s, k3s, origin), want in zip(traj.boxes, (0.0,) + (p_f, -p_f) * 2):
+        assert moments.shape == (3, k1s.size, k2s.size, k3s.size) and origin == want
+        boxes.update({id(a): a for a in (moments, k1s, k2s, k3s)})
+    held = _held_arrays(traj)
+    assert held.keys() == boxes.keys()
+    assert sum(a.nbytes for a in held.values()) == sum(a.nbytes for a in boxes.values())
 
 
 @pytest.mark.parametrize("grid", [GridSpec(L=4, beta=8.0, M=8), GridSpec(L=6, beta=64.0, M=6)])
