@@ -34,9 +34,11 @@ class ConfigError(ValueError):
 
 
 #: Largest GridSpec.row_bound() the propagator subcommand accepts.  A row
-#: costs about 234 bytes of CSV and 197 bytes of peak RSS (the README grid:
-#: 1.33M rows, 311.6 MB of CSV, 250.8 MiB peak, set by building the grid), so
-#: the cap is about 2.0 GB of CSV and 1.7 GB of RSS.
+#: costs about 240 bytes of CSV and 3.6 us; the peak RSS does not grow with the
+#: rows, since the grid is tabulated box by box as it is written (the README
+#: grid: 1.33M rows, 311.6 MB of CSV, 62 MiB peak; L=8, beta=8, M=11: 5.34M
+#: rows, 1.31 GB, 19 s, 62 MiB peak, on a 2-core Xeon), so the cap bounds the
+#: CSV at about 2.0 GB and the run at about 30 s.
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 

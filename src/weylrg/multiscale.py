@@ -255,7 +255,7 @@ def _band_bounds_r1(h, c, p, cutoff):
     dpm = math.asin(min(1.0, emax / c.v))
     e_ub = p.t_prime * dpm ** 2
     hi = min(1.0, 1.0 - p.r + (emax + e_ub) / c.v3)
-    lo = max(-1.0, 1.0 - p.r - (emax + e_ub) / c.v3)
+    lo = min(1.0, max(-1.0, 1.0 - p.r - (emax + e_ub) / c.v3))
     k3_lo = math.acos(hi)
     k3_hi = math.acos(lo)
     return emax, 2.0 * dpm, k3_lo, k3_hi

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -278,17 +279,36 @@ def counterterm_nu_C(grid: GridSpec, p: HoppingParams, v_hat_0: float) -> float:
 
 _CSV_HEADER = ["k0", "k1", "k2", "k3",
                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-# rows per chunk in the CSV writer and the conjugation check: bounds the
-# temporaries (bit patterns, cell indices, magnitude texts, tokens, chunk text,
-# paired values) to a few MB, well under the peak of build_propagator_grid
+# rows per box of the CSV writer, the conjugation check and the sup norm:
+# bounds the temporaries (the box's values, bit patterns, cell indices,
+# magnitude texts, tokens, box text, paired values) to a few MB
 _CHUNK_ROWS = 1 << 14
 # the writer's separator tokens of a nonnegative or NaN and of a negative value cell
 _SIGN = np.array([",", ",-"], dtype=object)
 
 
+def _boxes(blocks: int, n: int):
+    """(a, b, s, e) per box of `blocks` k0 blocks of n spatial momenta: blocks
+    a..b at momenta s..e.  A box is _CHUNK_ROWS // n whole blocks or, when one
+    block is larger than that, at most _CHUNK_ROWS momenta of one block."""
+    per = _CHUNK_ROWS // n
+    if per:
+        for a in range(0, blocks, per):
+            yield a, min(a + per, blocks), 0, n
+    else:
+        for a in range(blocks):
+            for s in range(0, n, _CHUNK_ROWS):
+                yield a, a + 1, s, min(s + _CHUNK_ROWS, n)
+
+
 @dataclass
 class PropagatorGrid:
-    """Tabulated 2x2 values over 4-momenta (rows of `momenta`)."""
+    """Tabulated 2x2 values over 4-momenta (rows of `momenta`).
+
+    to_csv, conjugation_defect and sup_norm walk the rows in _boxes of the
+    layout _blocks checks and take each box from _box_values: a slice of
+    `values` here, computed as it is walked in build_propagator_grid's grids.
+    """
 
     grid: GridSpec
     momenta: np.ndarray  # (N, 4)
@@ -296,9 +316,6 @@ class PropagatorGrid:
 
     def __len__(self):
         return self.momenta.shape[0]
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if len(self) else 0.0
 
     def _blocks(self):
         """(k0 of each block, grid.spatial_momenta()) once the rows are checked to
@@ -320,22 +337,36 @@ class PropagatorGrid:
                              "with increasing, mirrored k0")
         return k0, kbar
 
+    def _box_values(self, a, b, s, e):
+        """The (b - a, e - s, 2, 2) values of blocks a..b at spatial momenta s..e."""
+        return self.values.reshape(-1, self.grid.L ** 3, 2, 2)[a:b, s:e]
+
+    def sup_norm(self) -> float:
+        """max |entry| over all rows (NaN if any entry is NaN; 0.0 without rows).
+        The rows must be in the layout _blocks checks (ValueError otherwise)."""
+        k0, kbar = self._blocks()
+        worst = 0.0
+        for box in _boxes(k0.size, kbar.shape[0]):
+            worst = np.max(np.abs(self._box_values(*box)), initial=worst)
+        return float(worst)
+
     def conjugation_defect(self) -> float:
         """max |value(-k0, kbar) - value(k0, kbar)^dagger| over all rows.
 
         The rows must be in the layout _blocks checks (ValueError otherwise);
-        each is paired with its mirror by position, and NaN differences are
-        ignored.
+        each is paired with its mirror by position, and a row whose difference
+        holds a NaN is ignored.
         """
         k0, kbar = self._blocks()
-        nk0, n = k0.size, kbar.shape[0]
-        # the lower half's differences are the upper half's, negated and transposed
-        worst, half = 0.0, nk0 // 2 * n
-        for lo in range(0, half, _CHUNK_ROWS):
-            i = np.arange(lo, min(lo + _CHUNK_ROWS, half))
-            mirror = self.values[(nk0 - 1 - i // n) * n + i % n]  # block nk0-1-i//n, same kbar
-            diff = mirror - self.values[i].conj().transpose(0, 2, 1)
-            worst = float(np.fmax.reduce(np.abs(diff).max(axis=(1, 2)), initial=worst))
+        nk0 = k0.size
+        # the lower half's differences are the upper half's, negated and
+        # transposed; blocks a..b mirror blocks nk0-b..nk0-a, reversed
+        worst = 0.0
+        for a, b, s, e in _boxes(nk0 // 2, kbar.shape[0]):
+            mirror = self._box_values(nk0 - b, nk0 - a, s, e)[::-1]
+            diff = mirror - self._box_values(a, b, s, e).conj().swapaxes(2, 3)
+            worst = float(np.fmax.reduce(np.abs(diff).max(axis=(2, 3)), axis=None,
+                                         initial=worst))
         return worst
 
     def to_csv(self, path_or_buf):
@@ -346,25 +377,24 @@ class PropagatorGrid:
         which starts each row, and one "k1,k2,k3" per spatial momentum.  A
         value's repr is its magnitude's (the sign bit cleared) with "-" in
         front when the sign bit is set and it is not NaN, which repr writes as
-        "nan" whatever its sign.  So each chunk calls repr once per distinct
+        "nan" whatever its sign.  So each box calls repr once per distinct
         magnitude, and every value cell is two tokens: "," or ",-", then the
         magnitude's text.
         """
         k0, kbar = self._blocks()
-        n = kbar.shape[0]
         lead = np.array([f"\r\n{k!r}," for k in k0.tolist()], dtype=object)
         spatial = np.array([",".join(map(repr, k)) for k in kbar.tolist()], dtype=object)
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
         try:
             buf.write(",".join(_CSV_HEADER))
-            for lo in range(0, len(self), _CHUNK_ROWS):
-                vals = self.values[lo:lo + _CHUNK_ROWS].reshape(-1, 4).view(float)
+            for a, b, s, e in _boxes(k0.size, kbar.shape[0]):
+                vals = self._box_values(a, b, s, e).reshape(-1, 4).view(float)
                 mag, cell = np.unique(np.abs(vals).view(np.uint64), return_inverse=True)
                 text = np.array(list(map(repr, mag.view(float).tolist())), dtype=object)
-                row = np.arange(lo, lo + vals.shape[0])
-                tokens = np.empty((row.size, 18), dtype=object)
-                tokens[:, 0] = lead[row // n]
-                tokens[:, 1] = spatial[row % n]
+                tokens = np.empty((b - a, e - s, 18), dtype=object)
+                tokens[..., 0] = lead[a:b, None]
+                tokens[..., 1] = spatial[s:e]
+                tokens = tokens.reshape(-1, 18)
                 tokens[:, 2::2] = _SIGN[(np.signbit(vals) & ~np.isnan(vals)).view(np.int8)]
                 tokens[:, 3::2] = text[cell.reshape(vals.shape)]
                 buf.write("".join(tokens.ravel().tolist()))
@@ -393,8 +423,45 @@ class PropagatorGrid:
         return cls(grid=grid, momenta=data[:, :4].copy(), values=vals)
 
 
+class _Tabulation(PropagatorGrid):
+    """build_propagator_grid's grid: its layout and the inputs of the
+    tabulation formula, O(n_k0 + L^3) numbers.  `momenta` and `values` are
+    built on first read and are the rows from then on."""
+
+    def __init__(self, grid: GridSpec, k0, w, kbar, m):
+        self.grid, self._k0, self._w, self._kbar, self._m = grid, k0, w, kbar, m
+
+    def __len__(self):
+        return self._k0.size * self._kbar.shape[0]
+
+    def _blocks(self):
+        return super()._blocks() if "momenta" in vars(self) else (self._k0, self._kbar)
+
+    def _box_values(self, a, b, s, e):
+        if "values" in vars(self):
+            return super()._box_values(a, b, s, e)
+        entries = _ainv_entries(self._k0[a:b, None], *(m[s:e] for m in self._m))
+        vals = np.empty((b - a, e - s, 4), complex)  # row-major 2x2 entries a, b, c, d
+        for i, entry in enumerate(entries):
+            np.multiply(self._w[a:b], entry, out=vals[..., i])
+        return vals.reshape(b - a, e - s, 2, 2)
+
+    @cached_property
+    def momenta(self):
+        mom = np.empty((self._k0.size, self._kbar.shape[0], 4))
+        mom[:, :, 0] = self._k0[:, None]
+        mom[:, :, 1:] = self._kbar
+        return mom.reshape(-1, 4)
+
+    @cached_property
+    def values(self):
+        return self._box_values(0, self._k0.size, 0, self._kbar.shape[0]).reshape(-1, 2, 2)
+
+
 def build_propagator_grid(grid: GridSpec, p: HoppingParams, M: int | None = None) -> PropagatorGrid:
-    """Free propagator tabulated on the full grid inside the UV cutoff support.
+    """Free propagator on the full grid inside the UV cutoff support: the
+    weight chibar(2^-M |k0|) times A^{-1}, computed box by box as the grid's
+    passes walk it, so the grid holds O(n_k0 + L^3) numbers, not its rows.
 
     Rows are k0-major: each frequency with a nonzero cutoff weight carries all
     L^3 spatial momenta in spatial_momenta() order.
@@ -402,15 +469,5 @@ def build_propagator_grid(grid: GridSpec, p: HoppingParams, M: int | None = None
     M = grid.M if M is None else M
     k0 = grid.matsubara_frequencies(M)
     cut = smooth_cutoff(np.abs(k0) / 2.0 ** M)
-    k0, w = k0[cut > 0], cut[cut > 0, None]
     kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(*kbar.T, p)
-    nk0, nkb = k0.size, kbar.shape[0]
-    mom = np.empty((nk0, nkb, 4))
-    mom[:, :, 0] = k0[:, None]
-    mom[:, :, 1:] = kbar
-    vals = np.empty((nk0, nkb, 4), complex)  # row-major 2x2 entries a, b, c, d
-    for n, entry in enumerate(_ainv_entries(k0[:, None], m1, m2, m3)):
-        np.multiply(w, entry, out=vals[..., n])
-    return PropagatorGrid(grid=grid, momenta=mom.reshape(-1, 4),
-                          values=vals.reshape(-1, 2, 2))
+    return _Tabulation(grid, k0[cut > 0], cut[cut > 0, None], kbar, mass_vector(*kbar.T, p))

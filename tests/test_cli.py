@@ -66,6 +66,17 @@ def test_flow_u_zero_constant_rows(tmp_path):
     assert {r[6] for r in rows} <= {"1", "2"}
 
 
+def test_flow_deep_insulator_stops(tmp_path):
+    # r = -0.3 gaps out the whole scale-0 band: one trivial step, exit 0
+    cfg = dict(BASE, model=dict(BASE["model"], r=-0.3))
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert dispatch(["flow", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "flow.json").read_text())["termination"] == "insulator-stop"
+    rows = (out / "flow.csv").read_text().strip().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["0", "-1"]  # the step, then the final couplings
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = dict(BASE, extra={"x": 1})
     path = write_cfg(tmp_path, cfg)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ def test_conjugation_defect_matches_dict_oracle(p_star):
     assert bumped.conjugation_defect() == pytest.approx(delta, rel=1e-9)
 
 
+@pytest.mark.parametrize("chunk_rows", [5, 27, 100])
+def test_conjugation_defect_pairs_boxes_like_the_oracle(monkeypatch, p_star, chunk_rows):
+    # boxes of 5 of a block's 27 momenta, of one block and of three blocks
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
+    pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
+    defect = pg.conjugation_defect()
+    assert defect == _defect_oracle(pg)
+    bumped = PropagatorGrid(pg.grid, pg.momenta, pg.values.copy())
+    bumped.values[2 * 27 + 20, 1, 0] += 1e-3
+    bumped.values[len(pg) - 27 + 13, 0, 0] -= 2e-3j
+    assert bumped.conjugation_defect() == _defect_oracle(bumped)
+    assert bumped.conjugation_defect() == pytest.approx(2e-3, rel=1e-9)
+
+
 def _off_layout_grids(pg, p):
     """Grids whose rows are not build_propagator_grid's layout for their grid."""
     n = pg.grid.L ** 3
@@ -248,6 +263,10 @@ def test_conjugation_defect_refuses_other_layouts(p_star):
         with pytest.raises(ValueError, match="k0-major blocks"):
             PropagatorGrid(grid, momenta, values).conjugation_defect()
             pytest.fail(f"the {name} grid passed the layout check")
+    # a built grid's momenta, once read, are its rows and are checked like a table's
+    pg.momenta[0, 1] = -0.0
+    with pytest.raises(ValueError, match="k0-major blocks"):
+        pg.conjugation_defect()
 
 
 def test_to_csv_refuses_other_layouts(p_star, tmp_path):
@@ -263,11 +282,17 @@ def test_to_csv_refuses_other_layouts(p_star, tmp_path):
         assert buf.getvalue() == "" and not path.exists()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(L=st.integers(1, 4), beta=st.floats(0.3, 8.0), M=st.integers(0, 4),
-       r=st.floats(-0.5, 0.5, exclude_min=True), t=st.floats(0.5, 2.0),
-       t_perp=st.floats(0.25, 1.0), t_prime=st.floats(2.0, 4.0))
-@example(L=1, beta=0.3, M=0, r=0.5, t=1.0, t_perp=0.5, t_prime=2.0)  # no rows
+def _on_built_grids(test):
+    """Run test(L, beta, M, r, t, t_perp, t_prime) on random small grids and
+    hoppings, and on the grid without rows."""
+    return settings(max_examples=60, deadline=None, derandomize=True)(given(
+        L=st.integers(1, 4), beta=st.floats(0.3, 8.0), M=st.integers(0, 4),
+        r=st.floats(-0.5, 0.5, exclude_min=True), t=st.floats(0.5, 2.0),
+        t_perp=st.floats(0.25, 1.0), t_prime=st.floats(2.0, 4.0))(
+        example(L=1, beta=0.3, M=0, r=0.5, t=1.0, t_perp=0.5, t_prime=2.0)(test)))
+
+
+@_on_built_grids
 def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
     # every built grid is in the layout the check pairs by position, before
     # and after a CSV round trip, and its defect is the dict oracle's
@@ -282,6 +307,28 @@ def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
     assert PropagatorGrid.from_csv(buf, grid).conjugation_defect() == defect
     if (L, beta, M) == (1, 0.3, 0):
         assert len(pg) == 0 and defect == 0.0
+
+
+@pytest.mark.parametrize("chunk_rows", [5, 100])
+@_on_built_grids
+def test_built_grid_matches_its_table(chunk_rows, L, beta, M, r, t, t_perp, t_prime):
+    # a built grid computes each box when a pass walks it; the table of its
+    # rows slices them.  5-row boxes split every block of L >= 2, 100-row
+    # boxes hold whole blocks
+    grid = GridSpec(L=L, beta=beta, M=M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
+        pg = build_propagator_grid(grid, build_params(t, t_perp, t_prime, r=r))
+        built, text = (pg.conjugation_defect(), pg.sup_norm()), io.StringIO(newline="")
+        pg.to_csv(text)
+        assert len(pg) == len(text.getvalue().split("\r\n")) - 2
+        assert "momenta" not in vars(pg) and "values" not in vars(pg)  # no rows were built
+        table = PropagatorGrid(grid, pg.momenta, pg.values)
+        got = io.StringIO(newline="")
+        table.to_csv(got)
+        assert got.getvalue() == text.getvalue()
+        assert (table.conjugation_defect(), table.sup_norm()) == built
+        assert built[1] == (np.max(np.abs(pg.values)) if len(pg) else 0.0)
 
 
 def test_to_csv_bytes_match_csv_writer(p_star):
@@ -358,6 +405,40 @@ def test_from_csv_roundtrips_special_cells(monkeypatch, p_star):
     assert np.array_equal(np.isnan(got), np.isnan(want))
     keep = ~np.isnan(want)
     assert np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+
+
+def test_sup_norm_of_special_cells(monkeypatch, p_star):
+    # the box maxima are reduced so that a NaN in any box is the answer, as in
+    # np.max over all values; without NaN the answer is inf
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+    pg = _special_cells_grid(p_star)
+    assert math.isnan(pg.sup_norm()) and math.isnan(np.max(np.abs(pg.values)))
+    pg.values[np.isnan(pg.values)] = -math.inf
+    assert pg.sup_norm() == np.max(np.abs(pg.values)) == math.inf
+    pg.values = np.ones_like(pg.values)
+    pg.values[-1, 1, 0] = complex(0.5, math.nan)  # in the last box only
+    assert math.isnan(pg.sup_norm())
+
+
+def test_memory_does_not_grow_with_k0_blocks(p_star):
+    # a build plus all three passes holds a few boxes, not the rows: four
+    # times the k0 blocks (83,328 -> 333,568 rows) cost the same peak
+    class Null:
+        def write(self, text):
+            pass
+
+    peaks = []
+    for M in (8, 10):
+        tracemalloc.start()
+        try:
+            pg = build_propagator_grid(GridSpec(L=4, beta=8.0, M=M), p_star)
+            pg.to_csv(Null())
+            pg.conjugation_defect()
+            pg.sup_norm()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_from_csv_rejects_bad_header():

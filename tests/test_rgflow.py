@@ -286,6 +286,19 @@ def test_run_flow_insulator_stops_at_crossover():
     assert traj.final.nu == 0.0
 
 
+def test_run_flow_gapped_insulator_band_is_empty():
+    # below r ~ -0.24 the gap t_perp |r| lies above the whole scale-0 box, so
+    # the regime-1 k3 bounds clamp to the empty arc at k3 = 0 instead of
+    # taking acos of a number above 1
+    for r in (-0.25, -0.3, -0.49):
+        p = build_params(1.0, 0.5, 2.0, r=r)
+        traj = rg.run_flow(p, 0.05, INTER, -4, n_k=8)
+        assert traj.termination == "insulator-stop"
+        assert [row.h for row in traj.rows] == [ms.crossover_scale(p)] == [0]
+        assert traj.rows[-1].beta.band_points == 0
+        assert traj.final.nu == 0.0
+
+
 def test_run_flow_regime_flip_at_h_star(p_small_r):
     traj = rg.run_flow(p_small_r, 0.01, INTER, -7, n_k=10)
     assert traj.h_star == -4
