@@ -22,8 +22,8 @@ ID2 = np.eye(2, dtype=complex)
 
 
 def pauli(f):
-    """f1 sigma1 + f2 sigma2 + f3 sigma3 for a vector f = (f1, f2, f3)."""
-    f1, f2, f3 = f
+    """f1 sigma1 + f2 sigma2 + f3 sigma3 for f = (f1, f2, f3), stacked: shape S -> S + (2, 2)."""
+    f1, f2, f3 = (np.asarray(x)[..., None, None] for x in f)
     return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
 
 

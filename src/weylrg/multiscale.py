@@ -312,8 +312,8 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
         fields = dict(snap_offset=p_F - p_F_snap, k3_origin=omega * p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
-    box = np.meshgrid(k12, k12, k3s, indexing="ij")
-    m = np.stack(mass_vector(*box, p, c.v, c.v3, regime, omega))
+    axes = (k12[:, None, None], k12[None, :, None], k3s)  # separable: m broadcasts
+    m = np.stack(np.broadcast_arrays(*mass_vector(*axes, p, c.v, c.v3, regime, omega)))
     lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
     k0 = k0s[k0s.size // 2:]  # the positive half; the other is its exact mirror
     # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
@@ -326,7 +326,7 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2u)
     table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
     if live.any():
-        low = _valley_split(k0[live, None, None, None], *box, h, _regime2_couplings(c, p),
+        low = _valley_split(k0[live, None, None, None], *axes, h, _regime2_couplings(c, p),
                             p, cutoff)
         low = (low[+1] + low[-1]).reshape(-1, lam2.size)
         table[live] = np.clip(table[live] - low, 0.0, None)

@@ -75,9 +75,9 @@ class GridSpec:
 
 
 def inverse_propagator(kk, p: HoppingParams) -> np.ndarray:
-    """A(kk) as a dense 2x2 complex matrix."""
-    k0, k1, k2, k3 = kk
-    return -1j * k0 * ID2 + pauli(mass_vector(k1, k2, k3, p))
+    """A(kk) as dense 2x2 complex matrices: kk of shape (..., 4) gives (..., 2, 2)."""
+    k0, k1, k2, k3 = np.moveaxis(np.asarray(kk, float), -1, 0)
+    return -1j * k0[..., None, None] * ID2 + pauli(mass_vector(k1, k2, k3, p))
 
 
 def energy_scale(kk, p: HoppingParams):

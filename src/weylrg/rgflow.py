@@ -26,7 +26,7 @@ nu_h bounded; with nu = 0 it grows like 2^-h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -91,6 +91,7 @@ class LocalizedKernel:
     slope; bplus/bminus: sigma1/sigma2 components of the sin k+- slopes;
     b3_h: sigma3 component of d^2/dk3^2 W (regime 1) or d/dk3' W (regime 2).
     Raw derivatives; basis orientation is applied by update_couplings.
+    residual: the largest component outside this pattern, relative to them.
     """
 
     n_h: float
@@ -101,54 +102,51 @@ class LocalizedKernel:
     residual: float = 0.0
 
 
-def _project(mat, sigma) -> float:
-    return float(np.real(np.trace(sigma @ mat)) / 2.0)
-
-
-def _stencil(kernel, point, u, w0=None):
-    """Central difference of kernel along the direction u in (k0, k1, k2, k3)
-    as a function of the spacing d: the slope (W(x + d u) - W(x - d u)) / 2d,
-    or, given the value w0 = W(x), the curvature (W(x + d u) - 2 w0 +
-    W(x - d u)) / d^2.  x + d u is exact for the components u in {0, +-1}."""
-    def diff(d):
-        up = kernel(tuple(x + d * e for x, e in zip(point, u)))
-        dn = kernel(tuple(x - d * e for x, e in zip(point, u)))
-        return (up - dn) / (2.0 * d) if w0 is None else (up - 2.0 * w0 + dn) / d ** 2
-    return diff
-
-
-def _richardson(stencil, delta):
-    d1 = stencil(delta)
-    d2 = stencil(delta / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+#: stencil directions (k0, k1, k2, k3): k0 for b0, (0,1,+-1,0) for b+-, k3 for b3
+_DIRECTIONS = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]], float)
+#: the (I, sigma1, sigma2, sigma3) component localization keeps, times its phase,
+#: of W(0) and of the difference along each of _DIRECTIONS (dW/dk0 = -i b0 I + ...)
+_PATTERN = np.array([[0, 0, 0, 1], [-1j, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+_BASIS = np.stack([ID2, SIGMA1, SIGMA2, SIGMA3])
 
 
 def localize_kernel(kernel, regime: int, point=(0.0, 0.0, 0.0, 0.0),
                     spacing: float = np.pi / 32.0) -> LocalizedKernel:
-    """Extract the local Taylor data of kernel(kk) -> 2x2 at the expansion point.
+    """Extract the local Taylor data of a 2x2 kernel at the expansion point.
 
-    Regime 1 takes {value, k0 slope, sin k+- slopes, k3 curvature} at 0;
-    regime 2 {value, k0 slope, sin k+- slopes, k3' slope} at p_F (pass the
-    expansion point explicitly; regime-2 kernels take relative momenta).
-    One central-difference stencil along four directions: (1,0,0,0) for b0,
-    (0,1,+-1,0) for the sin k+- slopes and (0,0,0,1) for b3, each
-    Richardson-extrapolated once.
+    kernel maps (P, 4) momenta (k0, k1, k2, k3) to (P, 2, 2) values and is
+    called once, on 17: the point and the point +- d u, d in (spacing,
+    spacing / 2), u in _DIRECTIONS.  Regime 1 takes {value, k0 slope, sin
+    k+- slopes, k3 curvature} at 0; regime 2 {value, k0 slope, sin k+-
+    slopes, k3' slope} at p_F (pass the expansion point explicitly).  Central
+    differences, Richardson-extrapolated once.  residual is the largest Pauli
+    component off the kept pattern over W(0) and the differences at both
+    spacings, relative to the largest kept coefficient.
     """
     if not 1e-8 <= spacing < math.inf:
         raise StencilError(f"stencil spacing {spacing:g} is not finite and >= 1e-8")
-    w0 = kernel(tuple(point))
-
-    def derivative(u, w=None):
-        return _richardson(_stencil(kernel, point, u, w), spacing)
-
-    b0 = -float(np.imag(np.trace(derivative((1, 0, 0, 0)))) / 2.0)  # dW/dk0 = -i b0 I + ...
-    bplus = _project(derivative((0, 1, 1, 0)), SIGMA1)
-    bminus = _project(derivative((0, 1, -1, 0)), SIGMA2)
-    b3 = _project(derivative((0, 0, 0, 1), w0 if regime == 1 else None), SIGMA3)
-    # how much of the value sits outside the symmetry pattern
-    resid = float(abs(np.trace(w0) / 2.0) + abs(_project(w0, SIGMA1)) + abs(_project(w0, SIGMA2)))
-    return LocalizedKernel(n_h=_project(w0, SIGMA3), b0_h=b0, bplus_h=bplus, bminus_h=bminus,
-                           b3_h=b3, residual=resid)
+    point = np.asarray(point, float)
+    if point.shape != (4,) or not np.isfinite(point).all():
+        raise ValueError(f"expansion point must be 4 finite numbers, got {point!r}")
+    d = np.array([spacing, spacing / 2.0])[:, None, None, None]
+    kk = point + np.array([1.0, -1.0])[:, None, None, None] * d[..., 0] * _DIRECTIONS
+    w = kernel(np.concatenate([point[None], kk.reshape(-1, 4)]))
+    if np.shape(w) != (17, 2, 2):
+        raise ValueError(f"kernel returned shape {np.shape(w)} for 17 momenta, not (17, 2, 2)")
+    w0, up, dn = w[0], w[1:9].reshape(2, 4, 2, 2), w[9:].reshape(2, 4, 2, 2)  # (d, u, 2, 2)
+    diffs = (up - dn) / (2.0 * d)
+    if regime == 1:
+        diffs[:, 3] = (up[:, 3] - 2.0 * w0 + dn[:, 3]) / d[:, 0] ** 2
+    # complex Pauli components tr(sigma M) / 2 of W(0) and the differences
+    comps = np.einsum("pji,...ij->...p", _BASIS,
+                      np.concatenate([w0[None], diffs.reshape(8, 2, 2)])) / 2.0
+    rich = (4.0 * comps[5:] - comps[1:5]) / 3.0
+    kept = np.real(np.conj(_PATTERN) * np.concatenate([comps[:1], rich])).sum(axis=1)
+    pattern = _PATTERN[[0, 1, 2, 3, 4, 1, 2, 3, 4]]
+    off = np.abs(comps - pattern * np.real(np.conj(pattern) * comps)).max()
+    top = np.abs(kept).max()
+    resid = off / top if top else math.inf if off else 0.0
+    return LocalizedKernel(*map(float, kept), residual=float(resid))
 
 
 def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCouplings:
@@ -174,26 +172,33 @@ def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCoupli
 # --- one-loop self-energy ----------------------------------------------------
 
 def band_self_energy(kk_abs, boxes, inter: InteractionSpec, U: float) -> np.ndarray:
-    """First-order self-energy at absolute momentum from boxes (moments, k1s,
+    """First-order self-energy at absolute momenta from boxes (moments, k1s,
     k2s, k3s, k3_origin): the k0 moments (3, n1, n2, n3) of g on separable
     axes, k3 relative to k3_origin, of a band (BandGrid.box) or a full grid.
 
     sigma(kk) = U vhat(0) tr[g(0)] I - U sum_box sum_p vhat(kbar - pbar) g(p),
-    the Fock sum contracted one axis at a time; tr g(0), the ik0 moment, is
-    exactly 0 in +-k0 pairs (half filling).  kk's k0 is not read (the vertex
-    is instantaneous).
+    the Fock sum contracted one axis at a time for the whole stack: kk_abs of
+    shape (..., 4) gives (..., 2, 2).  tr g(0), the ik0 moment, is exactly 0
+    in +-k0 pairs (half filling).  kk's k0 is not read (the vertex is
+    instantaneous).
     """
+    shape = np.shape(kk_abs)
+    if shape[-1:] != (4,):
+        raise ValueError(f"momenta must have a last axis of 4, got shape {shape}")
+    q = np.reshape(kk_abs, (-1, 4)).astype(float)[:, 1:, None]
+
     def fock(moments, k1s, k2s, k3s, k3_origin):
-        d1 = inter.amplitude * inter.axis_value(kk_abs[1] - k1s)
-        d2 = inter.axis_value(kk_abs[2] - k2s)
-        d3 = inter.axis_value(kk_abs[3] - k3_origin - k3s)
-        return pauli(moments @ d3 @ d2 @ d1)
-    return -U * sum((fock(*box) for box in boxes), np.zeros((2, 2), complex))
+        d1 = inter.amplitude * inter.axis_value(q[:, 0] - k1s)  # (P, n1)
+        d2 = inter.axis_value(q[:, 1] - k2s)
+        d3 = inter.axis_value(q[:, 2] - k3_origin - k3s)
+        return np.einsum("cap,pa->cp", np.einsum("cabp,pb->cap", moments @ d3.T, d2), d1)
+    f = sum((fock(*box) for box in boxes), np.zeros((3, len(q))))
+    return (-U * pauli(f)).reshape(shape[:-1] + (2, 2))
 
 
 def self_energy_first_order(kk, h: int, c: RunningCouplings, inter: InteractionSpec,
                             U: float, p: HoppingParams, n_k: int = 12) -> np.ndarray:
-    """One-loop self-energy of the scales above h at frozen couplings.
+    """One-loop self-energy of the scales above h at frozen couplings, at kk or a stack.
 
     Builds the regime-1 bands h+1..0 (frozen at c) and sums Hartree + Fock;
     equals the direct cumulative-support sum by telescoping of the f_k.
@@ -225,6 +230,7 @@ class BetaRecord:
     max_dimensionless: float
     snap_offset: float = 0.0
     band_points: int = 0
+    residual: float = 0.0  # LocalizedKernel.residual of the step
 
 
 @dataclass
@@ -272,21 +278,15 @@ def flow_step(h: int, c: RunningCouplings, bands: list, inter: InteractionSpec,
     and update.
 
     Returns (couplings at h-1, BetaRecord).  nu flows as nu_{h-1} = 2 nu_h +
-    beta_nu with the dimensionless beta_nu = n_h 2^(1-h)/Z_{h-1}.  Regime-2
-    kernels take k3' relative to p_F and are localized at k3' = 0.
+    beta_nu with the dimensionless beta_nu = n_h 2^(1-h)/Z_{h-1}.  Regime 2
+    is localized at k3 = p_F, i.e. k3' = 0.
     """
     regime = c.regime
     origin = weyl_points(p).p_F if regime == 2 else 0.0
     boxes = [b.box for b in bands]
-
-    def kernel(kk):
-        return band_self_energy((kk[0], kk[1], kk[2], kk[3] + origin), boxes, inter, U)
-
-    loc_raw = localize_kernel(kernel, regime=regime)
-    z = c.Z
-    loc = LocalizedKernel(n_h=loc_raw.n_h / z, b0_h=loc_raw.b0_h / z,
-                          bplus_h=loc_raw.bplus_h / z, bminus_h=loc_raw.bminus_h / z,
-                          b3_h=loc_raw.b3_h / z, residual=loc_raw.residual)
+    loc_raw = localize_kernel(lambda kk: band_self_energy(kk, boxes, inter, U), regime,
+                              point=(0.0, 0.0, 0.0, origin))
+    loc = LocalizedKernel(*(x / c.Z for x in astuple(loc_raw)[:5]), residual=loc_raw.residual)
     c_new = update_couplings(c, loc)
     beta_nu = loc_raw.n_h * 2.0 ** (1 - h) / c_new.Z  # n normalized by Z_{h-1}
     nu_new = 2.0 * c.nu + beta_nu
@@ -297,7 +297,8 @@ def flow_step(h: int, c: RunningCouplings, bands: list, inter: InteractionSpec,
                      bminus=loc.bminus_h, b3=loc.b3_h, beta_nu=beta_nu,
                      max_dimensionless=dimless,
                      snap_offset=max(abs(b.snap_offset) for b in bands),
-                     band_points=sum(b.support_points for b in bands))
+                     band_points=sum(b.support_points for b in bands),
+                     residual=loc.residual)
     return c_new, rec
 
 
@@ -447,11 +448,8 @@ def dressed_det_scan(traj: FlowTrajectory, inter: InteractionSpec, L: int):
     acceptance observable for the counterterm fixed point.
     """
     k3s = 2.0 * np.pi * np.arange(L) / L
-    dets = np.empty(L)
-    for i, k3 in enumerate(k3s):
-        d = dressed_inverse((0.0, 0.0, 0.0, k3), traj, inter)
-        dets[i] = abs(np.linalg.det(d))
-    return k3s, dets
+    kk = np.outer(k3s, (0.0, 0.0, 0.0, 1.0))  # (0, 0, 0, k3) exactly
+    return k3s, np.abs(np.linalg.det(dressed_inverse(kk, traj, inter)))
 
 
 def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpec,

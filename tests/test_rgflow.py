@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from weylrg.cutoff import smooth_cutoff
-from weylrg.lattice import build_params, mass_vector, pauli, weyl_points
+from weylrg.lattice import (ID2, SIGMA1, SIGMA2, SIGMA3, build_params, mass_vector, pauli,
+                            weyl_points)
 from weylrg.propagator import GridSpec, _matsubara_sums, inverse_propagator
 from weylrg import multiscale as ms
 from weylrg import rgflow as rg
@@ -45,19 +46,48 @@ def test_localize_kernel_on_free_inverse(p_star):
 def test_localize_kernel_regime2_slope(p_star):
     wp = weyl_points(p_star)
     loc = rg.localize_kernel(
-        lambda kk: inverse_propagator((kk[0], kk[1], kk[2], kk[3] + wp.p_F), p_star),
+        lambda kk: inverse_propagator(kk + (0.0, 0.0, 0.0, wp.p_F), p_star),
         regime=2)
     assert loc.b3_h == pytest.approx(-wp.v30, abs=1e-6)
 
 
 def test_localize_kernel_zero_and_stencil_error():
-    loc = rg.localize_kernel(lambda kk: np.zeros((2, 2), complex), regime=1)
+    loc = rg.localize_kernel(lambda kk: np.zeros((len(kk), 2, 2), complex), regime=1)
     assert loc.n_h == loc.b0_h == loc.bplus_h == loc.b3_h == 0.0
     # NaN and inf used to pass the underflow test and return NaN slopes
     for bad in (1e-9, math.nan, math.inf):
         with pytest.raises(rg.StencilError):
-            rg.localize_kernel(lambda kk: np.zeros((2, 2), complex), regime=1,
+            rg.localize_kernel(lambda kk: np.zeros((len(kk), 2, 2), complex), regime=1,
                                spacing=bad)
+
+
+def test_localize_kernel_rejects_malformed_points_and_kernels(p_star):
+    def kernel(kk):
+        return inverse_propagator(kk, p_star)
+    for bad in ((0.0, 0.0, 0.0), (0.0,) * 5, np.zeros((17, 4)), (0.0, math.nan, 0.0, 0.0),
+                (0.0, 0.0, math.inf, 0.0), 0.0):
+        with pytest.raises(ValueError, match="4 finite numbers"):
+            rg.localize_kernel(kernel, regime=1, point=bad)
+    # a kernel that answers one momentum instead of the stack
+    with pytest.raises(ValueError, match=r"not \(17, 2, 2\)"):
+        rg.localize_kernel(lambda kk: kernel(kk[0]), regime=1)
+
+
+def test_localize_kernel_calls_the_kernel_once_on_the_stencil(p_star):
+    calls = []
+
+    def kernel(kk):
+        calls.append(np.array(kk))
+        return inverse_propagator(kk, p_star)
+    rg.localize_kernel(kernel, regime=2, point=(0.0, 0.0, 0.0, 1.0), spacing=0.25)
+    assert len(calls) == 1 and calls[0].shape == (17, 4)
+    steps = calls[0] - (0.0, 0.0, 0.0, 1.0)
+    assert np.array_equal(steps[0], np.zeros(4))
+    # +-d and +-d/2 along (1,0,0,0), (0,1,1,0), (0,1,-1,0) and (0,0,0,1)
+    dirs = {(1, 0, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (0, 0, 0, 1)}
+    got = {tuple(s) for s in steps[1:]}
+    assert got == {tuple(sign * d * np.array(u)) for u in dirs for sign in (1, -1)
+                   for d in (0.25, 0.125)}
 
 
 def test_update_couplings_examples(p_star):
@@ -299,6 +329,72 @@ def test_run_flow_gapped_insulator_band_is_empty():
         assert traj.final.nu == 0.0
 
 
+@pytest.mark.parametrize("r", [0.5, 3.125e-4, 0.0, -0.2])
+def test_run_flow_b0_is_exactly_zero(r):
+    """The instantaneous vertex never renormalizes Z: the k0 slope of every
+    step's kernel is exactly 0, however the stacked contraction rounds its
+    rows, so Z stays exactly 1."""
+    traj = rg.run_flow(build_params(1.0, 0.5, 2.0, r=r), 0.05, INTER, -6, n_k=8)
+    assert traj.rows
+    for row in traj.rows:
+        assert row.beta.b0 == 0.0, row.h
+        assert row.couplings.Z == 1.0, row.h
+    assert traj.final.Z == 1.0
+
+
+@pytest.mark.parametrize("r", [0.5, 0.05, 2.0 ** -10, 0.0])
+def test_flow_steps_keep_the_symmetry_pattern(r):
+    """What localization drops, every Pauli component outside the pattern of
+    (n, b0, b+, b-, b3) over W(0) and the stencil differences, stays below
+    1e-9 of the kept coefficients at every step; the h = 0 box with moments
+    that break the k1 <-> k2 symmetry is far above it."""
+    p = build_params(1.0, 0.5, 2.0, r=r)
+    traj = rg.run_flow(p, 0.05, INTER, -4, n_k=8)
+    assert [row.h for row in traj.rows] == [0, -1, -2, -3]
+    for row in traj.rows:
+        assert row.beta.residual <= 1e-9, row.h
+
+    def localized(boxes, regime):
+        k3 = weyl_points(p).p_F if regime == 2 else 0.0
+        return rg.localize_kernel(lambda kk: rg.band_self_energy(kk, boxes, INTER, 0.05),
+                                  regime, point=(0.0, 0.0, 0.0, k3))
+    # the first and the last step again, from the boxes the flow kept (Z = 1)
+    first, last = traj.rows[0].beta, traj.rows[-1].beta
+    assert first.regime == 1
+    nboxes = 2 if last.regime == 2 else 1
+    for rec, boxes in ((first, traj.boxes[:1]), (last, traj.boxes[-nboxes:])):
+        loc = localized(boxes, rec.regime)
+        assert (loc.residual, loc.b3_h, loc.bplus_h) == (rec.residual, rec.b3, rec.bplus)
+    moments, k1s, *axes = traj.boxes[0]
+    bent = (moments * (1.0 + 0.1 * k1s)[:, None, None], k1s, *axes)
+    assert localized([bent], 1).residual > 1e-4
+
+
+# one term off the pattern in one datum each: (Pauli matrix, scalar field of kk)
+_OFF_PATTERN = {
+    "sigma1 in the k0 slope": (SIGMA1, lambda kk: kk[:, 0]),
+    "I in the k+ slope": (ID2, lambda kk: np.sin(kk[:, 1] + kk[:, 2])),
+    "sigma3 in the k- slope": (SIGMA3, lambda kk: kk[:, 1] - kk[:, 2]),
+    "sigma1 in the k3 curvature": (SIGMA1, lambda kk: np.cos(kk[:, 3]) - 1.0),
+    "imaginary sigma3 in the k3 curvature": (1j * SIGMA3, lambda kk: kk[:, 3] ** 2),
+    "sigma2 in W(0)": (SIGMA2, lambda kk: np.ones(len(kk))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_PATTERN))
+def test_localize_kernel_residual_sees_every_datum(p_star, name):
+    """The free inverse propagator keeps the pattern (its largest kept
+    coefficients are b0 = b+- = 1); 0.01 of a term off it sets the residual."""
+    sigma, field = _OFF_PATTERN[name]
+
+    def kernel(kk):
+        return inverse_propagator(kk, p_star)
+    assert rg.localize_kernel(kernel, regime=1).residual <= 1e-12
+    loc = rg.localize_kernel(lambda kk: kernel(kk) + 0.01 * field(kk)[:, None, None] * sigma,
+                             regime=1)
+    assert 0.005 < loc.residual < 0.05
+
+
 def test_run_flow_regime_flip_at_h_star(p_small_r):
     traj = rg.run_flow(p_small_r, 0.01, INTER, -7, n_k=10)
     assert traj.h_star == -4
@@ -462,14 +558,42 @@ def test_grid_box_fock_matches_pointwise_sum(p_star, grid):
         box = rg._grid_moments(p_star, grid, weight)
         s0, _ = _matsubara_sums(grid, np.sum(m ** 2, axis=0), grid.M, extra=weight)
         moments = m * s0 / grid.L ** 3
-        for kk in ((0.0, 0.0, 0.0, p_f), (0.1, 0.2, 0.3, 1.0), (0.0, -0.4, 0.25, -p_f + 0.1),
-                   (0.0, 1.0, 2.0, 3.0), (0.0, np.pi / 64, np.pi / 64, p_f)):
+        kks = ((0.0, 0.0, 0.0, p_f), (0.1, 0.2, 0.3, 1.0), (0.0, -0.4, 0.25, -p_f + 0.1),
+               (0.0, 1.0, 2.0, 3.0), (0.0, np.pi / 64, np.pi / 64, p_f))
+        stacked = rg.band_self_energy(np.array(kks), [box], INTER, 1.0)
+        assert stacked.shape == (5, 2, 2)
+        for kk, row in zip(kks, stacked):
             q = np.asarray(kk[1:])[:, None] - kbar.T
             vhat = INTER.amplitude * INTER.axis_value(q[0]) * INTER.axis_value(q[1]) \
                 * INTER.axis_value(q[2])
             want = -pauli(moments @ vhat)
-            got = rg.band_self_energy(kk, [box], INTER, 1.0)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (support, kk)
+            for got in (rg.band_self_energy(kk, [box], INTER, 1.0), row):
+                assert got.shape == (2, 2)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (support, kk)
+
+
+def test_stacked_band_self_energy_matches_row_by_row(p_star, p_small_r):
+    """A (P, 4) stack through the bridge band and a regime-2 band, with the
+    17 stencil momenta of a localization among them, against one call per row."""
+    p_f = weyl_points(p_star).p_F
+    bands = _test_bands(p_star, p_small_r)
+    stencil = np.array([[0, 0, 0, 0], [0.1, 0, 0, 0], [0, 0.1, 0.1, 0], [0, 0.05, -0.05, 0],
+                        [0, 0, 0, -0.1], [0.3, 0.1, -0.2, p_f], [0, 1.0, 2.0, 3.0]])
+    for name in ("bridge", "valley +1"):
+        box = bands[name].box
+        kks = stencil + (0.0, 0.0, 0.0, box[-1])
+        stacked = rg.band_self_energy(kks, [box], INTER, 0.05)
+        for kk, got in zip(kks, stacked):
+            want = rg.band_self_energy(kk, [box], INTER, 0.05)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (name, kk)
+
+
+def test_band_self_energy_rejects_malformed_momenta(p_star):
+    box = rg._grid_moments(p_star, GridSpec(L=4, beta=8.0, M=4), None)
+    assert rg.band_self_energy(np.zeros((2, 3, 4)), [box], INTER, 1.0).shape == (2, 3, 2, 2)
+    for bad in (np.zeros(3), np.zeros((5, 3)), np.zeros((4, 5)), 0.0, (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="last axis of 4"):
+            rg.band_self_energy(bad, [box], INTER, 1.0)
 
 
 def _held_arrays(obj, seen=None, found=None):
