@@ -18,16 +18,14 @@ the phase sign chosen so the equal-time jump S0(0,0+) - S0(0,0-) is +I
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .cutoff import smooth_cutoff
 from .lattice import HoppingParams, ID2, band_energy, mass_vector, pauli
-
-Momentum4 = tuple  # (k0, k1, k2, k3)
 
 
 class SingularMomentumError(ZeroDivisionError):
@@ -43,6 +41,9 @@ class GridSpec:
     M: int = 12
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.L, self.M)):
+            raise ValueError(f"GridSpec needs integer L and M, got {self.L!r} and {self.M!r}")
         if self.L < 1 or not 0 < self.beta < math.inf or self.M < 0:
             raise ValueError("GridSpec requires L >= 1, finite beta > 0, M >= 0")
 
@@ -301,33 +302,52 @@ def _boxes(blocks: int, n: int):
                 yield a, a + 1, s, min(s + _CHUNK_ROWS, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagatorGrid:
-    """Tabulated 2x2 values over 4-momenta (rows of `momenta`).
-
-    to_csv, conjugation_defect and sup_norm walk the rows in _boxes of the
-    layout _blocks checks and take each box from _box_values: a slice of
-    `values` here, computed as it is walked in build_propagator_grid's grids.
+    """2x2 values on k0-major blocks of grid.spatial_momenta(): block i is
+    frequency k0[i] at every spatial momentum, k0 strictly increasing and
+    k0[nk0 - 1 - i] exactly -k0[i].  box(a, b, s, e) returns a new
+    (b - a, e - s, 2, 2) array of blocks a..b at spatial momenta s..e;
+    to_csv, conjugation_defect and sup_norm walk the rows in _boxes of it.
     """
 
     grid: GridSpec
-    momenta: np.ndarray  # (N, 4)
-    values: np.ndarray   # (N, 2, 2) complex
+    k0: np.ndarray
+    box: Callable[[int, int, int, int], np.ndarray]
 
     def __len__(self):
-        return self.momenta.shape[0]
+        return self.k0.size * self.grid.L ** 3
 
-    def _blocks(self):
-        """(k0 of each block, grid.spatial_momenta()) once the rows are checked to
-        be laid out as build_propagator_grid writes them and from_csv reads them
-        back: k0-major blocks of grid.spatial_momenta(), k0 strictly increasing,
-        and the k0 of block nk0 - 1 - i the exact negative of block i's, all bit
-        for bit.  Any other layout raises ValueError.
-        """
+    @property
+    def momenta(self) -> np.ndarray:
+        """The (N, 4) momenta of the rows, built on each read."""
         kbar = self.grid.spatial_momenta()
+        mom = np.empty((self.k0.size, kbar.shape[0], 4))
+        mom[:, :, 0] = self.k0[:, None]
+        mom[:, :, 1:] = kbar
+        return mom.reshape(-1, 4)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (N, 2, 2) complex values of the rows, built on each read."""
+        return self.box(0, self.k0.size, 0, self.grid.L ** 3).reshape(-1, 2, 2)
+
+    @classmethod
+    def from_rows(cls, grid: GridSpec, momenta, values) -> "PropagatorGrid":
+        """The table of (N, 4) momenta and (N, 2, 2) values, once the rows are
+        checked to be laid out as build_propagator_grid writes them and
+        from_csv reads them back: k0-major blocks of grid.spatial_momenta(), k0
+        strictly increasing, and the k0 of block nk0 - 1 - i the exact negative
+        of block i's, all bit for bit.  Any other layout, or values of another
+        shape, raises ValueError.
+        """
+        kbar = grid.spatial_momenta()
         n = kbar.shape[0]
-        nk0, extra = divmod(len(self), n)
-        mom = self.momenta[:nk0 * n].reshape(nk0, n, 4)
+        momenta = np.ascontiguousarray(momenta, float)
+        if np.shape(values) != (momenta.shape[0], 2, 2):
+            raise ValueError(f"{np.shape(values)} propagator values for {len(momenta)} rows")
+        nk0, extra = divmod(momenta.shape[0], n)
+        mom = momenta[:nk0 * n].reshape(nk0, n, 4)
         k0, bits = mom[:, 0, 0], mom.view(np.uint64)
         if extra or not (np.all(np.diff(k0) > 0)
                          and np.array_equal(bits[:, 0, 0], (-k0[::-1]).view(np.uint64))
@@ -335,36 +355,29 @@ class PropagatorGrid:
                          and (bits[..., 1:] == kbar.view(np.uint64)).all()):
             raise ValueError("propagator rows are not k0-major blocks of grid.spatial_momenta() "
                              "with increasing, mirrored k0")
-        return k0, kbar
-
-    def _box_values(self, a, b, s, e):
-        """The (b - a, e - s, 2, 2) values of blocks a..b at spatial momenta s..e."""
-        return self.values.reshape(-1, self.grid.L ** 3, 2, 2)[a:b, s:e]
+        rows = np.array(values, complex).reshape(nk0, n, 2, 2)
+        return cls(grid, k0.copy(), lambda a, b, s, e: rows[a:b, s:e].copy())
 
     def sup_norm(self) -> float:
-        """max |entry| over all rows (NaN if any entry is NaN; 0.0 without rows).
-        The rows must be in the layout _blocks checks (ValueError otherwise)."""
-        k0, kbar = self._blocks()
+        """max |entry| over all rows (NaN if any entry is NaN; 0.0 without rows)."""
         worst = 0.0
-        for box in _boxes(k0.size, kbar.shape[0]):
-            worst = np.max(np.abs(self._box_values(*box)), initial=worst)
+        for box in _boxes(self.k0.size, self.grid.L ** 3):
+            worst = np.max(np.abs(self.box(*box)), initial=worst)
         return float(worst)
 
     def conjugation_defect(self) -> float:
         """max |value(-k0, kbar) - value(k0, kbar)^dagger| over all rows.
 
-        The rows must be in the layout _blocks checks (ValueError otherwise);
-        each is paired with its mirror by position, and a row whose difference
+        Each row is paired with its mirror by position; a row whose difference
         holds a NaN is ignored.
         """
-        k0, kbar = self._blocks()
-        nk0 = k0.size
+        nk0 = self.k0.size
         # the lower half's differences are the upper half's, negated and
         # transposed; blocks a..b mirror blocks nk0-b..nk0-a, reversed
         worst = 0.0
-        for a, b, s, e in _boxes(nk0 // 2, kbar.shape[0]):
-            mirror = self._box_values(nk0 - b, nk0 - a, s, e)[::-1]
-            diff = mirror - self._box_values(a, b, s, e).conj().swapaxes(2, 3)
+        for a, b, s, e in _boxes(nk0 // 2, self.grid.L ** 3):
+            mirror = self.box(nk0 - b, nk0 - a, s, e)[::-1]
+            diff = mirror - self.box(a, b, s, e).conj().swapaxes(2, 3)
             worst = float(np.fmax.reduce(np.abs(diff).max(axis=(2, 3)), axis=None,
                                          initial=worst))
         return worst
@@ -372,23 +385,22 @@ class PropagatorGrid:
     def to_csv(self, path_or_buf):
         """Header plus one CRLF row per momentum, every float written by repr.
 
-        The rows must be in the layout _blocks checks (ValueError otherwise), so
-        the momenta are written from it: one "\\r\\n" + k0 + "," lead per block,
-        which starts each row, and one "k1,k2,k3" per spatial momentum.  A
-        value's repr is its magnitude's (the sign bit cleared) with "-" in
-        front when the sign bit is set and it is not NaN, which repr writes as
-        "nan" whatever its sign.  So each box calls repr once per distinct
-        magnitude, and every value cell is two tokens: "," or ",-", then the
-        magnitude's text.
+        The momenta are written from the layout: one "\\r\\n" + k0 + "," lead
+        per block, which starts each row, and one "k1,k2,k3" per spatial
+        momentum.  A value's repr is its magnitude's (the sign bit cleared)
+        with "-" in front when the sign bit is set and it is not NaN, which
+        repr writes as "nan" whatever its sign.  So each box calls repr once
+        per distinct magnitude, and every value cell is two tokens: "," or
+        ",-", then the magnitude's text.
         """
-        k0, kbar = self._blocks()
-        lead = np.array([f"\r\n{k!r}," for k in k0.tolist()], dtype=object)
+        kbar = self.grid.spatial_momenta()
+        lead = np.array([f"\r\n{k!r}," for k in self.k0.tolist()], dtype=object)
         spatial = np.array([",".join(map(repr, k)) for k in kbar.tolist()], dtype=object)
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
         try:
             buf.write(",".join(_CSV_HEADER))
-            for a, b, s, e in _boxes(k0.size, kbar.shape[0]):
-                vals = self._box_values(a, b, s, e).reshape(-1, 4).view(float)
+            for a, b, s, e in _boxes(self.k0.size, kbar.shape[0]):
+                vals = self.box(a, b, s, e).reshape(-1, 4).view(float)
                 mag, cell = np.unique(np.abs(vals).view(np.uint64), return_inverse=True)
                 text = np.array(list(map(repr, mag.view(float).tolist())), dtype=object)
                 tokens = np.empty((b - a, e - s, 18), dtype=object)
@@ -405,7 +417,8 @@ class PropagatorGrid:
 
     @classmethod
     def from_csv(cls, path_or_buf, grid: GridSpec) -> "PropagatorGrid":
-        """Read what to_csv wrote, or the CLI's propagator.csv (manifest line first)."""
+        """Read what to_csv wrote, or the CLI's propagator.csv (manifest line
+        first), through from_rows."""
         buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf, newline="")
         try:
             line = buf.readline()
@@ -420,45 +433,10 @@ class PropagatorGrid:
             if buf is not path_or_buf:
                 buf.close()
         vals = np.ascontiguousarray(data[:, 4:]).view(complex).reshape(-1, 2, 2)
-        return cls(grid=grid, momenta=data[:, :4].copy(), values=vals)
+        return cls.from_rows(grid, data[:, :4], vals)
 
 
-class _Tabulation(PropagatorGrid):
-    """build_propagator_grid's grid: its layout and the inputs of the
-    tabulation formula, O(n_k0 + L^3) numbers.  `momenta` and `values` are
-    built on first read and are the rows from then on."""
-
-    def __init__(self, grid: GridSpec, k0, w, kbar, m):
-        self.grid, self._k0, self._w, self._kbar, self._m = grid, k0, w, kbar, m
-
-    def __len__(self):
-        return self._k0.size * self._kbar.shape[0]
-
-    def _blocks(self):
-        return super()._blocks() if "momenta" in vars(self) else (self._k0, self._kbar)
-
-    def _box_values(self, a, b, s, e):
-        if "values" in vars(self):
-            return super()._box_values(a, b, s, e)
-        entries = _ainv_entries(self._k0[a:b, None], *(m[s:e] for m in self._m))
-        vals = np.empty((b - a, e - s, 4), complex)  # row-major 2x2 entries a, b, c, d
-        for i, entry in enumerate(entries):
-            np.multiply(self._w[a:b], entry, out=vals[..., i])
-        return vals.reshape(b - a, e - s, 2, 2)
-
-    @cached_property
-    def momenta(self):
-        mom = np.empty((self._k0.size, self._kbar.shape[0], 4))
-        mom[:, :, 0] = self._k0[:, None]
-        mom[:, :, 1:] = self._kbar
-        return mom.reshape(-1, 4)
-
-    @cached_property
-    def values(self):
-        return self._box_values(0, self._k0.size, 0, self._kbar.shape[0]).reshape(-1, 2, 2)
-
-
-def build_propagator_grid(grid: GridSpec, p: HoppingParams, M: int | None = None) -> PropagatorGrid:
+def build_propagator_grid(grid: GridSpec, p: HoppingParams) -> PropagatorGrid:
     """Free propagator on the full grid inside the UV cutoff support: the
     weight chibar(2^-M |k0|) times A^{-1}, computed box by box as the grid's
     passes walk it, so the grid holds O(n_k0 + L^3) numbers, not its rows.
@@ -466,8 +444,16 @@ def build_propagator_grid(grid: GridSpec, p: HoppingParams, M: int | None = None
     Rows are k0-major: each frequency with a nonzero cutoff weight carries all
     L^3 spatial momenta in spatial_momenta() order.
     """
-    M = grid.M if M is None else M
-    k0 = grid.matsubara_frequencies(M)
-    cut = smooth_cutoff(np.abs(k0) / 2.0 ** M)
-    kbar = grid.spatial_momenta()
-    return _Tabulation(grid, k0[cut > 0], cut[cut > 0, None], kbar, mass_vector(*kbar.T, p))
+    k0 = grid.matsubara_frequencies()
+    cut = smooth_cutoff(np.abs(k0) / 2.0 ** grid.M)
+    k0, w = k0[cut > 0], cut[cut > 0, None]
+    m = mass_vector(*grid.spatial_momenta().T, p)
+
+    def box(a, b, s, e):
+        entries = _ainv_entries(k0[a:b, None], *(mi[s:e] for mi in m))
+        vals = np.empty((b - a, e - s, 4), complex)  # row-major 2x2 entries a, b, c, d
+        for i, entry in enumerate(entries):
+            np.multiply(w[a:b], entry, out=vals[..., i])
+        return vals.reshape(b - a, e - s, 2, 2)
+
+    return PropagatorGrid(grid, k0, box)

@@ -196,8 +196,9 @@ def test_conjugation_defect_matches_dict_oracle(p_star):
     assert pg.conjugation_defect() == _defect_oracle(pg)
     # a known perturbation of one entry is the whole defect
     delta = 1e-3
-    bumped = PropagatorGrid(pg.grid, pg.momenta, pg.values.copy())
-    bumped.values[5, 0, 1] += delta
+    values = pg.values
+    values[5, 0, 1] += delta
+    bumped = PropagatorGrid.from_rows(pg.grid, pg.momenta, values)
     assert bumped.conjugation_defect() == _defect_oracle(bumped)
     assert bumped.conjugation_defect() == pytest.approx(delta, rel=1e-9)
 
@@ -209,9 +210,10 @@ def test_conjugation_defect_pairs_boxes_like_the_oracle(monkeypatch, p_star, chu
     pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
     defect = pg.conjugation_defect()
     assert defect == _defect_oracle(pg)
-    bumped = PropagatorGrid(pg.grid, pg.momenta, pg.values.copy())
-    bumped.values[2 * 27 + 20, 1, 0] += 1e-3
-    bumped.values[len(pg) - 27 + 13, 0, 0] -= 2e-3j
+    values = pg.values
+    values[2 * 27 + 20, 1, 0] += 1e-3
+    values[len(pg) - 27 + 13, 0, 0] -= 2e-3j
+    bumped = PropagatorGrid.from_rows(pg.grid, pg.momenta, values)
     assert bumped.conjugation_defect() == _defect_oracle(bumped)
     assert bumped.conjugation_defect() == pytest.approx(2e-3, rel=1e-9)
 
@@ -261,25 +263,72 @@ def test_conjugation_defect_refuses_other_layouts(p_star):
     pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
     for name, grid, momenta, values in _off_layout_grids(pg, p_star):
         with pytest.raises(ValueError, match="k0-major blocks"):
-            PropagatorGrid(grid, momenta, values).conjugation_defect()
+            PropagatorGrid.from_rows(grid, momenta, values).conjugation_defect()
             pytest.fail(f"the {name} grid passed the layout check")
-    # a built grid's momenta, once read, are its rows and are checked like a table's
-    pg.momenta[0, 1] = -0.0
-    with pytest.raises(ValueError, match="k0-major blocks"):
-        pg.conjugation_defect()
 
 
 def test_to_csv_refuses_other_layouts(p_star, tmp_path):
-    # the writer takes its momentum texts from the checked layout, so it
-    # refuses what conjugation_defect refuses, before writing anything
+    # the writer takes its momentum texts from the layout, which from_rows
+    # checks, so nothing is written for a grid whose rows are refused
     pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
     for name, grid, momenta, values in _off_layout_grids(pg, p_star):
         buf, path = io.StringIO(newline=""), tmp_path / "off.csv"
         for target in (buf, path):
             with pytest.raises(ValueError, match="k0-major blocks"):
-                PropagatorGrid(grid, momenta, values).to_csv(target)
+                PropagatorGrid.from_rows(grid, momenta, values).to_csv(target)
                 pytest.fail(f"the {name} grid was written")
         assert buf.getvalue() == "" and not path.exists()
+
+
+def test_from_rows_refuses_values_that_do_not_match_the_momenta(p_star):
+    # one extra block of NaN rows, one row short, or rows of 4 entries: the
+    # passes would pair and reduce other rows than the momenta name
+    pg = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
+    nan_block = np.full((8, 2, 2), complex(math.nan, math.nan))
+    for values in (np.concatenate([pg.values, nan_block]), pg.values[:-1],
+                   pg.values.reshape(-1, 4)):
+        with pytest.raises(ValueError, match="propagator values for"):
+            PropagatorGrid.from_rows(pg.grid, pg.momenta, values)
+            pytest.fail(f"{values.shape} values were taken for {len(pg)} rows")
+
+
+def test_reading_rows_changes_nothing(p_star):
+    # momenta and values are new arrays on each read, and from_rows keeps
+    # none of the arrays it was given: writing into any of them leaves the
+    # passes as they were
+    def passes(pg):
+        text = io.StringIO(newline="")
+        pg.to_csv(text)
+        return text.getvalue(), pg.conjugation_defect(), pg.sup_norm()
+
+    built = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
+    momenta, values = built.momenta, built.values
+    table = PropagatorGrid.from_rows(built.grid, momenta, values)
+    before = passes(built)
+    assert passes(table) == before
+    for pg in (built, table):
+        pg.momenta[0, 1] = -0.0
+        pg.values[5, 0, 1] += 1.0
+        read = pg.momenta, pg.values
+        for rows in (*read, momenta, values):
+            rows[:] = math.nan
+        assert passes(pg) == before
+    assert np.array_equal(built.values, table.values)
+
+
+def test_grid_spec_needs_integer_L_and_M(p_star):
+    # a fractional L gives L^3 momenta 2 pi j / L of no periodic lattice, and
+    # every sum over them is then divided by a fractional L^3
+    for bad in (dict(L=2.5), dict(L=2.0), dict(L=True), dict(L=np.float64(2)),
+                dict(M=3.0), dict(M=False), dict(L="2")):
+        with pytest.raises(ValueError, match="integer L and M"):
+            GridSpec(**{"L": 2, "beta": 4.0, "M": 3, **bad})
+    numpy_ints = GridSpec(L=np.int64(2), beta=4.0, M=np.int32(3))
+    assert numpy_ints == GridSpec(L=2, beta=4.0, M=3)
+    got, want = (build_propagator_grid(g, p_star)
+                 for g in (numpy_ints, GridSpec(L=2, beta=4.0, M=3)))
+    assert len(got) == len(want) == 160
+    assert np.array_equal(got.momenta, want.momenta) and np.array_equal(got.values, want.values)
 
 
 def _on_built_grids(test):
@@ -322,8 +371,7 @@ def test_built_grid_matches_its_table(chunk_rows, L, beta, M, r, t, t_perp, t_pr
         built, text = (pg.conjugation_defect(), pg.sup_norm()), io.StringIO(newline="")
         pg.to_csv(text)
         assert len(pg) == len(text.getvalue().split("\r\n")) - 2
-        assert "momenta" not in vars(pg) and "values" not in vars(pg)  # no rows were built
-        table = PropagatorGrid(grid, pg.momenta, pg.values)
+        table = PropagatorGrid.from_rows(grid, pg.momenta, pg.values)
         got = io.StringIO(newline="")
         table.to_csv(got)
         assert got.getvalue() == text.getvalue()
@@ -332,11 +380,13 @@ def test_built_grid_matches_its_table(chunk_rows, L, beta, M, r, t, t_perp, t_pr
 
 
 def test_to_csv_bytes_match_csv_writer(p_star):
-    pg = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
-    pg.values[0] = [[complex(-0.0, 0.0), complex(5e-324, -2.2250738585072014e-308)],
-                    [complex(-math.nan, 0.0), complex(-math.inf, 0.0)]]
+    built = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
+    values = built.values
+    values[0] = [[complex(-0.0, 0.0), complex(5e-324, -2.2250738585072014e-308)],
+                 [complex(-math.nan, 0.0), complex(-math.inf, 0.0)]]
+    values[9] = [[-0.0 + 3.3e-296j, 1e-310 - 0.0j], [np.pi, -1e300]]
+    pg = PropagatorGrid.from_rows(built.grid, built.momenta, values)
     assert np.signbit(pg.values[0].real).tolist() == [[True, False], [True, True]]
-    pg.values[9] = [[-0.0 + 3.3e-296j, 1e-310 - 0.0j], [np.pi, -1e300]]
     got = io.StringIO(newline="")
     pg.to_csv(got)
     assert got.getvalue() == _csv_writer_bytes(pg)
@@ -369,11 +419,11 @@ def _special_cells_grid(p):
     special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                         -5e-324, -2.2250738585072014e-308, 0.1, -1e300])
     pool = np.append(special.view(np.uint64), np.uint64(0x7FF8000000000001))
-    pg = build_propagator_grid(_SPECIAL_GRID, p)
-    cells = np.random.default_rng(11).choice(pool, size=(len(pg), 8)).view(float)
+    built = build_propagator_grid(_SPECIAL_GRID, p)
+    cells = np.random.default_rng(11).choice(pool, size=(len(built), 8)).view(float)
     assert set(cells.view(np.uint64).ravel().tolist()) == set(pool.tolist())
-    pg.values = cells.view(complex).reshape(-1, 2, 2)
-    return pg
+    return PropagatorGrid.from_rows(_SPECIAL_GRID, built.momenta,
+                                    cells.view(complex).reshape(-1, 2, 2))
 
 
 def _cells(pg):
@@ -413,11 +463,13 @@ def test_sup_norm_of_special_cells(monkeypatch, p_star):
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
     pg = _special_cells_grid(p_star)
     assert math.isnan(pg.sup_norm()) and math.isnan(np.max(np.abs(pg.values)))
-    pg.values[np.isnan(pg.values)] = -math.inf
+    values = pg.values
+    values[np.isnan(values)] = -math.inf
+    pg = PropagatorGrid.from_rows(pg.grid, pg.momenta, values)
     assert pg.sup_norm() == np.max(np.abs(pg.values)) == math.inf
-    pg.values = np.ones_like(pg.values)
-    pg.values[-1, 1, 0] = complex(0.5, math.nan)  # in the last box only
-    assert math.isnan(pg.sup_norm())
+    values = np.ones_like(pg.values)
+    values[-1, 1, 0] = complex(0.5, math.nan)  # in the last box only
+    assert math.isnan(PropagatorGrid.from_rows(pg.grid, pg.momenta, values).sup_norm())
 
 
 def test_memory_does_not_grow_with_k0_blocks(p_star):
