@@ -148,15 +148,24 @@ def _mode_propagator(eps, x0, beta, positive_branch):
     return np.where(eps >= 0, pos, neg)
 
 
+def _displacement(x1, x2, x3) -> tuple[int, int, int]:
+    """The lattice displacement as ints; a fractional one raises ValueError."""
+    if not all(float(xi).is_integer() for xi in (x1, x2, x3)):
+        raise ValueError(f"lattice displacement {(x1, x2, x3)} is not integral")
+    return int(x1), int(x2), int(x3)
+
+
 def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None = None) -> np.ndarray:
     """Exact S0(x) from the diagonal-basis closed forms, rotated to (a, b).
 
-    x = (x0, x1, x2, x3) with integer lattice displacement and x0 in (-beta,
-    beta] (rejected outside; use normalize_time first).  side selects the
-    one-sided limit at x0 = 0: "+" evaluates the x0 > 0 branch, "-" the
-    x0 <= 0 branch (the time-ordering default).
+    x = (x0, x1, x2, x3) with integral lattice displacement (a fractional one
+    raises ValueError) and x0 in (-beta, beta] (rejected outside; use
+    normalize_time first).  side selects the one-sided limit at x0 = 0: "+"
+    evaluates the x0 > 0 branch, "-" the x0 <= 0 branch (the time-ordering
+    default).  The phase e^{-i kbar.xbar} factorizes over the three axes, so
+    the L^3 sum is taken one axis at a time.
     """
-    x0, x1, x2, x3 = x
+    x0, xbar = x[0], _displacement(*x[1:])
     beta = grid.beta
     if not (-beta < x0 <= beta):
         raise ValueError(f"x0 = {x0} outside (-beta, beta]")
@@ -164,22 +173,19 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
         raise ValueError("side must be None, '+' or '-'")
     branch_positive = x0 > 0 if side is None else (side == "+")
 
-    kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(*kbar.T, p)
-    lam = band_energy(0.0, (m1, m2, m3))
+    ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
+    m = mass_vector(ks[:, None, None], ks[None, :, None], ks, p)
+    lam = band_energy(0.0, m)
     gp = _mode_propagator(lam, x0, beta, branch_positive)
     gm = _mode_propagator(-lam, x0, beta, branch_positive)
     c0 = 0.5 * (gp + gm)
     # (gp - gm)/(2 lam) stays finite as lam -> 0 and multiplies m directly
     with np.errstate(invalid="ignore", divide="ignore"):
         c1 = np.where(lam > 0, 0.5 * (gp - gm) / np.where(lam > 0, lam, 1.0), 0.0)
-    phase = np.exp(-1j * (kbar[:, 0] * x1 + kbar[:, 1] * x2 + kbar[:, 2] * x3))
-    w0 = np.sum(phase * c0)
-    w1 = np.sum(phase * c1 * m1)
-    w2 = np.sum(phase * c1 * m2)
-    w3 = np.sum(phase * c1 * m3)
-    n = grid.L ** 3
-    return (w0 * ID2 + pauli((w1, w2, w3))) / n
+    f = np.stack([c0, c1 * m[0], c1 * m[1], c1 * m[2]])
+    e1, e2, e3 = (np.exp(-1j * ks * xi) for xi in xbar)
+    w0, w1, w2, w3 = ((f @ e3) @ e2) @ e1
+    return (w0 * ID2 + pauli((w1, w2, w3))) / grid.L ** 3
 
 
 # --- regularized momentum sums -------------------------------------------
@@ -190,11 +196,14 @@ def _paired_sums(k0, w, lam2u, weight=None):
     at once, k0 holding the positive half and w (n, k0.size) each pair's
     factors, over the distinct lambda^2 lam2u, in blocks of frequencies.
     weight is a (k0.size, lam2u.size) table or weight(k0sq, lam2u) per block.
+    Every block is filled in place into one reused block buffer.
     """
     sums = np.zeros((w.shape[0], lam2u.size))
+    buf = np.empty((min(k0.size, 4096), lam2u.size))
     for lo in range(0, k0.size, 4096):
         k0sq = k0[lo:lo + 4096, None] ** 2
-        g = 1.0 / (k0sq + lam2u)
+        g = buf[:k0sq.shape[0]]
+        np.divide(1.0, np.add(k0sq, lam2u, out=g), out=g)
         if callable(weight):
             g *= weight(k0sq, lam2u)
         elif weight is not None:
@@ -250,11 +259,9 @@ def regularized_propagator_sum(x, grid: GridSpec, p: HoppingParams,
     Converges to schwinger_time_domain(x) away from x = (0 mod beta, 0bar)
     and to the mean of the two one-sided limits at x = 0 (tail ~ 2^-M there).
     """
-    x0, x1, x2, x3 = x
-    if not all(float(xi).is_integer() for xi in (x1, x2, x3)):
-        raise ValueError(f"lattice displacement {(x1, x2, x3)} is not integral")
+    x1, x2, x3 = _displacement(*x[1:])
     L = grid.L
-    return regularized_all_spatial(x0, grid, p, M)[int(x1) % L, int(x2) % L, int(x3) % L]
+    return regularized_all_spatial(x[0], grid, p, M)[x1 % L, x2 % L, x3 % L]
 
 
 def equal_time_jump(grid: GridSpec, p: HoppingParams) -> np.ndarray:

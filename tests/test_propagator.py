@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from weylrg import propagator
-from weylrg.lattice import ID2, bloch_matrix, build_params, mass_vector, weyl_points
+from weylrg.lattice import (ID2, SIGMA1, SIGMA2, SIGMA3, bloch_matrix, build_params, mass_vector,
+                            weyl_points)
 from weylrg.propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
                                _matsubara_sums,
                                build_propagator_grid, counterterm_nu_C, energy_scale,
@@ -103,6 +104,61 @@ def test_time_domain_rejects_out_of_window(p_star):
     assert normalize_time(9.0, 8.0) == pytest.approx(-7.0)
 
 
+def test_time_domain_rejects_fractional_displacement(p_star):
+    # a fractional displacement is no lattice point; integral floats are
+    with pytest.raises(ValueError, match="not integral"):
+        schwinger_time_domain((0.5, 1.5, 0, 0), GRID, p_star)
+    with pytest.raises(ValueError, match="not integral"):
+        schwinger_time_domain((0.5, 0, 0, math.nan), GRID, p_star)
+    assert np.array_equal(schwinger_time_domain((0.5, 2.0, 0, -1.0), GRID, p_star),
+                          schwinger_time_domain((0.5, 2, 0, -1), GRID, p_star))
+
+
+def _flat_time_domain(x, grid, p, side=None):
+    """S0(x) as one flat sum over the L^3 momenta with the full L^3 phase, and
+    the largest |summand|, the scale of the sum's rounding."""
+    x0, x1, x2, x3 = x
+    positive = x0 > 0 if side is None else side == "+"
+    kbar = grid.spatial_momenta()
+    m1, m2, m3 = mass_vector(*kbar.T, p)
+    lam = np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
+    gp = propagator._mode_propagator(lam, x0, grid.beta, positive)
+    gm = propagator._mode_propagator(-lam, x0, grid.beta, positive)
+    c0 = 0.5 * (gp + gm)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c1 = np.where(lam > 0, 0.5 * (gp - gm) / np.where(lam > 0, lam, 1.0), 0.0)
+    phase = np.exp(-1j * (kbar[:, 0] * x1 + kbar[:, 1] * x2 + kbar[:, 2] * x3))
+    fields = (c0, c1 * m1, c1 * m2, c1 * m3)
+    w0, w1, w2, w3 = (np.sum(phase * f) for f in fields)
+    scale = max(np.max(np.abs(f)) for f in fields)
+    return (w0 * ID2 + w1 * SIGMA1 + w2 * SIGMA2 + w3 * SIGMA3) / kbar.shape[0], scale
+
+
+_SITE = st.integers(-7, 7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(L=st.integers(1, 5), xbar=st.tuples(_SITE, _SITE, _SITE),
+       beta=st.floats(0.5, 16.0), frac=st.floats(-1.0, 1.0, exclude_min=True),
+       side=st.sampled_from([None, "+", "-"]), r=st.floats(-0.5, 0.5, exclude_min=True))
+@example(L=3, xbar=(1, -2, 4), beta=8.0, frac=0.0, side="+", r=0.5)
+@example(L=3, xbar=(1, -2, 4), beta=8.0, frac=0.0, side="-", r=0.5)
+def test_time_domain_matches_flat_sum(L, xbar, beta, frac, side, r):
+    # the axis-by-axis sum differs from the flat one only in summation order,
+    # so by rounding on the scale of the summands, not of the result (which
+    # can cancel to far below them).  The largest difference measured over
+    # L <= 12, beta in [0.5, 16], r in {-0.4, 0, 0.5}, all three sides and
+    # displacements up to 15 was 6.6e-15 of the largest |summand|; 1e-13
+    # leaves a margin of 15
+    grid = GridSpec(L=L, beta=beta, M=4)
+    p = build_params(1.0, 0.5, 2.0, r=r)
+    x = (frac * beta,) + xbar
+    if x[0] <= -beta:  # frac just above -1 can round onto the excluded edge
+        reject()
+    want, scale = _flat_time_domain(x, grid, p, side)
+    assert np.max(np.abs(schwinger_time_domain(x, grid, p, side) - want)) <= 1e-13 * scale
+
+
 def test_cross_representation_point(p_star):
     a = schwinger_time_domain((0.5, 1, 0, 0), GRID, p_star)
     b = regularized_propagator_sum((0.5, 1, 0, 0), GRID, p_star, M=12)
@@ -180,14 +236,16 @@ def _round_key(x):
 
 
 def _defect_oracle(pg):
-    """The row-by-row dict definition of the conjugation defect."""
-    key = {tuple(map(_round_key, kk)): i for i, kk in enumerate(pg.momenta)}
+    """The row-by-row dict definition of the conjugation defect.  momenta and
+    values build the whole table on each read, so each is read once."""
+    momenta, values = pg.momenta, pg.values
+    key = {tuple(map(_round_key, kk)): i for i, kk in enumerate(momenta)}
     worst = 0.0
-    for i, kk in enumerate(pg.momenta):
+    for i, kk in enumerate(momenta):
         mirror = (_round_key(-kk[0]), _round_key(kk[1]), _round_key(kk[2]), _round_key(kk[3]))
         j = key.get(mirror)
         if j is not None:
-            worst = max(worst, float(np.max(np.abs(pg.values[j] - pg.values[i].conj().T))))
+            worst = max(worst, float(np.max(np.abs(values[j] - values[i].conj().T))))
     return worst
 
 
@@ -555,6 +613,26 @@ def test_matsubara_sums_match_brute_force(p_star, brute_matsubara, L, x0):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(b0))
         if x0 == 0.0:
             assert np.all(a == 0.0)
+
+
+def test_paired_sums_without_frequencies_is_zero():
+    sums = propagator._paired_sums(np.empty(0), np.empty((2, 0)), np.array([0.5, 1.0, 4.0]))
+    assert sums.shape == (2, 3) and np.all(sums == 0.0)
+
+
+def test_paired_sums_table_weight_over_a_partial_block():
+    # 4097 frequencies: one full 4096-row block and a last block of one row
+    rng = np.random.default_rng(23)
+    k0 = rng.uniform(0.1, 50.0, 4097)
+    w = rng.normal(size=(2, k0.size))
+    lam2u = np.array([0.0, 0.25, 1.0, 9.0])
+    table = rng.uniform(0.0, 1.0, (k0.size, lam2u.size))
+    want = np.zeros((2, lam2u.size))
+    for i in range(k0.size):
+        for j in range(lam2u.size):
+            want[:, j] += w[:, i] * table[i, j] / (k0[i] ** 2 + lam2u[j])
+    got = propagator._paired_sums(k0, w, lam2u, table)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 _ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
