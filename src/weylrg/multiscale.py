@@ -31,8 +31,11 @@ e = sqrt(k0^2 + lambda^2): chi_{h-1} of the same chain (one shell_cutoff
 ramp), the two-component chi_{h*-1} of the valley split for the bridge band
 at h*, or nothing for the insulator tail.
 Its k0 sum is the paired reduction over distinct lambda^2 the Matsubara sums
-use (propagator._paired_sums).  The valley split theta(omega k3) chi_{h*-1}
-(_valley_split) also serves quasiparticle_split and disconnection_check.
+use (propagator._paired_sums).  lambda^2 is exactly even in k1, k2 and (in
+regime 1) k3 and symmetric under k1 <-> k2 on symmetric axes, so its distinct
+values are found over one point per orbit of the box.  Valley -1 of regime 2
+is the k3' mirror of valley +1 (BandGrid.mirror).  The valley split theta(omega
+k3) chi_{h*-1} (_valley_split) serves quasiparticle_split, disconnection_check.
 
 Position values (decay audits, the relativistic remainder) take the same
 reduction with the pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]: real (s0, a)
@@ -205,6 +208,15 @@ class BandGrid:
         """(moments, k1s, k2s, k3s, k3_origin): what band_self_energy reads."""
         return self.moments, self.k1s, self.k2s, self.k3s, self.k3_origin
 
+    def mirror(self) -> "BandGrid":
+        """Valley -1 of this valley +1 band: m3(-1, k3') = m3(+1, -k3') exactly and
+        the k3' axis is +-n d3, so its box is this one reversed along k3' (0 - k3'
+        keeps k3' = 0 at +0.0, as a build has it)."""
+        moments, key = (np.ascontiguousarray(a[..., ::-1]) for a in (self.moments, self.key))
+        moments.flags.writeable = key.flags.writeable = False
+        return replace(self, omega=-1, k3s=0.0 - self.k3s[::-1], moments=moments, key=key,
+                       k3_origin=-self.k3_origin)
+
     def mass_arrays(self):
         box = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")
         c = self.couplings
@@ -250,6 +262,11 @@ def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) 
     return (np.arange(n_lo, n_hi + 1) + off) * spacing
 
 
+def _fold(n: int) -> np.ndarray:
+    """Index i of a symmetric axis of n values to min(i, n-1-i), its mirror class."""
+    return np.minimum(np.arange(n), np.arange(n)[::-1])
+
+
 def _band_bounds_r1(h, c, p, cutoff):
     emax = 2.0 * cutoff.a0 * 2.0 ** h
     dpm = math.asin(min(1.0, emax / c.v))
@@ -288,10 +305,13 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     bridge band at h = h*; evaluated only on k0 slices where it is not 0) or
     None (the insulator tail).  Regime 2 (omega: the valley) needs
     h <= h_star - 1; its box holds k3' relative to omega p_F, clipped to the
-    theta(omega k3) window (-p_F, pi - p_F) of the Weyl point snapped to the
-    k3 axis spacing.  The topmost regime-2 scale has the two-component cutoff
-    chibar(b0 2^-h* e) as its upper edge.
+    theta(omega k3) window of the Weyl point snapped to the k3 axis spacing:
+    (-p_F, pi - p_F) for valley +1, which is built, and (p_F - pi, p_F) for
+    valley -1, its mirror image.  The topmost regime-2 scale has the
+    two-component cutoff chibar(b0 2^-h* e) as its upper edge.
     """
+    if regime == 2 and omega == -1:
+        return band_grid(h, 2, 1, c, p, cutoff, n=n, n3=n3, h_star=h_star, lower=lower).mirror()
     if regime == 1:
         emax, ext12, k3_lo, k3_hi = _band_bounds_r1(h, c, p, cutoff)
     else:
@@ -319,10 +339,14 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
     live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
     if live.any():
-        lam2u, key = lam2.ravel(), np.arange(lam2.size)
-    else:
-        lam2u, key = np.unique(lam2, return_inverse=True)
-    key = key.reshape(lam2.shape)
+        lam2u, key = lam2.ravel(), np.arange(lam2.size).reshape(lam2.shape)
+    else:  # distinct lambda^2 over the orbits of the box (module docstring)
+        f12, l3 = _fold(k12.size), _fold(k3s.size) if regime == 1 else np.arange(k3s.size)
+        reps, plane = np.unique(np.minimum.outer(f12, f12) * k12.size
+                                + np.maximum.outer(f12, f12), return_inverse=True)
+        rep = lam2[reps // k12.size, reps % k12.size, :l3.max() + 1]
+        lam2u, col = np.unique(rep, return_inverse=True)
+        key = col.reshape(rep.shape)[:, l3][plane.reshape(f12.size, -1)]
     s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2u)
     table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
     if live.any():

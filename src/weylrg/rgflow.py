@@ -316,9 +316,10 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
 
     Regime 1 runs for h > h*; the h* step integrates the bridge band (upper
     regime-1 cutoff, lower two-component cutoff) after which v3 converts to
-    the axial velocity v3 sin(p_F) and regime 2 continues per valley down to
-    h_min.  r < 0 stops at h* with the remaining infrared integrated in a
-    single step and nu_{h*} = 0.  r = 0 stays in regime 1 throughout.
+    the axial velocity v3 sin(p_F) and regime 2 continues down to h_min, one
+    band build per step: valley +1, and valley -1 as its mirror.  r < 0 stops
+    at h* with the remaining infrared integrated in a single step and
+    nu_{h*} = 0.  r = 0 stays in regime 1 throughout.
     """
     if h_min > 0:
         raise ValueError("h_min must be <= 0")
@@ -352,8 +353,8 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
         elif c.regime == 1:
             bands = [band_grid(h, 1, 1, c, p, cutoff, n=n_k)]
         else:
-            bands = [band_grid(h, 2, om, c, p, cutoff, n=n_k, h_star=h_star)
-                     for om in (+1, -1)]
+            plus = band_grid(h, 2, 1, c, p, cutoff, n=n_k, h_star=h_star)
+            bands = [plus, plus.mirror()]
         c_new, rec = flow_step(h, c, bands if tail else _require_support(bands), inter, U, p)
         rows.append(FlowRow(h=h, couplings=c, beta=rec))
         boxes.extend(b.box for b in bands)

@@ -230,6 +230,21 @@ def _check_position_values(p_star, name):
     assert np.max(np.abs(got - want)) <= 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
 
 
+@pytest.mark.parametrize("name", ["regime 1", "regime 2", "insulator tail", "chain bridge"])
+def test_band_columns_are_the_distinct_lambda2_of_the_box(p_star, name):
+    """The orbit dedup finds exactly np.unique's columns: one per distinct
+    lambda^2 of the whole box, the key its inverse, bit for bit."""
+    if name == "chain bridge":  # default b0: no live valley slice, columns deduplicated
+        bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star,
+                          ms.default_cutoff(p_star), n=10, n3=96, lower="valleys")
+    else:
+        bg = _oracle_band(p_star, name)
+    m1, m2, m3 = bg.mass_arrays()
+    lam2u, inv = np.unique(m1 ** 2 + m2 ** 2 + m3 ** 2, return_inverse=True)
+    assert bg.table.shape[1] == lam2u.size < bg.key.size
+    assert np.array_equal(bg.key, inv.reshape(bg.key.shape))
+
+
 def test_quasiparticle_split_sum_rule(p_star):
     cut = ms.default_cutoff(p_star)
     c = ms.initial_couplings(p_star, regime=2)

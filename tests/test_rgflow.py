@@ -186,6 +186,24 @@ def test_cached_band_sums_match_direct_einsum(p_star, p_small_r):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (name, kk)
 
 
+def test_valley_minus_one_is_the_mirror_of_valley_plus_one(p_star):
+    """At b0 = 6 the k3' box is cut by the theta(omega k3) window, which differs
+    between the valleys: valley -1 must sit in (p_F - pi, p_F] and match the
+    +1 box point for point, and its moments the point-by-point oracle."""
+    cut = ms.CutoffSpec(a0=p_star.a0, b0=6.0)
+    c = ms.initial_couplings(p_star, regime=2).replace(h=-1)
+    bp, bm = (ms.band_grid(-1, 2, om, c, p_star, cut, n=10, h_star=0) for om in (+1, -1))
+    p_f = weyl_points(p_star).p_F
+    assert np.array_equal(bm.k3s, -bp.k3s[::-1])
+    assert p_f - np.pi < bm.k3s.min() and bm.k3s.max() <= p_f
+    assert bm.omega == -1 and bm.k3_origin == -p_f
+    assert bm.support_points == bp.support_points > 0
+    for kk in ((0.0, 0.0, 0.0, -p_f), (0.0, 0.2, -0.1, -p_f + 0.3), (0.0, -0.3, 0.4, 1.0)):
+        got = rg.band_self_energy(kk, [bm.box], INTER, 0.05)
+        want = _direct_self_energy(kk, bm, INTER, 0.05)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kk
+
+
 def test_band_weight_cannot_be_written(p_star, p_small_r):
     kk = (0.0, 0.1, -0.2, 0.3)
     for name, bg in _test_bands(p_star, p_small_r).items():
@@ -404,6 +422,23 @@ def test_run_flow_regime_flip_at_h_star(p_small_r):
     assert all(reg == 2 for h, reg in regimes if h < -4)
     assert traj.v3_crossover == pytest.approx(
         traj.rows[4].couplings.v3 * math.sin(weyl_points(p_small_r).p_F), rel=1e-6)
+
+
+def test_run_flow_builds_one_band_per_step(p_small_r, monkeypatch):
+    """Regime-2 steps build valley +1 and take valley -1 as its mirror."""
+    calls = []
+    real = rg.band_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rg, "band_grid", counted)
+    traj = rg.run_flow(p_small_r, 0.01, INTER, -7, n_k=10)
+    assert len(calls) == len(traj.rows) == 7 and traj.termination == "completed"
+    assert [h for h, regime, _ in calls if regime == 2] == [-5, -6]
+    assert all(omega == 1 for _, _, omega in calls)
+    assert len(traj.boxes) == 9
 
 
 def test_run_flow_r_zero_stays_regime1():
