@@ -7,9 +7,9 @@ from .lattice import (HoppingParams, ParameterError, PhaseLabel, WeylPointData,
                       bloch_matrix, build_params, classify_phase, dispersion,
                       weyl_points)
 from .propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
-                         counterterm_nu_C, energy_scale, equal_time_jump,
-                         free_propagator, inverse_propagator,
-                         regularized_propagator_sum, schwinger_time_domain)
+                         counterterm_nu_C, equal_time_jump, free_propagator,
+                         inverse_propagator, regularized_propagator_sum,
+                         schwinger_time_domain)
 from .cutoff import smooth_cutoff
 from .multiscale import (BandGrid, ConfigurationError, CutoffSpec,
                          InsufficientGridError, RunningCouplings, band_grid,

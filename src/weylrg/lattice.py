@@ -21,10 +21,12 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-def pauli(f):
-    """f1 sigma1 + f2 sigma2 + f3 sigma3 for f = (f1, f2, f3), stacked: shape S -> S + (2, 2)."""
+def pauli(f, f0=None):
+    """f0 I + f1 sigma1 + f2 sigma2 + f3 sigma3, f = (f1, f2, f3): every 2x2 from its
+    components, which broadcast, shape S -> S + (2, 2); f0 = None adds no I term."""
     f1, f2, f3 = (np.asarray(x)[..., None, None] for x in f)
-    return f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
+    m = f1 * SIGMA1 + f2 * SIGMA2 + f3 * SIGMA3
+    return m if f0 is None else np.asarray(f0)[..., None, None] * ID2 + m
 
 
 #: |  |mu - t'|/t_perp - 1 | below this counts as the critical boundary.
@@ -127,7 +129,10 @@ def mass_vector(k1, k2, k3, p: HoppingParams, v=None, v3=None, regime: int = 1,
     if regime == 1:
         m3 = v3 * (np.cos(k3) - 1.0 + p.r) + E
     else:
-        eprime = p.t_perp * math.cos(weyl_points(p).p_F) * (np.cos(k3) - 1.0) + E
+        wp = weyl_points(p)
+        if wp is None:
+            raise ValueError("regime-2 mass vector needs semimetal parameters")
+        eprime = p.t_perp * math.cos(wp.p_F) * (np.cos(k3) - 1.0) + E
         m3 = -omega * v3 * np.sin(k3) + eprime
     return v * np.sin(kp), v * np.sin(km), m3
 

@@ -39,8 +39,8 @@ k3) chi_{h*-1} (_valley_split) serves quasiparticle_split, disconnection_check.
 
 Position values (decay audits, the relativistic remainder) take the same
 reduction with the pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]: real (s0, a)
-per column, so the entries a +- m3 s0 and (m1 -+ i m2) s0 need only real
-fields summed over the spatial phases, one x0 at a time, in O(box) memory.
+per column, so g = pauli(m s0, a) needs only the four real fields (a, m s0)
+summed over the spatial phases, one x0 at a time, in O(box) memory.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cutoff import shell_cutoff, smooth_cutoff
-from .lattice import HoppingParams, band_energy, mass_vector, weyl_points
+from .lattice import HoppingParams, band_energy, mass_vector, pauli, weyl_points
 from .propagator import _paired_sums
 
 MIN_BAND_POINTS = 100
@@ -131,12 +131,6 @@ def default_cutoff(p: HoppingParams) -> CutoffSpec:
 
 # --- scale reference matrices ---------------------------------------------
 
-def energy_scale_h(kk, c: RunningCouplings, p: HoppingParams, regime: int = 1, omega: int = 1):
-    """|det A_h|^(1/2) for the scale-h reference matrix (k' momenta in regime 2)."""
-    k0, k1, k2, k3 = kk
-    return band_energy(k0, mass_vector(k1, k2, k3, p, c.v, c.v3, regime, omega))
-
-
 def _chi_arg(h, regime, cutoff: CutoffSpec):
     # regime 1: chibar(a0^-1 2^-h e); regime 2 chain: chibar((b0/2) 2^-h e)
     if regime == 1:
@@ -148,8 +142,8 @@ def _chi_arg(h, regime, cutoff: CutoffSpec):
 
 def chi_support(kk, h, c: RunningCouplings, p: HoppingParams, cutoff: CutoffSpec,
                 regime: int = 1, omega: int = 1):
-    """Cumulative cutoff chi_h(kk) in [0, 1]."""
-    e = energy_scale_h(kk, c, p, regime, omega)
+    """Cumulative cutoff chi_h(kk) in [0, 1] of |det A_h|^(1/2) (k' momenta in regime 2)."""
+    e = band_energy(kk[0], mass_vector(*kk[1:], p, c.v, c.v3, regime, omega))
     return smooth_cutoff(_chi_arg(h, regime, cutoff) * np.asarray(e))
 
 
@@ -228,8 +222,8 @@ class BandGrid:
 
         Real (s0, a) = cell/Z sum_k0 e^{-i k0 x0} [1, i k0] f/(k0^2 + lambda^2)
         by _paired_sums over the distinct (table column, lambda^2) pairs, 32 x0
-        at a time; the four real fields of the entries a +- m3 s0, (m1 -+ i m2)
-        s0 meet the spatial phases one x0 at a time, in O(box) memory."""
+        at a time; the four real fields (a, m s0) of pauli(m s0, a) meet the
+        spatial phases one x0 at a time, in O(box) memory."""
         m1, m2, m3_band = self.mass_arrays()
         m3 = m3_band if m3 is None else np.broadcast_to(m3, m1.shape)
         lam2u, lam = np.unique(m1 ** 2 + m2 ** 2 + m3 ** 2, return_inverse=True)
@@ -250,7 +244,7 @@ class BandGrid:
                 f = np.stack([a[key], m3 * s0, m1 * s0, m2 * s0]).reshape(4, len(self.k1s), -1)
                 g = p1.real @ f + 1j * (p1.imag @ f)  # real fields: two real products
                 ga, g3, g1, g2 = p2 @ g.reshape(4, len(p1), len(self.k2s), -1) @ p3.T
-                out.append(np.stack([ga + g3, g1 - 1j * g2, g1 + 1j * g2, ga - g3], axis=-1))
+                out.append(pauli((g1, g2, g3), ga))
         return np.array(out).reshape(x0s.size, len(p1), len(p2), len(p3), 2, 2)
 
 
@@ -278,14 +272,13 @@ def _band_bounds_r1(h, c, p, cutoff):
     return emax, 2.0 * dpm, k3_lo, k3_hi
 
 
-def _band_bounds_r2(h, c, p, cutoff):
+def _band_bounds_r2(h, c, p, cutoff, p_F):
     emax = 4.0 * 2.0 ** h / cutoff.b0
     dpm = math.asin(min(1.0, emax / c.v))
     e_ub = p.t_prime * dpm ** 2
-    wp = weyl_points(p)
     k3max = math.asin(min(1.0, emax / c.v3))
     for _ in range(3):
-        curv = p.t_perp * abs(math.cos(wp.p_F)) * (1.0 - math.cos(min(k3max, math.pi / 2)))
+        curv = p.t_perp * abs(math.cos(p_F)) * (1.0 - math.cos(min(k3max, math.pi / 2)))
         k3max = math.asin(min(1.0, (emax + e_ub + curv) / c.v3))
     return emax, 2.0 * dpm, min(1.5 * k3max, math.pi)
 
@@ -317,7 +310,10 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     else:
         if h_star is None or h > h_star - 1:
             raise ValueError(f"regime-2 band needs h <= h_star - 1, got h={h}, h_star={h_star}")
-        emax, ext12, k3_hi = _band_bounds_r2(h, c, p, cutoff)
+        wp = weyl_points(p)
+        if wp is None:
+            raise ValueError("regime-2 band needs semimetal parameters")
+        emax, ext12, k3_hi = _band_bounds_r2(h, c, p, cutoff, wp.p_F)
     d0, d12, d3 = 2.0 * emax / n, 2.0 * ext12 / n, max(2.0 * k3_hi / (n3 or n), 1e-12)
     cell = d0 * d12 ** 2 * d3 / (2.0 * np.pi) ** 4
     fields = {}
@@ -325,11 +321,10 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
         arc = _axis_values(d3, max(0.0, k3_lo - d3), min(np.pi, k3_hi + d3))
         k3s = np.unique(np.round(np.concatenate([-arc[::-1], arc]), 15))
     else:
-        p_F = weyl_points(p).p_F
-        p_F_snap = round(p_F / d3) * d3
+        p_F_snap = round(wp.p_F / d3) * d3
         k3s = _axis_values(d3, max(-k3_hi - d3, -p_F_snap + d3 / 2),
                            min(k3_hi + d3, np.pi - p_F_snap - d3 / 2))
-        fields = dict(snap_offset=p_F - p_F_snap, k3_origin=omega * p_F)
+        fields = dict(snap_offset=wp.p_F - p_F_snap, k3_origin=omega * wp.p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
     axes = (k12[:, None, None], k12[None, :, None], k3s)  # separable: m broadcasts

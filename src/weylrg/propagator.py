@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .cutoff import smooth_cutoff
-from .lattice import HoppingParams, ID2, band_energy, mass_vector, pauli
+from .lattice import HoppingParams, band_energy, mass_vector, pauli
 
 
 class SingularMomentumError(ZeroDivisionError):
@@ -78,23 +78,13 @@ class GridSpec:
 def inverse_propagator(kk, p: HoppingParams) -> np.ndarray:
     """A(kk) as dense 2x2 complex matrices: kk of shape (..., 4) gives (..., 2, 2)."""
     k0, k1, k2, k3 = np.moveaxis(np.asarray(kk, float), -1, 0)
-    return -1j * k0[..., None, None] * ID2 + pauli(mass_vector(k1, k2, k3, p))
+    return pauli(mass_vector(k1, k2, k3, p), -1j * k0)
 
 
-def energy_scale(kk, p: HoppingParams):
-    """|det A|^(1/2) = sqrt(k0^2 + lambda(kbar)^2); broadcasts over arrays."""
-    k0, k1, k2, k3 = kk
-    return band_energy(k0, mass_vector(k1, k2, k3, p))
-
-
-def _ainv_entries(k0, m1, m2, m3):
-    """Entries of A^{-1} = (i k0 I + m.sigma)/(k0^2 + |m|^2), vectorized."""
+def _ainv(k0, m1, m2, m3):
+    """A^{-1} = (i k0 I + m.sigma)/(k0^2 + |m|^2); broadcasts, shape S -> S + (2, 2)."""
     den = k0 ** 2 + m1 ** 2 + m2 ** 2 + m3 ** 2
-    a = (1j * k0 + m3) / den
-    b = (m1 - 1j * m2) / den
-    c = (m1 + 1j * m2) / den
-    d = (1j * k0 - m3) / den
-    return a, b, c, d
+    return pauli((m1, m2, m3), 1j * k0) / den[..., None, None]
 
 
 def free_propagator(kk, p: HoppingParams) -> np.ndarray:
@@ -107,8 +97,7 @@ def free_propagator(kk, p: HoppingParams) -> np.ndarray:
     m = mass_vector(k1, k2, k3, p)
     if band_energy(k0, m) < 1e-12:
         raise SingularMomentumError(f"free propagator is singular at kk = {kk}")
-    a, b, c, d = _ainv_entries(float(k0), *m)
-    return np.array([[a, b], [c, d]], dtype=complex)
+    return _ainv(float(k0), *m)
 
 
 # --- time domain ---------------------------------------------------------
@@ -185,7 +174,7 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
     f = np.stack([c0, c1 * m[0], c1 * m[1], c1 * m[2]])
     e1, e2, e3 = (np.exp(-1j * ks * xi) for xi in xbar)
     w0, w1, w2, w3 = ((f @ e3) @ e2) @ e1
-    return (w0 * ID2 + pauli((w1, w2, w3))) / grid.L ** 3
+    return pauli((w1, w2, w3), w0) / grid.L ** 3
 
 
 # --- regularized momentum sums -------------------------------------------
@@ -225,29 +214,20 @@ def _matsubara_sums(grid: GridSpec, lam2, M: int, x0: float = 0.0, extra=None):
     return _paired_sums(k0, w, lam2u, extra)[:, back] / grid.beta
 
 
-def _frequency_reduced(x0: float, grid: GridSpec, p: HoppingParams, M: int):
-    """(1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} A^{-1}(k0, kbar) per kbar.
-
-    Returns the four (L^3,) arrays of the 2x2 entries.
-    """
-    kbar = grid.spatial_momenta()
-    m1, m2, m3 = mass_vector(*kbar.T, p)
-    s0, a = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, M, x0)
-    return a + m3 * s0, (m1 - 1j * m2) * s0, (m1 + 1j * m2) * s0, a - m3 * s0
-
-
 def regularized_all_spatial(x0: float, grid: GridSpec, p: HoppingParams,
                             M: int | None = None) -> np.ndarray:
     """g_M(x0, xbar) for every lattice displacement at once; (L, L, L, 2, 2).
 
-    One FFT per entry: value[xbar] = (1/L^3) sum_kbar e^{-i kbar.xbar} f(kbar).
+    (1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} A^{-1} is pauli(m s0, a) per kbar
+    with the real (s0, a) of _matsubara_sums; one FFT over the spatial axes gives
+    value[xbar] = (1/L^3) sum_kbar e^{-i kbar.xbar} of it.
     """
     M = grid.M if M is None else M
     L = grid.L
-    out = np.empty((L, L, L, 2, 2), complex)
-    for i, f in enumerate(_frequency_reduced(x0, grid, p, M)):
-        out[..., i // 2, i % 2] = np.fft.fftn(f.reshape(L, L, L)) / L ** 3
-    return out
+    m1, m2, m3 = mass_vector(*grid.spatial_momenta().T, p)
+    s0, a = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, M, x0)
+    f = pauli((m1 * s0, m2 * s0, m3 * s0), a).reshape(L, L, L, 2, 2)
+    return np.fft.fftn(f, axes=(0, 1, 2)) / L ** 3
 
 
 def regularized_propagator_sum(x, grid: GridSpec, p: HoppingParams,
@@ -453,14 +433,10 @@ def build_propagator_grid(grid: GridSpec, p: HoppingParams) -> PropagatorGrid:
     """
     k0 = grid.matsubara_frequencies()
     cut = smooth_cutoff(np.abs(k0) / 2.0 ** grid.M)
-    k0, w = k0[cut > 0], cut[cut > 0, None]
+    k0, w = k0[cut > 0], cut[cut > 0, None, None, None]
     m = mass_vector(*grid.spatial_momenta().T, p)
 
     def box(a, b, s, e):
-        entries = _ainv_entries(k0[a:b, None], *(mi[s:e] for mi in m))
-        vals = np.empty((b - a, e - s, 4), complex)  # row-major 2x2 entries a, b, c, d
-        for i, entry in enumerate(entries):
-            np.multiply(w[a:b], entry, out=vals[..., i])
-        return vals.reshape(b - a, e - s, 2, 2)
+        return w[a:b] * _ainv(k0[a:b, None], *(mi[s:e] for mi in m))
 
     return PropagatorGrid(grid, k0, box)

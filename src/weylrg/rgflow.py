@@ -501,9 +501,7 @@ def relativistic_form(kkprime, omega: int, Z: float, v: float, v3: float) -> np.
     """Inverse of the linearized matrix at couplings (Z, v, v3), valley omega."""
     k0, k1, k2, k3p = kkprime
     kp, km = (k1 + k2) / 2.0, (k1 - k2) / 2.0
-    mat = (-1j * k0 * ID2 + v * kp * SIGMA1 + v * km * SIGMA2
-           - omega * v3 * k3p * SIGMA3)
-    return np.linalg.inv(Z * mat)
+    return np.linalg.inv(Z * pauli((v * kp, v * km, -omega * v3 * k3p), -1j * k0))
 
 
 def dressed_two_point(kkprime, omega: int, traj: FlowTrajectory,
@@ -514,6 +512,8 @@ def dressed_two_point(kkprime, omega: int, traj: FlowTrajectory,
     ||S_rel^{-1} S_dressed - 1|| and bound = |kk'| / v30.
     """
     wp = weyl_points(traj.params)
+    if wp is None:
+        raise ValueError("dressed two-point function needs semimetal parameters")
     k0, k1, k2, k3p = kkprime
     norm_kp = math.sqrt(k0 ** 2 + k1 ** 2 + k2 ** 2 + k3p ** 2)
     bound = norm_kp / wp.v30

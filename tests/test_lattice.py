@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from weylrg.lattice import (ParameterError, PhaseLabel, bloch_matrix, build_params,
-                            classify_phase, dispersion, weyl_points, SIGMA3)
+from weylrg.lattice import (ID2, SIGMA1, SIGMA2, SIGMA3, ParameterError, PhaseLabel,
+                            bloch_matrix, build_params, classify_phase, dispersion,
+                            mass_vector, pauli, weyl_points)
 
 
 def test_build_params_r_mu_consistency():
@@ -59,6 +60,29 @@ def test_build_params_requires_exactly_one_of_r_mu():
         build_params(1.0, 0.5, 2.0)
     with pytest.raises(ParameterError):
         build_params(1.0, 0.5, 2.0, r=0.1, mu=1.6)
+
+
+def test_pauli_matches_explicit_sum_on_broadcast_shapes():
+    rng = np.random.default_rng(11)
+    f1, f2, f3 = rng.normal(size=(3, 5))  # (E,) fields
+    f0 = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))  # (B, 1)
+    got = pauli((f1, f2, f3), f0)
+    assert got.shape == (4, 5, 2, 2)
+    want = np.empty((4, 5, 2, 2), complex)
+    want[..., 0, 0], want[..., 0, 1] = f0 + f3, f1 - 1j * f2
+    want[..., 1, 0], want[..., 1, 1] = f1 + 1j * f2, f0 - f3
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, f0[..., None, None] * ID2 + pauli((f1, f2, f3)),
+                               rtol=0, atol=1e-15)
+    assert pauli((1.0, 2.0, 3.0), 0.5j).shape == (2, 2)
+    # without f0 the three-term form, bit for bit
+    old = sum(f[..., None, None] * s for f, s in zip((f1, f2, f3), (SIGMA1, SIGMA2, SIGMA3)))
+    assert pauli((f1, f2, f3)).tobytes() == old.tobytes()
+
+
+def test_mass_vector_regime2_needs_semimetal(p_insulator):
+    with pytest.raises(ValueError, match="needs semimetal parameters"):
+        mass_vector(0.1, 0.2, 0.3, p_insulator, regime=2)
 
 
 def test_bloch_matrix_hand_values(p_star):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylrg.cutoff import shell_cutoff, smooth_cutoff
-from weylrg.lattice import build_params, mass_vector, weyl_points
+from weylrg.lattice import band_energy, build_params, mass_vector, weyl_points
 from weylrg.propagator import free_propagator
 from weylrg import multiscale as ms
 
@@ -71,7 +71,7 @@ def test_scale_support_examples(p_small_r):
     assert chi == pytest.approx(1.0)
     # energy_scale = 4 a0 2^h has chibar argument 4 -> chi_h = 0
     kk = (4.0 * cut.a0 * 2.0 ** -3, 0.0, 0.0, np.pi / 2)
-    e = ms.energy_scale_h(kk, c, p_small_r)
+    e = band_energy(kk[0], mass_vector(*kk[1:], p_small_r, c.v, c.v3))
     assert smooth_cutoff(e / (cut.a0 * 2.0 ** -3)) == 0.0
 
 
@@ -343,6 +343,20 @@ def test_remainder_halves_per_scale(p_star):
         ratios[h] = np.max(np.abs(r)) / np.max(np.abs(g))
     for h in (-3, -4):
         assert ratios[h + 1] / ratios[h] == pytest.approx(2.0, rel=0.3)
+
+
+def test_regime2_band_needs_semimetal(p_insulator):
+    """band_grid in regime 2, and decay_audit and relativistic_split_r2 through it,
+    reject insulator parameters (h* = 0 at r = -0.2) with a clear error."""
+    c, cut = ms.initial_couplings(p_insulator), ms.default_cutoff(p_insulator)
+    h_star = ms.crossover_scale(p_insulator)
+    calls = [lambda omega=omega: ms.band_grid(-1, 2, omega, c, p_insulator, cut, n=8,
+                                              h_star=h_star) for omega in (1, -1)]
+    calls.append(lambda: ms.decay_audit([-1], lambda h: c, p_insulator, regime=2, N=8))
+    calls.append(lambda: ms.relativistic_split_r2(-1, 1, c, p_insulator, cut, h_star, 8))
+    for call in calls:
+        with pytest.raises(ValueError, match="needs semimetal parameters"):
+            call()
 
 
 def test_decay_audit_l1_reported(p_small_r):

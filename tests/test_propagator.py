@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from weylrg import propagator
-from weylrg.lattice import (ID2, SIGMA1, SIGMA2, SIGMA3, bloch_matrix, build_params, mass_vector,
-                            weyl_points)
+from weylrg.lattice import (ID2, SIGMA1, SIGMA2, SIGMA3, band_energy, bloch_matrix, build_params,
+                            mass_vector, weyl_points)
 from weylrg.propagator import (GridSpec, PropagatorGrid, SingularMomentumError,
-                               _matsubara_sums,
-                               build_propagator_grid, counterterm_nu_C, energy_scale,
+                               _ainv, _matsubara_sums,
+                               build_propagator_grid, counterterm_nu_C,
                                equal_time_jump, free_propagator, inverse_propagator,
                                normalize_time, regularized_all_spatial,
                                regularized_propagator_sum, schwinger_time_domain)
@@ -41,27 +41,38 @@ def test_det_identity(p_star):
         lam = dispersion((kk[1], kk[2], kk[3]), p_star)
         worst = max(worst, abs(np.linalg.det(a) - (-(kk[0] ** 2 + lam ** 2))))
     assert worst < 1e-12
-    # vectorized identity via energy_scale over the full 1e4 sample
+    # vectorized identity via band_energy(k0, mass_vector(kbar)) over the full 1e4 sample
     lam = dispersion((ks[:, 1], ks[:, 2], ks[:, 3]), p_star)
-    e = energy_scale((ks[:, 0], ks[:, 1], ks[:, 2], ks[:, 3]), p_star)
+    e = band_energy(ks[:, 0], mass_vector(ks[:, 1], ks[:, 2], ks[:, 3], p_star))
     assert np.max(np.abs(e ** 2 - (ks[:, 0] ** 2 + lam ** 2))) < 1e-12
 
 
 def test_energy_scale_examples(p_star):
-    assert energy_scale((0.0, 0.0, 0.0, np.pi / 3), p_star) == pytest.approx(0.0, abs=1e-14)
-    assert energy_scale((0.25, 0.0, 0.0, 0.0), p_star) == pytest.approx(0.353553, abs=1e-6)
-    assert energy_scale((0.4, 0.1, 0.2, 0.3), p_star) == pytest.approx(
-        energy_scale((-0.4, 0.1, 0.2, 0.3), p_star))
+    def energy_scale(kk):  # |det A|^(1/2)
+        return band_energy(kk[0], mass_vector(*kk[1:], p_star))
+
+    assert energy_scale((0.0, 0.0, 0.0, np.pi / 3)) == pytest.approx(0.0, abs=1e-14)
+    assert energy_scale((0.25, 0.0, 0.0, 0.0)) == pytest.approx(0.353553, abs=1e-6)
+    assert energy_scale((0.4, 0.1, 0.2, 0.3)) == pytest.approx(energy_scale((-0.4, 0.1, 0.2, 0.3)))
 
 
 def test_free_propagator_inverse_identity(p_star):
     rng = np.random.default_rng(4)
     worst = 0.0
-    for kk in rng.uniform(0.05, 2 * np.pi - 0.05, size=(10_000, 4))[:500]:
+    ks = rng.uniform(0.05, 2 * np.pi - 0.05, size=(10_000, 4))
+    for kk in ks[:500]:
         a = inverse_propagator(tuple(kk), p_star)
         g = free_propagator(tuple(kk), p_star)
         worst = max(worst, np.max(np.abs(a @ g - np.eye(2))))
     assert worst < 1e-12
+    # the broadcast A^{-1} the grid tabulates, (B, 1) frequencies on (E,) momenta
+    k0, kbar = ks[:40, :1], ks[:300, 1:]
+    ainv = _ainv(k0, *mass_vector(*kbar.T, p_star))
+    kk = np.empty((40, 300, 4))
+    kk[..., :1], kk[..., 1:] = k0[:, None], kbar
+    a = inverse_propagator(kk, p_star)
+    assert ainv.shape == a.shape == (40, 300, 2, 2)
+    assert np.max(np.abs(ainv @ a - np.eye(2))) < 1e-12
 
 
 def test_free_propagator_conjugation_symmetry(p_star):

@@ -334,6 +334,13 @@ def test_run_flow_insulator_stops_at_crossover():
     assert traj.final.nu == 0.0
 
 
+def test_dressed_two_point_needs_semimetal():
+    traj = rg.run_flow(build_params(1.0, 0.5, 2.0, r=-0.2), 0.02, INTER, -8, n_k=10)
+    assert traj.termination == "insulator-stop"
+    with pytest.raises(ValueError, match="needs semimetal parameters"):
+        rg.dressed_two_point((0.01, 0.0, 0.0, 0.01), 1, traj, INTER)
+
+
 def test_run_flow_gapped_insulator_band_is_empty():
     # below r ~ -0.24 the gap t_perp |r| lies above the whole scale-0 box, so
     # the regime-1 k3 bounds clamp to the empty arc at k3 = 0 instead of
