@@ -32,15 +32,15 @@ ramp), the two-component chi_{h*-1} of the valley split for the bridge band
 at h*, or nothing for the insulator tail.
 Its k0 sum is the paired reduction over distinct lambda^2 the Matsubara sums
 use (propagator._paired_sums).  lambda^2 is exactly even in k1, k2 and (in
-regime 1) k3 and symmetric under k1 <-> k2 on symmetric axes, so its distinct
-values are found over one point per orbit of the box.  Valley -1 of regime 2
+regime 1) k3 and symmetric under k1 <-> k2 on symmetric axes, so _orbit_unique
+finds its distinct values over one point per box orbit.  Valley -1 of regime 2
 is the k3' mirror of valley +1 (BandGrid.mirror).  The valley split theta(omega
 k3) chi_{h*-1} (_valley_split) serves quasiparticle_split, disconnection_check.
 
-Position values (decay audits, the relativistic remainder) take the same
-reduction with the pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]: real (s0, a)
-per column, so g = pauli(m s0, a) needs only the four real fields (a, m s0)
-summed over the spatial phases, one x0 at a time, in O(box) memory.
+Position values (decay audits, the relativistic remainder) reduce the band's
+own columns (BandGrid.lam2) with pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]:
+real (s0, a) per column, so g = pauli(m s0, a) needs only the four real fields
+(a, m s0) summed over the spatial phases, one x0 at a time, in O(box) memory.
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ def default_cutoff(p: HoppingParams) -> CutoffSpec:
     bridge band chi_{h*} - chi_{h*-1} a nonnegative partition piece.  At r = 0
     (h* = -inf) regime 2 never starts and b0 = 0.
     """
-    b0 = 0.0 if p.r == 0.0 else 4.0 / p.a0 ** 2
+    b0 = 0.0 if p.r == 0.0 else 4.0 / p.a0 ** 2 if p.a0 ** 2 > 0.0 else math.inf
+    if not (p.r == 0.0 or 0.0 < b0 < math.inf):
+        raise ConfigurationError(f"b0 = 4/a0^2 is not finite and positive at a0 = {p.a0:g}")
     return CutoffSpec(a0=p.a0, b0=b0)
 
 
@@ -161,14 +163,14 @@ def scale_support(kk, h, c: RunningCouplings, p: HoppingParams, cutoff: CutoffSp
 class BandGrid:
     """Single-scale band on a separable momentum box, as a (k0, lambda^2) table.
 
-    Axes are 1-D arrays (k0s, k1s, k2s, k3s).  `table` holds f_h at the
-    positive k0s (the axis mirrors exactly) per distinct lambda^2, or per
-    point on the bridge band's live valley slices; `key` maps the spatial box
-    to its columns.  `moments` = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 + lambda^2)
-    is all an instantaneous vertex sees (the ik0 part cancels in pairs); with
-    the spatial axes it is `box`, all a flow keeps.  `cell` is d0 d12^2
-    d3/(2pi)^4 of the virtual grid and `emax` the box's energy extent; regime-2
-    axes hold k'.  `couplings` and `params` serve mass_arrays (decay audits).
+    Axes are 1-D arrays (k0s, k1s, k2s, k3s).  `table` holds f_h at the positive
+    k0s (the axis mirrors exactly) per column of lambda^2 `lam2`: one per distinct
+    value, or per point on the bridge band's live valley slices.  `key` maps the
+    spatial box to its columns.  `moments` = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 +
+    lambda^2) is all an instantaneous vertex sees (the ik0 part cancels in pairs);
+    with the axes it is `box`, all a flow keeps.  `cell` is d0 d12^2 d3/(2pi)^4 of
+    the virtual grid and `emax` the box's energy extent; regime-2 axes hold k'.
+    `couplings` and `params` serve mass_arrays (decay audits).
     """
 
     h: int
@@ -179,6 +181,7 @@ class BandGrid:
     k2s: np.ndarray
     k3s: np.ndarray
     table: np.ndarray
+    lam2: np.ndarray
     key: np.ndarray
     moments: np.ndarray
     support_points: int
@@ -218,18 +221,21 @@ class BandGrid:
 
     def position_values(self, x0s, x1s, x2s, x3s, m3=None) -> np.ndarray:
         """g(x) = cell * sum_k e^{-i k.x} f A^{-1}/Z on the tensor x-grid, as
-        (nx0, nx1, nx2, nx3, 2, 2); m3 replaces the sigma3 coefficient of A.
+        (nx0, nx1, nx2, nx3, 2, 2); m3, a (n3,) k3 profile, replaces the sigma3
+        coefficient of A on a band whose columns are orbits (not one per point).
 
-        Real (s0, a) = cell/Z sum_k0 e^{-i k0 x0} [1, i k0] f/(k0^2 + lambda^2)
-        by _paired_sums over the distinct (table column, lambda^2) pairs, 32 x0
-        at a time; the four real fields (a, m s0) of pauli(m s0, a) meet the
-        spatial phases one x0 at a time, in O(box) memory."""
-        m1, m2, m3_band = self.mass_arrays()
-        m3 = m3_band if m3 is None else np.broadcast_to(m3, m1.shape)
-        lam2u, lam = np.unique(m1 ** 2 + m2 ** 2 + m3 ** 2, return_inverse=True)
-        pairs, key = np.unique(self.key.ravel() * lam2u.size + lam.ravel(), return_inverse=True)
-        key = key.reshape(m1.shape)
-        lam2u, table = lam2u[pairs % lam2u.size], self.table[:, pairs // lam2u.size]
+        Real (s0, a) = cell/Z sum_k0 e^{-i k0 x0} [1, i k0] f/(k0^2 + lambda^2) by
+        _paired_sums over the columns (with m3: the (column, lambda^2) pairs), 32 x0
+        at a time; (a, m s0) of pauli(m s0, a) meet the spatial phases per x0."""
+        m1, m2, s3 = self.mass_arrays()
+        lam2, table, key = self.lam2, self.table, self.key
+        if m3 is not None:  # a k3 profile keeps the plane orbits orbits
+            if np.shape(m3) != self.k3s.shape or lam2.size == key.size:
+                raise ValueError("m3 needs an (n3,) k3 profile and a band with orbit columns")
+            s3 = np.broadcast_to(m3, m1.shape)
+            lam2, lam = _orbit_unique(m1 ** 2 + m2 ** 2 + s3 ** 2, fold3=False)
+            pairs, key = _orbit_unique(key * lam2.size + lam, fold3=False)
+            lam2, table = lam2[pairs % lam2.size], table[:, pairs // lam2.size]
         k0 = self.k0s[self.k0s.size // 2:]
         p1, p2, p3 = (np.exp(-1j * np.outer(np.asarray(x, float), k)) for x, k in zip(
             (x1s, x2s, x3s), (self.k1s, self.k2s, self.k3s)))
@@ -238,10 +244,10 @@ class BandGrid:
             x0 = x0s[lo:lo + 32, None]
             w = (2.0 * self.cell / self.couplings.Z) * np.concatenate(
                 [np.cos(k0 * x0), k0 * np.sin(k0 * x0)])
-            sums = _paired_sums(k0, w, lam2u, table)
+            sums = _paired_sums(k0, w, lam2, table)
             for s0, a in zip(sums[:x0.size], sums[x0.size:]):
                 s0 = s0[key]
-                f = np.stack([a[key], m3 * s0, m1 * s0, m2 * s0]).reshape(4, len(self.k1s), -1)
+                f = np.stack([a[key], s3 * s0, m1 * s0, m2 * s0]).reshape(4, len(self.k1s), -1)
                 g = p1.real @ f + 1j * (p1.imag @ f)  # real fields: two real products
                 ga, g3, g1, g2 = p2 @ g.reshape(4, len(p1), len(self.k2s), -1) @ p3.T
                 out.append(pauli((g1, g2, g3), ga))
@@ -256,9 +262,15 @@ def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) 
     return (np.arange(n_lo, n_hi + 1) + off) * spacing
 
 
-def _fold(n: int) -> np.ndarray:
-    """Index i of a symmetric axis of n values to min(i, n-1-i), its mirror class."""
-    return np.minimum(np.arange(n), np.arange(n)[::-1])
+def _orbit_unique(x: np.ndarray, fold3: bool):
+    """np.unique(x, return_inverse=True), inverse shaped as x, of an (n, n, n3) box
+    array even in k1, k2 (k3 with fold3), symmetric in k1 <-> k2: over its orbits."""
+    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in x.shape[1:])
+    f3 = f3 if fold3 else np.arange(x.shape[2])
+    reps, plane = np.unique(np.minimum.outer(f12, f12) * f12.size
+                            + np.maximum.outer(f12, f12), return_inverse=True)
+    u, col = np.unique(x[reps // f12.size, reps % f12.size, :f3.max() + 1], return_inverse=True)
+    return u, col.reshape(reps.size, -1)[:, f3][plane.reshape(f12.size, -1)]
 
 
 def _band_bounds_r1(h, c, p, cutoff):
@@ -333,15 +345,8 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     k0 = k0s[k0s.size // 2:]  # the positive half; the other is its exact mirror
     # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
     live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
-    if live.any():
-        lam2u, key = lam2.ravel(), np.arange(lam2.size).reshape(lam2.shape)
-    else:  # distinct lambda^2 over the orbits of the box (module docstring)
-        f12, l3 = _fold(k12.size), _fold(k3s.size) if regime == 1 else np.arange(k3s.size)
-        reps, plane = np.unique(np.minimum.outer(f12, f12) * k12.size
-                                + np.maximum.outer(f12, f12), return_inverse=True)
-        rep = lam2[reps // k12.size, reps % k12.size, :l3.max() + 1]
-        lam2u, col = np.unique(rep, return_inverse=True)
-        key = col.reshape(rep.shape)[:, l3][plane.reshape(f12.size, -1)]
+    lam2u, key = ((lam2.ravel(), np.arange(lam2.size).reshape(lam2.shape)) if live.any()
+                  else _orbit_unique(lam2, fold3=regime == 1))  # live: a column per point
     s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2u)
     table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
     if live.any():
@@ -353,9 +358,9 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     moments = (cell / c.Z) * sums[key] * m
     # both halves of the k0 axis, times each column's multiplicity on the box
     support = 2 * int(np.bincount(key.ravel(), minlength=lam2u.size) @ np.sum(table > 0, axis=0))
-    for arr in (table, key, moments):
+    for arr in (table, lam2u, key, moments):
         arr.flags.writeable = False
-    return BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, key, moments, support,
+    return BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, lam2u, key, moments, support,
                     cell, emax, c, p, **fields)
 
 

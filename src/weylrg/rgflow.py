@@ -514,6 +514,9 @@ def dressed_two_point(kkprime, omega: int, traj: FlowTrajectory,
     wp = weyl_points(traj.params)
     if wp is None:
         raise ValueError("dressed two-point function needs semimetal parameters")
+    if wp.v30 == 0.0:
+        raise ValueError("the Weyl points are degenerate at r = 0 (v30 = 0): the bound "
+                         "|k'|/v30 has no meaning there")
     k0, k1, k2, k3p = kkprime
     norm_kp = math.sqrt(k0 ** 2 + k1 ** 2 + k2 ** 2 + k3p ** 2)
     bound = norm_kp / wp.v30

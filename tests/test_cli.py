@@ -116,6 +116,19 @@ def test_module_entry_point(tmp_path):
     assert not (tmp_path / "bad" / "band.csv").exists()
 
 
+@pytest.mark.parametrize("t_perp", [1e-160, 1e-170])
+@pytest.mark.parametrize("sub", ["scales", "flow"])
+def test_non_finite_b0_exits_2_with_one_line(tmp_path, capsys, sub, t_perp):
+    """a0^2 underflows: b0 = 4/a0^2 is inf (1e-160) or a division by zero
+    (1e-170).  Either is a computation error, and scales.json is not written
+    with an Infinity in it."""
+    path = write_cfg(tmp_path, dict(BASE, model=dict(BASE["model"], t_perp=t_perp)))
+    assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: b0 = 4/a0^2 is not finite") and err.count("\n") == 1
+    assert not any((tmp_path / "o").iterdir())
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     outs = []

@@ -230,17 +230,30 @@ def _check_position_values(p_star, name):
     assert np.max(np.abs(got - want)) <= 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
 
 
-@pytest.mark.parametrize("name", ["regime 1", "regime 2", "insulator tail", "chain bridge"])
+@pytest.mark.parametrize("name", ["regime 1", "regime 2", "insulator tail", "chain bridge",
+                                  "bridge", "mirror"])
 def test_band_columns_are_the_distinct_lambda2_of_the_box(p_star, name):
-    """The orbit dedup finds exactly np.unique's columns: one per distinct
-    lambda^2 of the whole box, the key its inverse, bit for bit."""
+    """Each column's lambda^2 (`lam2`) is the box's lambda^2 on every point of
+    that column, bit for bit.  The orbit dedup finds exactly np.unique's
+    columns: one per distinct lambda^2 of the whole box, the key its inverse;
+    the live bridge band (b0 = 30) keeps one column per box point."""
     if name == "chain bridge":  # default b0: no live valley slice, columns deduplicated
         bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star,
                           ms.default_cutoff(p_star), n=10, n3=96, lower="valleys")
+    elif name == "mirror":  # valley -1 carries valley +1's columns unchanged
+        bg = _oracle_band(p_star, "regime 2").mirror()
     else:
         bg = _oracle_band(p_star, name)
     m1, m2, m3 = bg.mass_arrays()
-    lam2u, inv = np.unique(m1 ** 2 + m2 ** 2 + m3 ** 2, return_inverse=True)
+    lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
+    assert bg.lam2[bg.key].tobytes() == lam2.tobytes()
+    assert not bg.lam2.flags.writeable
+    if name == "bridge":
+        assert bg.lam2.size == bg.table.shape[1] == bg.key.size
+        assert np.array_equal(bg.key.ravel(), np.arange(bg.key.size))
+        return
+    lam2u, inv = np.unique(lam2, return_inverse=True)
+    assert bg.lam2.tobytes() == lam2u.tobytes()
     assert bg.table.shape[1] == lam2u.size < bg.key.size
     assert np.array_equal(bg.key, inv.reshape(bg.key.shape))
 
@@ -321,6 +334,53 @@ def test_relativistic_split_matches_all_entries_einsum(p_star):
     scale = bg.cell * max(np.sum(np.abs(f)) for f in full + lin)
     for got, ent in ((rel(*xs), lin), (rem(*xs), diff)):
         assert np.max(np.abs(got - _position_oracle(bg, xs, ent))) <= 1e-13 * scale
+
+
+def test_relativistic_override_pairs_match_full_box_unique(p_star, monkeypatch):
+    """The m3 override's two orbit searches (lambda^2, then the (column,
+    lambda^2) pairs) equal np.unique over the whole box, bit for bit."""
+    bg, rel, _, xs, m3_rel = _relativistic_case(p_star)
+    found, search = [], ms._orbit_unique
+
+    def spy(x, fold3):
+        found.append(search(x, fold3))
+        return found[-1]
+
+    monkeypatch.setattr(ms, "_orbit_unique", spy)
+    rel(*xs)
+    (lam2u, lam), (pairs, key) = found
+    # the oracle: np.unique over the whole box, for lambda^2 and then for the pairs
+    m1, m2, _ = bg.mass_arrays()
+    want_u, want_lam = np.unique(m1 ** 2 + m2 ** 2 + np.broadcast_to(m3_rel, m1.shape) ** 2,
+                                 return_inverse=True)
+    want_pairs, want_key = np.unique(bg.key.ravel() * want_u.size + want_lam.ravel(),
+                                     return_inverse=True)
+    assert lam2u.tobytes() == want_u.tobytes()
+    assert np.array_equal(lam, want_lam.reshape(lam.shape))
+    assert np.array_equal(pairs, want_pairs)
+    assert np.array_equal(key, want_key.reshape(bg.key.shape))
+    assert not np.array_equal(lam2u[pairs % lam2u.size], bg.lam2)  # m3 moves lambda^2
+
+
+def test_position_values_m3_needs_a_k3_profile_on_orbit_columns(p_star):
+    xs = ([0.0], [0.0], [0.0], [0.0])
+    bridge = _oracle_band(p_star, "bridge")  # a column per box point
+    with pytest.raises(ValueError, match="m3 needs"):
+        bridge.position_values(*xs, m3=np.zeros(bridge.k3s.size))
+    bg = _oracle_band(p_star, "regime 2")
+    for m3 in (0.0, np.zeros(bg.k3s.size + 1), np.zeros(bg.key.shape)):
+        with pytest.raises(ValueError, match="m3 needs"):
+            bg.position_values(*xs, m3=m3)
+
+
+def test_default_cutoff_rejects_non_finite_b0():
+    """a0^2 underflows to a subnormal (t_perp = 1e-160: b0 = inf) or to 0
+    (1e-170: 4/a0^2 would divide by zero); both are rejected."""
+    for t_perp in (1e-160, 1e-170):
+        with pytest.warns(UserWarning, match="outside the narrow"):
+            p = build_params(1.0, t_perp, 2.0, r=0.5)
+        with pytest.raises(ms.ConfigurationError, match="not finite and positive"):
+            ms.default_cutoff(p)
 
 
 def test_relativistic_split_agrees_at_origin(p_star):

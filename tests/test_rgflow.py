@@ -341,6 +341,14 @@ def test_dressed_two_point_needs_semimetal():
         rg.dressed_two_point((0.01, 0.0, 0.0, 0.01), 1, traj, INTER)
 
 
+def test_dressed_two_point_rejects_the_critical_point():
+    """At r = 0 the Weyl points merge and v30 = 0, so the bound |k'|/v30 has
+    no meaning: a ValueError, not a division by zero."""
+    traj = rg.run_flow(build_params(1.0, 0.5, 2.0, r=0.0), 0.05, INTER, -4, n_k=10)
+    with pytest.raises(ValueError, match=r"degenerate at r = 0 \(v30 = 0\)"):
+        rg.dressed_two_point((0.01, 0.0, 0.0, 0.01), 1, traj, INTER)
+
+
 def test_run_flow_gapped_insulator_band_is_empty():
     # below r ~ -0.24 the gap t_perp |r| lies above the whole scale-0 box, so
     # the regime-1 k3 bounds clamp to the empty arc at k3 = 0 instead of
