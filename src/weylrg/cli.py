@@ -20,6 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
 from . import __version__
 from .lattice import ParameterError, build_params, classify_phase, dispersion, weyl_points
 from .propagator import GridSpec, build_propagator_grid
@@ -34,11 +39,12 @@ class ConfigError(ValueError):
 
 
 #: Largest GridSpec.row_bound() the propagator subcommand accepts.  A row
-#: costs about 240 bytes of CSV and 3.6 us; the peak RSS does not grow with the
-#: rows, since the grid is tabulated box by box as it is written (the README
-#: grid: 1.33M rows, 311.6 MB of CSV, 62 MiB peak; L=8, beta=8, M=11: 5.34M
-#: rows, 1.31 GB, 19 s, 62 MiB peak, on a 2-core Xeon), so the cap bounds the
-#: CSV at about 2.0 GB and the run at about 30 s.
+#: costs about 240 bytes of CSV and, written on two CPUs, 1.9 us; the peak RSS
+#: does not grow with the rows, since the grid is tabulated box by box as it
+#: is written (the README grid: 1.33M rows, 311.6 MB of CSV, 63 MiB peak;
+#: L=8, beta=8, M=11: 5.34M rows, 1.31 GB, 10.3 s against 15.6 s for the
+#: one-process writer, 64 MiB peak, on a 2-core Xeon), so the cap bounds the
+#: CSV at about 2.0 GB and the run at about 16 s on two CPUs, 25 s on one.
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 
@@ -263,6 +269,10 @@ class RunWriter:
         self.outputs[name] = hashlib.sha256(payload).hexdigest()
 
     def finish(self, warned: dict):
+        peaks = [None, None] if resource is None else [
+            round(resource.getrusage(who).ru_maxrss / (2 ** 20 if sys.platform == "darwin"
+                                                       else 2 ** 10), 3)
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
         manifest = {
             "config_sha": self.hash,
             "config": self.cfg,
@@ -272,6 +282,8 @@ class RunWriter:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "elapsed_s": round(time.time() - self.t0, 3),
+            "peak_rss_mb": peaks[0],
+            "children_peak_rss_mb": peaks[1],
             "outputs": self.outputs,
             "warnings": warned,
         }

@@ -18,6 +18,11 @@ the phase sign chosen so the equal-time jump S0(0,0+) - S0(0,0-) is +I
 from __future__ import annotations
 
 import math
+import os
+import signal
+import tempfile
+import traceback
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
@@ -289,6 +294,42 @@ def _boxes(blocks: int, n: int):
                 yield a, a + 1, s, min(s + _CHUNK_ROWS, n)
 
 
+def _runs(boxes: list) -> list:
+    """boxes cut into contiguous runs of near-equal length, one per CPU this
+    process may use but at most one per box; one run where os.fork or
+    os.sched_getaffinity does not exist."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    n = max(1, min(cpus, len(boxes)))
+    return [boxes[i * len(boxes) // n:(i + 1) * len(boxes) // n] for i in range(n)]
+
+
+def _fork_run(texts, tmp) -> int:
+    """Fork a child that writes the ASCII bytes of the texts to tmp; returns
+    its pid.  The child leaves through os._exit whatever happens, status 0
+    once the bytes are flushed, 1 with its traceback on stderr if anything
+    raised: it never unwinds into the caller's code, and so never flushes or
+    closes the caller's files or runs its finally blocks."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork when the BLAS pool has threads; the
+        # child runs no BLAS, only numpy indexing, sorting and repr
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        for text in texts:
+            tmp.write(text.encode("ascii"))
+        tmp.flush()
+        code = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
 @dataclass(frozen=True)
 class PropagatorGrid:
     """2x2 values on k0-major blocks of grid.spatial_momenta(): block i is
@@ -379,28 +420,61 @@ class PropagatorGrid:
         repr writes as "nan" whatever its sign.  So each box calls repr once
         per distinct magnitude, and every value cell is two tokens: "," or
         ",-", then the magnitude's text.
+
+        The boxes are cut into contiguous runs, one per CPU the process may
+        use (_runs).  This process formats run 0 straight into the buffer;
+        each later run is formatted by a forked child into its own temporary
+        file, which is copied in after run 0, in run order, 1 MiB at a time.
+        A failed run raises RuntimeError naming it; no child or temporary
+        file outlives the call.
         """
         kbar = self.grid.spatial_momenta()
         lead = np.array([f"\r\n{k!r}," for k in self.k0.tolist()], dtype=object)
         spatial = np.array([",".join(map(repr, k)) for k in kbar.tolist()], dtype=object)
+        runs = _runs(list(_boxes(self.k0.size, kbar.shape[0])))
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
+        temps, pids = [], {}  # per later run its file, and its child until reaped
         try:
+            for i, run in enumerate(runs[1:], 1):
+                temps.append(tempfile.TemporaryFile())
+                pids[i] = _fork_run(self._box_texts(run, lead, spatial), temps[-1])
             buf.write(",".join(_CSV_HEADER))
-            for a, b, s, e in _boxes(self.k0.size, kbar.shape[0]):
-                vals = self.box(a, b, s, e).reshape(-1, 4).view(float)
-                mag, cell = np.unique(np.abs(vals).view(np.uint64), return_inverse=True)
-                text = np.array(list(map(repr, mag.view(float).tolist())), dtype=object)
-                tokens = np.empty((b - a, e - s, 18), dtype=object)
-                tokens[..., 0] = lead[a:b, None]
-                tokens[..., 1] = spatial[s:e]
-                tokens = tokens.reshape(-1, 18)
-                tokens[:, 2::2] = _SIGN[(np.signbit(vals) & ~np.isnan(vals)).view(np.int8)]
-                tokens[:, 3::2] = text[cell.reshape(vals.shape)]
-                buf.write("".join(tokens.ravel().tolist()))
+            try:
+                for text in self._box_texts(runs[0], lead, spatial):
+                    buf.write(text)
+            except Exception as exc:
+                raise RuntimeError(f"to_csv run 0 of {len(runs)} failed: {exc!r}") from exc
+            for i, tmp in enumerate(temps, 1):
+                status = os.waitpid(pids.pop(i), 0)[1]
+                if status:
+                    raise RuntimeError(f"to_csv run {i} of {len(runs)} failed: its child "
+                                       f"exited with {os.waitstatus_to_exitcode(status)}")
+                tmp.seek(0)
+                while chunk := tmp.read(1 << 20):
+                    buf.write(chunk.decode("ascii"))
             buf.write("\r\n")
         finally:
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for tmp in temps:
+                tmp.close()
             if buf is not path_or_buf:
                 buf.close()
+
+    def _box_texts(self, boxes, lead, spatial):
+        """The CSV text of each box in turn: its rows, each led by "\\r\\n"."""
+        for a, b, s, e in boxes:
+            vals = self.box(a, b, s, e).reshape(-1, 4).view(float)
+            mag, cell = np.unique(np.abs(vals).view(np.uint64), return_inverse=True)
+            text = np.array(list(map(repr, mag.view(float).tolist())), dtype=object)
+            tokens = np.empty((b - a, e - s, 18), dtype=object)
+            tokens[..., 0] = lead[a:b, None]
+            tokens[..., 1] = spatial[s:e]
+            tokens = tokens.reshape(-1, 18)
+            tokens[:, 2::2] = _SIGN[(np.signbit(vals) & ~np.isnan(vals)).view(np.int8)]
+            tokens[:, 3::2] = text[cell.reshape(vals.shape)]
+            yield "".join(tokens.ravel().tolist())
 
     @classmethod
     def from_csv(cls, path_or_buf, grid: GridSpec) -> "PropagatorGrid":

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,13 @@ def _brute_matsubara_sums(grid, lam2, M, x0=0.0, extra=None):
 @pytest.fixture(scope="session")
 def brute_matsubara():
     return _brute_matsubara_sums
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes os.sched_getaffinity report n CPUs, so that
+    PropagatorGrid.to_csv cuts its boxes into up to n runs and forks a child
+    for every run after the first, on a host of any size."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return use

@@ -156,6 +156,7 @@ def test_outputs_cross_reference_manifest(tmp_path):
     body = json.loads((out / "trees.json").read_text())
     assert body["manifest"] == manifest["config_sha"]
     assert "trees.json" in manifest["outputs"]
+    assert manifest["peak_rss_mb"] > 0 and manifest["children_peak_rss_mb"] >= 0
 
 
 def test_manifest_counts_warnings(tmp_path):
@@ -237,18 +238,45 @@ def test_band_csv_matches_per_row_dispersion(tmp_path):
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 7])
-def test_propagator_csv_pinned_bytes(tmp_path, monkeypatch, chunk_rows):
-    """propagator.csv of an L = 3 grid (540 rows), byte for byte.  The sha256 was
-    computed by running the per-row repr writer of commit e90b2b6, before the
-    writer formatted each distinct float once; 7-row chunks cross 77 chunk
-    boundaries."""
+def test_propagator_csv_pinned_bytes(tmp_path, monkeypatch, cpus, chunk_rows):
+    """propagator.csv of an L = 3 grid (540 rows), byte for byte, on one and
+    on three CPUs.  The sha256 was computed by running the per-row repr writer
+    of commit e90b2b6, before the writer formatted each distinct float once;
+    7-row chunks cross 77 chunk boundaries, and on three CPUs two forked
+    children write the later two of the runs of those 80 boxes."""
     if chunk_rows is not None:
         monkeypatch.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
     path = write_cfg(tmp_path, dict(BASE, grid={"L": 3, "beta": 4.0, "M": 3}))
-    out = tmp_path / "o"
-    assert dispatch(["propagator", "--config", path, "--out", str(out)]) == 0
-    assert hashlib.sha256((out / "propagator.csv").read_bytes()).hexdigest() == \
-        "837b4ed0b57a84d9f297ce228dda134c83018b483bd78e2ca730958acd88b9d0"
+    for n in (1, 3):
+        cpus(n)
+        out = tmp_path / f"cpus{n}"
+        assert dispatch(["propagator", "--config", path, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "propagator.csv").read_bytes()).hexdigest() == \
+            "837b4ed0b57a84d9f297ce228dda134c83018b483bd78e2ca730958acd88b9d0"
+
+
+def test_manifest_records_peak_memory(tmp_path):
+    """Every manifest records the peak RSS of the run's process and of the
+    children it reaped (ru_maxrss).  propagator on two CPUs forks one child
+    to write the later of its two boxes: run in a fresh interpreter, whose
+    only children those are, the children's peak is 0 on one CPU and above 0
+    on two, and the data files are the same."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    script = ("import os, sys; from weylrg import cli; "
+              "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1]))); "
+              "sys.exit(cli.dispatch(sys.argv[2:]))")
+    path = write_cfg(tmp_path, dict(BASE, grid={"L": 4, "beta": 8.0, "M": 6}))  # 20,864 rows
+    manifests = {}
+    for n in (1, 2):
+        out = tmp_path / f"cpus{n}"
+        done = subprocess.run([sys.executable, "-c", script, str(n), "propagator",
+                               "--config", path, "--out", str(out)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        manifests[n] = json.loads((out / "manifest.json").read_text())
+        assert manifests[n]["peak_rss_mb"] > 20  # numpy alone takes more
+    assert manifests[1]["outputs"] == manifests[2]["outputs"]
+    assert manifests[1]["children_peak_rss_mb"] == 0 < manifests[2]["children_peak_rss_mb"]
 
 
 def test_readme_grid_well_under_row_cap():

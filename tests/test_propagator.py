@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import io
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -432,23 +435,29 @@ def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
 def test_built_grid_matches_its_table(chunk_rows, L, beta, M, r, t, t_perp, t_prime):
     # a built grid computes each box when a pass walks it; the table of its
     # rows slices them.  5-row boxes split every block of L >= 2, 100-row
-    # boxes hold whole blocks
+    # boxes hold whole blocks.  The built grid is written on one CPU, its
+    # table on three: up to two forked children write the later runs
     grid = GridSpec(L=L, beta=beta, M=M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         pg = build_propagator_grid(grid, build_params(t, t_perp, t_prime, r=r))
         built, text = (pg.conjugation_defect(), pg.sup_norm()), io.StringIO(newline="")
         pg.to_csv(text)
         assert len(pg) == len(text.getvalue().split("\r\n")) - 2
         table = PropagatorGrid.from_rows(grid, pg.momenta, pg.values)
         got = io.StringIO(newline="")
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         table.to_csv(got)
         assert got.getvalue() == text.getvalue()
         assert (table.conjugation_defect(), table.sup_norm()) == built
         assert built[1] == (np.max(np.abs(pg.values)) if len(pg) else 0.0)
 
 
-def test_to_csv_bytes_match_csv_writer(p_star):
+def test_to_csv_bytes_match_csv_writer(monkeypatch, cpus, p_star):
+    # 5-row boxes, two per block: the special rows 0 and 9 fall in the first
+    # and second box, and on three CPUs runs 1 and 2 are written by children
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 5)
     built = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
     values = built.values
     values[0] = [[complex(-0.0, 0.0), complex(5e-324, -2.2250738585072014e-308)],
@@ -456,9 +465,12 @@ def test_to_csv_bytes_match_csv_writer(p_star):
     values[9] = [[-0.0 + 3.3e-296j, 1e-310 - 0.0j], [np.pi, -1e300]]
     pg = PropagatorGrid.from_rows(built.grid, built.momenta, values)
     assert np.signbit(pg.values[0].real).tolist() == [[True, False], [True, True]]
-    got = io.StringIO(newline="")
-    pg.to_csv(got)
-    assert got.getvalue() == _csv_writer_bytes(pg)
+    want = _csv_writer_bytes(pg)
+    for n in (1, 2, 3):
+        cpus(n)
+        got = io.StringIO(newline="")
+        pg.to_csv(got)
+        assert got.getvalue() == want
     first = got.getvalue().split("\r\n")[1].split(",")
     # a negative zero keeps its sign; a negative NaN is written "nan", as repr writes it
     assert first[4:] == ["-0.0", "0.0", "5e-324", "-2.2250738585072014e-308",
@@ -499,15 +511,62 @@ def _cells(pg):
     return np.concatenate([pg.momenta, pg.values.reshape(-1, 4).view(float)], axis=1)
 
 
-def test_to_csv_across_chunks_and_repeated_values(monkeypatch, p_star):
-    # 7-row chunks cross many chunk boundaries, most of them inside a k0 block
+@pytest.fixture
+def temp_files(monkeypatch):
+    """Every tempfile.TemporaryFile() made during the test, in order."""
+    made, make = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: made.append(make()) or made[-1])
+    return made
+
+
+def test_to_csv_across_chunks_and_repeated_values(monkeypatch, cpus, temp_files, p_star):
+    # 7-row chunks cross many chunk boundaries, most of them inside a k0 block.
+    # On n CPUs the 20 boxes are cut into n runs and n - 1 children are
+    # forked, which leave no process and no open temporary file behind
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+    forked, fork_run = [], propagator._fork_run
+    monkeypatch.setattr(propagator, "_fork_run",
+                        lambda *args: forked.append(fork_run(*args)) or forked[-1])
     pg = _special_cells_grid(p_star)
-    got = io.StringIO(newline="")
-    pg.to_csv(got)
-    assert got.getvalue() == _csv_writer_bytes(pg)
-    assert got.getvalue().count("\r\n") == len(pg) + 1
-    assert "-nan" not in got.getvalue()
+    want = _csv_writer_bytes(pg)
+    for n in (1, 2, 3):
+        cpus(n)
+        forked.clear()
+        got = io.StringIO(newline="")
+        pg.to_csv(got)
+        assert got.getvalue() == want
+        assert len(forked) == n - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(temp_files) == 3 and all(f.closed for f in temp_files)
+    assert want.count("\r\n") == len(pg) + 1
+    assert "-nan" not in want
+
+
+@pytest.mark.parametrize("block, run", [(0, 0), (4, 1), (9, 2), (6, 1)])
+def test_to_csv_names_a_failed_run(monkeypatch, cpus, temp_files, capfd, p_star, block, run):
+    # on three CPUs the 20 boxes of 7 special rows (two per k0 block) are cut
+    # into runs of boxes 0-5, 6-12 and 13-19: blocks 0-2 are written here,
+    # blocks 3-6 and 6-9 by two children.  A box of the given block raises;
+    # block 6 lies in runs 1 and 2, and the first failed run is named
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
+    cpus(3)
+    pg = _special_cells_grid(p_star)
+
+    def box(a, b, s, e):
+        if a <= block < b:
+            raise ValueError(f"block {block} cannot be tabulated")
+        return pg.box(a, b, s, e)
+
+    with pytest.raises(RuntimeError, match=f"to_csv run {run} of 3 failed") as failed:
+        dataclasses.replace(pg, box=box).to_csv(io.StringIO(newline=""))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(temp_files) == 2 and all(f.closed for f in temp_files)
+    if run == 0:
+        assert isinstance(failed.value.__cause__, ValueError)
+    else:  # the child's traceback goes to stderr
+        assert f"ValueError: block {block} cannot be tabulated" in capfd.readouterr().err
 
 
 def test_from_csv_roundtrips_special_cells(monkeypatch, p_star):

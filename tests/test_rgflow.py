@@ -549,6 +549,56 @@ def test_r_uniformity_saturates_at_small_r():
     assert big / small < 4.0
 
 
+def test_nu_has_one_slope_through_the_critical_point():
+    """The solved counterterm is continuous through r = 0 with the same slope
+    from both phases.  At t, t_perp, t' = 1, 1/2, 2, U = 0.05, n_k = 12 and
+    h_min = -24, the one-sided quotients (nu(r) - nu(0)) / (r U) from the
+    semimetal (r > 0) and the insulator (r < 0) agree to 7.6e-3, 5.3e-4 and
+    3.4e-5 relative at |r| = 2^-12, 2^-16 and 2^-20: the gap is 31 to 36
+    times |r|, so it shrinks like |r| (x14 and x16 per four halvings), and
+    the two sides share the linear term.  The slope, nu'(0) / U = 2.1454e-3,
+    is a measured constant, not derived.  The insulating side gets there
+    through its tail step, which sets nu_{h*} = 0 and integrates the rest of
+    the infrared at once, a construction unlike the semimetal's regime-2
+    steps.  The asserted gap bound 40 |r| and the x8 per four halvings sit
+    just outside the measured spread."""
+    U = 0.05
+    nu = {r: rg.solve_nu(build_params(1.0, 0.5, 2.0, r=r), U, INTER, -24, n_k=12)[0]
+          for r in [0.0] + [s * 2.0 ** -j for j in (12, 16, 20) for s in (1, -1)]}
+    gaps = []
+    for j in (12, 16, 20):
+        r = 2.0 ** -j
+        above, below = ((nu[s * r] - nu[0.0]) / (s * r * U) for s in (1, -1))
+        gaps.append(abs(above - below) / abs(above))
+        assert gaps[-1] <= 40 * r
+    assert gaps[0] > 8 * gaps[1] > 64 * gaps[2]
+    assert above == pytest.approx(2.1454e-3, rel=1e-4)
+
+
+def test_r_uniformity_from_the_insulating_side():
+    """Criterion 9's bound, approached from the insulator: scale by scale,
+    max_dimensionless(r, h) <= 4 * max_dimensionless(0, h) at r = -2^-j,
+    j = 2..20, on flows to h_min = -30 (r = -1/2 lies outside the window
+    (-1/2, 5/2)).  Every flow ends in the insulator's tail step.  Measured:
+    the worst ratio is 2.38, at r = -1/32 in the h = 0 step; at r = -1/4 the
+    tail band is empty and the betas vanish; for j >= 11 the tail step's
+    ratio settles at 1.395-1.400.  The semimetal side is criterion 9."""
+    def per_h(r):
+        traj = rg.run_flow(build_params(1.0, 0.5, 2.0, r=r), 0.05, INTER, -30, n_k=12)
+        return traj, {row.h: row.beta.max_dimensionless
+                      for row in traj.rows if row.beta is not None}
+
+    _, critical = per_h(0.0)
+    ratios = {}
+    for j in range(2, 21):
+        traj, betas = per_h(-2.0 ** -j)
+        assert traj.termination == "insulator-stop"
+        assert betas and set(betas) <= set(critical)
+        ratios.update({(j, h): v / critical[h] for h, v in betas.items()})
+    worst = max(ratios, key=ratios.get)
+    assert ratios[worst] <= 4.0, f"ratio {ratios[worst]:.3g} at r = -2^-{worst[0]}, h = {worst[1]}"
+
+
 def test_asymptotic_constants_zero_interaction(p_star):
     grid = GridSpec(L=8, beta=32.0, M=5)
     zero = rg.InteractionSpec(kappa=1.0, amplitude=0.0)
