@@ -63,9 +63,11 @@ H_MIN_FLOOR = -40
 
 
 #: Largest flow.n_k the flow subcommands accept.  Bands are tables on (k0,
-#: lambda^2) over 3-D boxes, so memory grows as n_k^3: the README flow peaks
-#: at 47 MB at n_k = 24, 60 MB at 32, 84 MB at 40, 117 MB at 48 and 237 MB at
-#: 64 (ru_maxrss, 2-core Xeon); the deepest flow (h_min = -40) at 561 MB.
+#: box orbit) over 3-D boxes, so memory grows as n_k^3.  At n_k = 64 `flow`
+#: peaks at 184 MB on the README model, and at 189, 336 and 554 MB at t_perp
+#: = 1, 2 and 8 (t' = 2 t_perp, r = 1/2), where the bridge band subtracts the
+#: valley split on live k0 slices; at h_min = -40 at 575 MB on the README
+#: model and 668 MB at t_perp = 8, the worst case (VmHWM, 2-core Xeon).
 MAX_N_K = 64
 
 
@@ -241,6 +243,24 @@ class _HashingFile:
         return self._f.tell()
 
 
+def _peak_rss_mb():
+    """[own, children] peak RSS in MB (None without `resource`).  The own peak
+    is VmHWM where /proc has it: ru_maxrss survives exec, so it would report
+    the peak of a larger process that launched the run."""
+    if resource is None:
+        return [None, None]
+    unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss: bytes or kB
+    peaks = [resource.getrusage(who).ru_maxrss / unit
+             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    try:
+        with open("/proc/self/status") as f:
+            hwm = [line.split()[1] for line in f if line.startswith("VmHWM:")]
+        peaks[0] = int(hwm[0]) / 2 ** 10  # kB
+    except (OSError, IndexError):
+        pass
+    return [round(peak, 3) for peak in peaks]
+
+
 class RunWriter:
     """Collects deterministic output files plus the manifest in an existing directory."""
 
@@ -269,10 +289,7 @@ class RunWriter:
         self.outputs[name] = hashlib.sha256(payload).hexdigest()
 
     def finish(self, warned: dict):
-        peaks = [None, None] if resource is None else [
-            round(resource.getrusage(who).ru_maxrss / (2 ** 20 if sys.platform == "darwin"
-                                                       else 2 ** 10), 3)
-            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        peaks = _peak_rss_mb()
         manifest = {
             "config_sha": self.hash,
             "config": self.cfg,

@@ -26,16 +26,15 @@ puts the cutoff argument at 4 on the inter-valley saddle (energy t_perp |r|).
 
 Every band is built by band_grid, the one builder, on the support box of its
 scale at n steps per box axis (n3 in k3).  A band is a table of its weight
-chi_h(e) minus a lower cutoff on (positive k0, distinct lambda^2),
-e = sqrt(k0^2 + lambda^2): chi_{h-1} of the same chain (one shell_cutoff
-ramp), the two-component chi_{h*-1} of the valley split for the bridge band
-at h*, or nothing for the insulator tail.
-Its k0 sum is the paired reduction over distinct lambda^2 the Matsubara sums
-use (propagator._paired_sums).  lambda^2 is exactly even in k1, k2 and (in
-regime 1) k3 and symmetric under k1 <-> k2 on symmetric axes, so _orbit_unique
-finds its distinct values over one point per box orbit.  Valley -1 of regime 2
-is the k3' mirror of valley +1 (BandGrid.mirror).  The valley split theta(omega
-k3) chi_{h*-1} (_valley_split) serves quasiparticle_split, disconnection_check.
+chi_h(e) minus a lower cutoff on (positive k0, box orbit), e = sqrt(k0^2 +
+lambda^2): chi_{h-1} of the same chain (one shell_cutoff ramp), the
+two-component chi_{h*-1} of the valley split for the bridge band at h*, or
+nothing for the insulator tail.  lambda^2 and the valley split are exactly
+constant on the orbits of k1 -> -k1, k2 -> -k2, k1 <-> k2 and (regime 1) k3 ->
+-k3 (_orbit_key), so they are scattered into the columns, no values searched.
+Its k0 sum is the Matsubara sums' paired reduction (propagator._paired_sums).
+Valley -1 of regime 2 is the k3' mirror of valley +1 (BandGrid.mirror); the
+valley split (_valley_split) serves quasiparticle_split, disconnection_check.
 
 Position values (decay audits, the relativistic remainder) reduce the band's
 own columns (BandGrid.lam2) with pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]:
@@ -161,16 +160,16 @@ def scale_support(kk, h, c: RunningCouplings, p: HoppingParams, cutoff: CutoffSp
 
 @dataclass(frozen=True)
 class BandGrid:
-    """Single-scale band on a separable momentum box, as a (k0, lambda^2) table.
+    """Single-scale band on a separable momentum box, as a (k0, orbit) table.
 
     Axes are 1-D arrays (k0s, k1s, k2s, k3s).  `table` holds f_h at the positive
-    k0s (the axis mirrors exactly) per column of lambda^2 `lam2`: one per distinct
-    value, or per point on the bridge band's live valley slices.  `key` maps the
-    spatial box to its columns.  `moments` = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 +
-    lambda^2) is all an instantaneous vertex sees (the ik0 part cancels in pairs);
-    with the axes it is `box`, all a flow keeps.  `cell` is d0 d12^2 d3/(2pi)^4 of
-    the virtual grid and `emax` the box's energy extent; regime-2 axes hold k'.
-    `couplings` and `params` serve mass_arrays (decay audits).
+    k0s (the axis mirrors exactly) per symmetry orbit of the box, of lambda^2
+    `lam2`; `key` maps the spatial box to these columns (_orbit_key).  `moments`
+    = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 + lambda^2) is all an instantaneous
+    vertex sees (the ik0 part cancels in pairs); with the axes it is `box`, all a
+    flow keeps.  `cell` is d0 d12^2 d3/(2pi)^4 of the virtual grid and `emax` the
+    box's energy extent; regime-2 axes hold k'.  `couplings` and `params` serve
+    mass_arrays (decay audits).
     """
 
     h: int
@@ -222,20 +221,21 @@ class BandGrid:
     def position_values(self, x0s, x1s, x2s, x3s, m3=None) -> np.ndarray:
         """g(x) = cell * sum_k e^{-i k.x} f A^{-1}/Z on the tensor x-grid, as
         (nx0, nx1, nx2, nx3, 2, 2); m3, a (n3,) k3 profile, replaces the sigma3
-        coefficient of A on a band whose columns are orbits (not one per point).
+        coefficient of A and must keep lambda^2 constant on the band's orbits.
 
         Real (s0, a) = cell/Z sum_k0 e^{-i k0 x0} [1, i k0] f/(k0^2 + lambda^2) by
-        _paired_sums over the columns (with m3: the (column, lambda^2) pairs), 32 x0
-        at a time; (a, m s0) of pauli(m s0, a) meet the spatial phases per x0."""
+        _paired_sums over the columns, 32 x0 at a time; (a, m s0) of pauli(m s0, a)
+        meet the spatial phases per x0."""
         m1, m2, s3 = self.mass_arrays()
-        lam2, table, key = self.lam2, self.table, self.key
-        if m3 is not None:  # a k3 profile keeps the plane orbits orbits
-            if np.shape(m3) != self.k3s.shape or lam2.size == key.size:
-                raise ValueError("m3 needs an (n3,) k3 profile and a band with orbit columns")
+        lam2, key = self.lam2, self.key
+        if m3 is not None:
+            if np.shape(m3) != self.k3s.shape:
+                raise ValueError("m3 needs an (n3,) k3 profile")
             s3 = np.broadcast_to(m3, m1.shape)
-            lam2, lam = _orbit_unique(m1 ** 2 + m2 ** 2 + s3 ** 2, fold3=False)
-            pairs, key = _orbit_unique(key * lam2.size + lam, fold3=False)
-            lam2, table = lam2[pairs % lam2.size], table[:, pairs // lam2.size]
+            lam2 = np.empty_like(lam2)
+            lam2[key] = box = m1 ** 2 + m2 ** 2 + s3 ** 2
+            if lam2[key].tobytes() != box.tobytes():
+                raise ValueError("m3 needs a k3 profile whose lambda^2 keeps the band's orbits")
         k0 = self.k0s[self.k0s.size // 2:]
         p1, p2, p3 = (np.exp(-1j * np.outer(np.asarray(x, float), k)) for x, k in zip(
             (x1s, x2s, x3s), (self.k1s, self.k2s, self.k3s)))
@@ -244,7 +244,7 @@ class BandGrid:
             x0 = x0s[lo:lo + 32, None]
             w = (2.0 * self.cell / self.couplings.Z) * np.concatenate(
                 [np.cos(k0 * x0), k0 * np.sin(k0 * x0)])
-            sums = _paired_sums(k0, w, lam2, table)
+            sums = _paired_sums(k0, w, lam2, self.table)
             for s0, a in zip(sums[:x0.size], sums[x0.size:]):
                 s0 = s0[key]
                 f = np.stack([a[key], s3 * s0, m1 * s0, m2 * s0]).reshape(4, len(self.k1s), -1)
@@ -262,15 +262,13 @@ def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) 
     return (np.arange(n_lo, n_hi + 1) + off) * spacing
 
 
-def _orbit_unique(x: np.ndarray, fold3: bool):
-    """np.unique(x, return_inverse=True), inverse shaped as x, of an (n, n, n3) box
-    array even in k1, k2 (k3 with fold3), symmetric in k1 <-> k2: over its orbits."""
-    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in x.shape[1:])
-    f3 = f3 if fold3 else np.arange(x.shape[2])
-    reps, plane = np.unique(np.minimum.outer(f12, f12) * f12.size
-                            + np.maximum.outer(f12, f12), return_inverse=True)
-    u, col = np.unique(x[reps // f12.size, reps % f12.size, :f3.max() + 1], return_inverse=True)
-    return u, col.reshape(reps.size, -1)[:, f3][plane.reshape(f12.size, -1)]
+def _orbit_key(n12: int, n3: int, fold3: bool) -> np.ndarray:
+    """Column of each point of an (n12, n12, n3) box with axes symmetric about 0:
+    its orbit under k1 -> -k1, k2 -> -k2, k1 <-> k2 (k3 -> -k3 with fold3)."""
+    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in (n12, n3))
+    f3 = f3 if fold3 else np.arange(n3)
+    hi, lo = np.maximum.outer(f12, f12), np.minimum.outer(f12, f12)
+    return (hi * (hi + 1) // 2 + lo)[:, :, None] * (f3.max() + 1) + f3
 
 
 def _band_bounds_r1(h, c, p, cutoff):
@@ -341,26 +339,27 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
     axes = (k12[:, None, None], k12[None, :, None], k3s)  # separable: m broadcasts
     m = np.stack(np.broadcast_arrays(*mass_vector(*axes, p, c.v, c.v3, regime, omega)))
-    lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+    key = _orbit_key(k12.size, k3s.size, fold3=regime == 1)
+    lam2 = np.empty(key.max() + 1)
+    lam2[key] = m[0] ** 2 + m[1] ** 2 + m[2] ** 2  # exactly constant on each orbit
     k0 = k0s[k0s.size // 2:]  # the positive half; the other is its exact mirror
+    s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2)
+    table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
     # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
     live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
-    lam2u, key = ((lam2.ravel(), np.arange(lam2.size).reshape(lam2.shape)) if live.any()
-                  else _orbit_unique(lam2, fold3=regime == 1))  # live: a column per point
-    s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2u)
-    table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
     if live.any():
         low = _valley_split(k0[live, None, None, None], *axes, h, _regime2_couplings(c, p),
                             p, cutoff)
-        low = (low[+1] + low[-1]).reshape(-1, lam2.size)
-        table[live] = np.clip(table[live] - low, 0.0, None)
-    sums = _paired_sums(k0, np.full((1, k0.size), 2.0), lam2u, table)[0]
+        split = np.empty((low[+1].shape[0], lam2.size))
+        split[:, key] = low[+1] + low[-1]  # exactly constant on each orbit too
+        table[live] = np.clip(table[live] - split, 0.0, None)
+    sums = _paired_sums(k0, np.full((1, k0.size), 2.0), lam2, table)[0]
     moments = (cell / c.Z) * sums[key] * m
     # both halves of the k0 axis, times each column's multiplicity on the box
-    support = 2 * int(np.bincount(key.ravel(), minlength=lam2u.size) @ np.sum(table > 0, axis=0))
-    for arr in (table, lam2u, key, moments):
+    support = 2 * int(np.bincount(key.ravel(), minlength=lam2.size) @ np.sum(table > 0, axis=0))
+    for arr in (table, lam2, key, moments):
         arr.flags.writeable = False
-    return BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, lam2u, key, moments, support,
+    return BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, lam2, key, moments, support,
                     cell, emax, c, p, **fields)
 
 

@@ -256,11 +256,13 @@ def test_propagator_csv_pinned_bytes(tmp_path, monkeypatch, cpus, chunk_rows):
 
 
 def test_manifest_records_peak_memory(tmp_path):
-    """Every manifest records the peak RSS of the run's process and of the
-    children it reaped (ru_maxrss).  propagator on two CPUs forks one child
-    to write the later of its two boxes: run in a fresh interpreter, whose
-    only children those are, the children's peak is 0 on one CPU and above 0
-    on two, and the data files are the same."""
+    """Every manifest records the peak RSS of the run's process (VmHWM on
+    Linux) and of the children it reaped (ru_maxrss).  propagator on two CPUs
+    forks one child to write the later of its two boxes: run in a fresh
+    interpreter, whose only children those are, the children's peak is 0 on
+    one CPU and above 0 on two, and the data files are the same.  A run
+    launched by a process that holds 200 MB records its own peak, not that
+    process's."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     script = ("import os, sys; from weylrg import cli; "
               "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1]))); "
@@ -277,6 +279,14 @@ def test_manifest_records_peak_memory(tmp_path):
         assert manifests[n]["peak_rss_mb"] > 20  # numpy alone takes more
     assert manifests[1]["outputs"] == manifests[2]["outputs"]
     assert manifests[1]["children_peak_rss_mb"] == 0 < manifests[2]["children_peak_rss_mb"]
+    launcher = ("import subprocess, sys; held = b'x' * (200 << 20); "
+                "sys.exit(subprocess.run(sys.argv[1:]).returncode)")
+    out = tmp_path / "launched"
+    done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", script, "1",
+                           "weyl", "--config", path, "--out", str(out)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert 20 < json.loads((out / "manifest.json").read_text())["peak_rss_mb"] < 100
 
 
 def test_readme_grid_well_under_row_cap():
@@ -452,14 +462,42 @@ def test_top_level_seed_rejected(tmp_path):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+#: sha256 of every data file the nine non-propagator subcommands write on the
+#: README config (propagator.csv: test_propagator_csv_pinned_bytes), recorded
+#: with numpy 2.4.6 and OpenBLAS on x86-64; another BLAS or libm may move the
+#: last digit of a float and so a digest.
+_README_DIGESTS = {
+    "band/band.csv": "dd5dcfa3246ef5c19a974c8e43b2899bfb49ec48d20eae7c75b7652e605913fe",
+    "weyl/weyl.json": "0589171bd97fca171c931cb6699af2047562375af21a5698f80fa337cd9124e8",
+    "phase/phase.json": "bf18843aa056f39b3fc59e4e9a5f28996e9fb32ed5429989e9fecdf6dcbad9dc",
+    "scales/scales.json": "c9ce40e956f8d25217dafa81f2be8a7840c4551a9691beed0f626e67ffe775ca",
+    "flow/flow.csv": "50ad419beae31ec03596d04692809c68f4ca970e4efad07ddbbd413d81e69803",
+    "flow/flow.json": "bd00ef8f6427fe562fdf1db99b718a396de7149cf384c6552ca2ad89b3d0da6a",
+    "solve-nu/flow.csv": "c33f2feb6d4cb70b134934d3e89650ff83e966ec92ac0a368e120014bc5311c5",
+    "solve-nu/flow.json": "415f310dfd79c7ec7441b59bbcdbba0ac547122d390084e6bed77c5c4c3b1b52",
+    "bounds-check/decay.csv": "5f88c96253a8f442030ef41d98de46fe107762678bdd7686d7726d605ced497d",
+    "bounds-check/decay.json": "cf569eeaac5ce55f14f341dbf32d5ecc4d5cf899664bf9ed87cafd4086d15e6f",
+    "trees/trees.json": "1e86ee429eb1cb4a4a93a26477e1a7cb3dbedb1dc7117fcf33b678e3718f35a6",
+    "bbf-verify/bbf.json": "0dd282645f2ef27a012d0f84abedc9cea1cf261d5690f1ee57f4d9fe742d0c4a",
+}
+
+
 def test_readme_example_config(tmp_path):
+    """The README config loads as written, and every subcommand but propagator
+    writes its data files byte for byte as pinned in _README_DIGESTS."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```json\n(.*?)```", readme, re.S).group(1)
     path = tmp_path / "cfg.json"
     path.write_text(block)
     cfg = load_config(str(path))
     assert cfg.written == json.loads(block)
-    assert dispatch(["weyl", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    got = {}
+    for sub in dict.fromkeys(name.split("/")[0] for name in _README_DIGESTS):
+        out = tmp_path / sub
+        assert dispatch([sub, "--config", str(path), "--out", str(out)]) == 0
+        got.update((f"{sub}/{f.name}", hashlib.sha256(f.read_bytes()).hexdigest())
+                   for f in out.iterdir() if f.name != "manifest.json")
+    assert got == _README_DIGESTS
 
 
 def test_flow_u_defaults_to_model_u(tmp_path):

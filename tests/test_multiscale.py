@@ -190,7 +190,7 @@ def _position_oracle(bg, xs, ent):
 
 def _oracle_band(p_star, name):
     """A regime-1 or a regime-2 chain band, the bridge band with live valley
-    slices (b0 = 30: one table column per box point) or the insulator tail."""
+    slices (b0 = 30) or the insulator tail."""
     cut = ms.default_cutoff(p_star)
     c2 = ms.initial_couplings(p_star, regime=2).replace(h=-3)
     p1 = build_params(1.0, 0.5, 2.0, r=0.5 / 25600)
@@ -217,7 +217,7 @@ def _check_position_values(p_star, name):
     bg = _oracle_band(p_star, name)
     assert bg.support_points > 0
     if name == "bridge":
-        assert bg.key.size == bg.table.shape[1]  # a column per box point
+        assert bg.key.size > bg.table.shape[1]  # the live valley split keeps orbit columns
     emax = bg.k0s.max()
     ext12, k3max = bg.k1s.max(), np.abs(bg.k3s).max()
     xs = ([0.0, 2.0 / emax], [0.0, 1.0 / ext12], [0.0, 2.0 / ext12, -1.0 / ext12],
@@ -230,32 +230,99 @@ def _check_position_values(p_star, name):
     assert np.max(np.abs(got - want)) <= 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
 
 
+def _bridge_oracle(bg, cut):
+    """clip(chi_{h*}(e) - sum_omega theta(omega k3) chi_{h*-1}, 0) per point of
+    the bridge band's 4-D box at its positive k0s, chi_{h*-1} of valley omega at
+    the regime-2 couplings and k3' = k3 - omega p_F."""
+    c, p = bg.couplings, bg.params
+    c2, p_F = ms._regime2_couplings(c, p), weyl_points(p).p_F
+    k0, k1, k2, k3 = np.meshgrid(bg.k0s[bg.k0s.size // 2:], bg.k1s, bg.k2s, bg.k3s,
+                                 indexing="ij")
+    low = 0.0
+    for omega in (+1, -1):
+        theta = np.where(omega * k3 > 0, 1.0, np.where(k3 == 0.0, 0.5, 0.0))
+        low = low + theta * ms.chi_support((k0, k1, k2, k3 - omega * p_F), bg.h - 1, c2, p,
+                                           cut, regime=2, omega=omega)
+    return np.clip(ms.chi_support((k0, k1, k2, k3), bg.h, c, p, cut) - low, 0.0, None)
+
+
 @pytest.mark.parametrize("name", ["regime 1", "regime 2", "insulator tail", "chain bridge",
-                                  "bridge", "mirror"])
+                                  "bridge", "mirror", "live bridge"])
 def test_band_columns_are_the_distinct_lambda2_of_the_box(p_star, name):
-    """Each column's lambda^2 (`lam2`) is the box's lambda^2 on every point of
-    that column, bit for bit.  The orbit dedup finds exactly np.unique's
-    columns: one per distinct lambda^2 of the whole box, the key its inverse;
-    the live bridge band (b0 = 30) keeps one column per box point."""
-    if name == "chain bridge":  # default b0: no live valley slice, columns deduplicated
-        bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star,
-                          ms.default_cutoff(p_star), n=10, n3=96, lower="valleys")
+    """Each band's columns are the orbits of its box under k1 -> -k1, k2 -> -k2,
+    k1 <-> k2 (and k3 -> -k3 in regime 1), numbered 0.. with none missing, and
+    each column's lambda^2 (`lam2`) is the box's lambda^2 on every point of that
+    column, bit for bit.  Off the bridge the orbits are exactly the distinct
+    lambda^2 of the box; on both bridges (b0 = 30, and the default b0 at t_perp
+    = 1, n = 48) the table is the per-point valley-split oracle on its live k0
+    slices."""
+    cut = ms.default_cutoff(p_star)
+    if name == "chain bridge":  # default b0: no live valley slice
+        bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star, cut, n=10, n3=96,
+                          lower="valleys")
+    elif name == "live bridge":
+        p = build_params(1.0, 1.0, 2.0, r=0.5)
+        cut = ms.default_cutoff(p)
+        bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p), p, cut, n=48, lower="valleys")
+        k0 = ms._chi_arg(-1, 2, cut) * bg.k0s[bg.k0s.size // 2:]
+        assert k0[0] < 2.0 < k0[-1]  # the valley split is live on some k0 slices, not all
     elif name == "mirror":  # valley -1 carries valley +1's columns unchanged
         bg = _oracle_band(p_star, "regime 2").mirror()
+    elif name == "bridge":
+        bg, cut = _oracle_band(p_star, name), ms.CutoffSpec(a0=p_star.a0, b0=30.0)
     else:
         bg = _oracle_band(p_star, name)
     m1, m2, m3 = bg.mass_arrays()
     lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
     assert bg.lam2[bg.key].tobytes() == lam2.tobytes()
     assert not bg.lam2.flags.writeable
-    if name == "bridge":
-        assert bg.lam2.size == bg.table.shape[1] == bg.key.size
-        assert np.array_equal(bg.key.ravel(), np.arange(bg.key.size))
-        return
-    lam2u, inv = np.unique(lam2, return_inverse=True)
-    assert bg.lam2.tobytes() == lam2u.tobytes()
-    assert bg.table.shape[1] == lam2u.size < bg.key.size
-    assert np.array_equal(bg.key, inv.reshape(bg.key.shape))
+    key = bg.key
+    flips = [key[::-1], key[:, ::-1], key.transpose(1, 0, 2)] + [key[..., ::-1]] * (bg.regime == 1)
+    assert all(np.array_equal(key, f) for f in flips)
+    assert np.array_equal(np.unique(key), np.arange(bg.table.shape[1]))
+    assert bg.table.shape[1] == bg.lam2.size < key.size
+    if name.endswith("bridge") and name != "chain bridge":
+        assert np.array_equal(bg.table[:, key], _bridge_oracle(bg, cut))
+    else:
+        assert bg.table.shape[1] == np.unique(lam2).size
+
+
+def _constant_on_columns(x, key):
+    """x (..., box) takes one value, bit for bit, on each column of key."""
+    cols = np.empty(x.shape[:-3] + (key.max() + 1,))
+    cols[..., key] = x
+    return cols[..., key].tobytes() == x.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(band=st.sampled_from(["regime 1", "regime 2", "bridge"]),
+       hop=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.0, 1.0)),
+       r=st.floats(-0.45, 0.5), zv=st.tuples(*[st.floats(0.1, 4.0)] * 3),
+       dh=st.integers(0, 10), n=st.integers(4, 13), n3=st.one_of(st.none(), st.integers(3, 17)),
+       b0=st.floats(1.0, 1e4))
+def test_lambda2_and_valley_split_are_constant_on_orbit_columns(band, hop, r, zv, dh, n, n3, b0):
+    """What band_grid's scatter relies on: lambda^2 and, on the bridge band, the
+    valley split are constant bit for bit on every orbit column, for admissible
+    hoppings (t_prime large enough for the theorem window), couplings and scales."""
+    t, t_perp, u = hop
+    r = abs(r) + 1e-3 if band != "regime 1" else r  # regime 2 and the bridge need a semimetal
+    p = build_params(t, t_perp, t_perp * (1.75 + u), r=r)
+    c = ms.RunningCouplings(*zv, nu=0.0, h=0)
+    h_star = ms.crossover_scale(p)
+    if band == "regime 1":
+        bg = ms.band_grid(-dh, 1, 1, c, p, ms.default_cutoff(p), n=n, n3=n3)
+    elif band == "regime 2":
+        bg = ms.band_grid(h_star - 1 - dh, 2, 1, c, p, ms.default_cutoff(p), n=n, n3=n3,
+                          h_star=h_star)
+    else:
+        cut = ms.CutoffSpec(a0=p.a0, b0=b0)
+        bg = ms.band_grid(h_star, 1, 1, c, p, cut, n=n, n3=n3, lower="valleys")
+        split = ms._valley_split(bg.k0s[bg.k0s.size // 2:, None, None, None],
+                                 bg.k1s[:, None, None], bg.k2s[None, :, None], bg.k3s, h_star,
+                                 ms._regime2_couplings(c, p), p, cut)
+        assert _constant_on_columns(split[+1] + split[-1], bg.key)
+    m1, m2, m3 = bg.mass_arrays()
+    assert _constant_on_columns(m1 ** 2 + m2 ** 2 + m3 ** 2, bg.key)
 
 
 def test_quasiparticle_split_sum_rule(p_star):
@@ -336,41 +403,25 @@ def test_relativistic_split_matches_all_entries_einsum(p_star):
         assert np.max(np.abs(got - _position_oracle(bg, xs, ent))) <= 1e-13 * scale
 
 
-def test_relativistic_override_pairs_match_full_box_unique(p_star, monkeypatch):
-    """The m3 override's two orbit searches (lambda^2, then the (column,
-    lambda^2) pairs) equal np.unique over the whole box, bit for bit."""
-    bg, rel, _, xs, m3_rel = _relativistic_case(p_star)
-    found, search = [], ms._orbit_unique
-
-    def spy(x, fold3):
-        found.append(search(x, fold3))
-        return found[-1]
-
-    monkeypatch.setattr(ms, "_orbit_unique", spy)
-    rel(*xs)
-    (lam2u, lam), (pairs, key) = found
-    # the oracle: np.unique over the whole box, for lambda^2 and then for the pairs
-    m1, m2, _ = bg.mass_arrays()
-    want_u, want_lam = np.unique(m1 ** 2 + m2 ** 2 + np.broadcast_to(m3_rel, m1.shape) ** 2,
-                                 return_inverse=True)
-    want_pairs, want_key = np.unique(bg.key.ravel() * want_u.size + want_lam.ravel(),
-                                     return_inverse=True)
-    assert lam2u.tobytes() == want_u.tobytes()
-    assert np.array_equal(lam, want_lam.reshape(lam.shape))
-    assert np.array_equal(pairs, want_pairs)
-    assert np.array_equal(key, want_key.reshape(bg.key.shape))
-    assert not np.array_equal(lam2u[pairs % lam2u.size], bg.lam2)  # m3 moves lambda^2
-
-
 def test_position_values_m3_needs_a_k3_profile_on_orbit_columns(p_star):
+    """m3 must be an (n3,) profile whose lambda^2 keeps the band's orbits: on a
+    regime-1 band, whose orbits pair k3 with -k3, an even or an odd profile
+    (m3^2 is even either way) matches the all-entries einsum; one with no
+    parity raises."""
     xs = ([0.0], [0.0], [0.0], [0.0])
-    bridge = _oracle_band(p_star, "bridge")  # a column per box point
-    with pytest.raises(ValueError, match="m3 needs"):
-        bridge.position_values(*xs, m3=np.zeros(bridge.k3s.size))
     bg = _oracle_band(p_star, "regime 2")
     for m3 in (0.0, np.zeros(bg.k3s.size + 1), np.zeros(bg.key.shape)):
         with pytest.raises(ValueError, match="m3 needs"):
             bg.position_values(*xs, m3=m3)
+    bg = _oracle_band(p_star, "regime 1")
+    with pytest.raises(ValueError, match="m3 needs"):
+        bg.position_values(*xs, m3=bg.k3s + 0.25)
+    xs = ([0.0, 2.0 / bg.emax], [0.0, 1.0], [0.0], np.linspace(0.0, 4.0, 5))
+    for m3 in (np.cos(bg.k3s), np.sin(bg.k3s)):
+        ent = _entries_oracle(bg, m3)
+        bound = 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
+        got = bg.position_values(*xs, m3=m3)
+        assert np.max(np.abs(got - _position_oracle(bg, xs, ent))) <= bound
 
 
 def test_default_cutoff_rejects_non_finite_b0():
