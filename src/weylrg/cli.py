@@ -28,10 +28,9 @@ except ImportError:  # Windows
 from . import __version__
 from .lattice import ParameterError, build_params, classify_phase, dispersion, weyl_points
 from .propagator import GridSpec, build_propagator_grid
-from .multiscale import (MIN_X_POINTS, ConfigurationError, crossover_scale, decay_audit,
-                         default_cutoff, initial_couplings, scale_support)
-from .rgflow import (FlowBlowupError, QuadratureError, exponential_interaction,
-                     run_flow, solve_nu)
+from .multiscale import (MIN_X_POINTS, crossover_scale, decay_audit, default_cutoff,
+                         initial_couplings, scale_support)
+from .rgflow import exponential_interaction, run_flow, solve_nu
 from . import grassmann, trees
 
 class ConfigError(ValueError):
@@ -64,10 +63,10 @@ H_MIN_FLOOR = -40
 
 #: Largest flow.n_k the flow subcommands accept.  Bands are tables on (k0,
 #: box orbit) over 3-D boxes, so memory grows as n_k^3.  At n_k = 64 `flow`
-#: peaks at 184 MB on the README model, and at 189, 336 and 554 MB at t_perp
-#: = 1, 2 and 8 (t' = 2 t_perp, r = 1/2), where the bridge band subtracts the
-#: valley split on live k0 slices; at h_min = -40 at 575 MB on the README
-#: model and 668 MB at t_perp = 8, the worst case (VmHWM, 2-core Xeon).
+#: peaks at 179 MB on the README model, and at 186, 244 and 270 MB at t_perp
+#: = 1, 2 and 8 (t' = 2 t_perp, r = 1/2), where the bridge band's box is wider
+#: in k3; at h_min = -40 at 566 MB on the README model and 658 MB at t_perp =
+#: 8, the worst case (VmHWM, one run each, 2-core Xeon).
 MAX_N_K = 64
 
 
@@ -322,12 +321,9 @@ def _cmd_band(cfg, w: RunWriter):
 def _cmd_weyl(cfg, w: RunWriter):
     p = _params(cfg)
     wp = weyl_points(p)
-    out = {"phase": classify_phase(p).value,
-           "p_F": None if wp is None else wp.p_F,
-           "v0": None if wp is None else wp.v0,
-           "v30": None if wp is None else wp.v30,
-           "degenerate": None if wp is None else wp.degenerate}
-    w.write_json("weyl.json", out)
+    out = {key: None if wp is None else getattr(wp, key)
+           for key in ("p_F", "v0", "v30", "degenerate")}
+    w.write_json("weyl.json", dict(out, phase=classify_phase(p).value))
 
 
 def _cmd_phase(cfg, w: RunWriter):
@@ -368,10 +364,7 @@ def _cmd_scales(cfg, w: RunWriter):
         rng.uniform(-0.3, 0.3, 16), rng.uniform(-1.0, 1.0, 16)])]
     worst = 0.0
     for k in kk:
-        total = 0.0
-        for h in range(0, -7, -1):
-            _, f = scale_support(k, h, c, p, cut)
-            total += f
+        total = sum(scale_support(k, h, c, p, cut)[1] for h in range(0, -7, -1))
         chi0, _ = scale_support(k, 0, c, p, cut)
         chim, _ = scale_support(k, -7, c, p, cut)
         worst = max(worst, abs(total + chim - chi0))
@@ -510,8 +503,7 @@ def dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (FlowBlowupError, QuadratureError, ConfigurationError,
-            ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # the flow's and the cutoffs' errors subclass these
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     writer.finish(Counter(str(w.message) for w in caught))

@@ -73,7 +73,8 @@ def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> Ho
 
     Rejects parameters outside mu + t' > 2 t_perp or |mu - t'|/t_perp >= 3/2.
     When r is given the latter is tested on r itself (-1/2 < r < 5/2), and the
-    rounded mu is stepped inward by ulps until the stored r is inside as well.
+    rounded mu is stepped inward by ulps until the stored r is inside as well;
+    a stored r off by more than 1e-12 (tiny t_perp: mu rounds) is rejected.
     |r| > 1/2 is admissible but triggers a warning (outside the narrow window
     where r was introduced, still inside the analyticity hypotheses).
     """
@@ -101,6 +102,8 @@ def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> Ho
         )
     p = HoppingParams(t=float(t), t_perp=float(t_perp), t_prime=float(t_prime),
                       mu=float(mu), U=float(U), kappa=float(kappa))
+    if r is not None and not abs(p.r - r) <= 1e-12:  # tiny t_perp: mu rounds
+        raise ParameterError(f"r = {r:g} is stored as r = {p.r:.17g} at t_perp = {t_perp:g}")
     if abs(p.r) > 0.5 + 1e-15:
         warnings.warn(f"|r| = {abs(p.r):g} > 1/2: outside the narrow crossover window",
                       stacklevel=2)

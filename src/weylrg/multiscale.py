@@ -31,7 +31,7 @@ lambda^2): chi_{h-1} of the same chain (one shell_cutoff ramp), the
 two-component chi_{h*-1} of the valley split for the bridge band at h*, or
 nothing for the insulator tail.  lambda^2 and the valley split are exactly
 constant on the orbits of k1 -> -k1, k2 -> -k2, k1 <-> k2 and (regime 1) k3 ->
--k3 (_orbit_key), so they are scattered into the columns, no values searched.
+-k3, so they are evaluated at one point per column (_orbit_key), not scattered.
 Its k0 sum is the Matsubara sums' paired reduction (propagator._paired_sums).
 Valley -1 of regime 2 is the k3' mirror of valley +1 (BandGrid.mirror); the
 valley split (_valley_split) serves quasiparticle_split, disconnection_check.
@@ -164,7 +164,7 @@ class BandGrid:
 
     Axes are 1-D arrays (k0s, k1s, k2s, k3s).  `table` holds f_h at the positive
     k0s (the axis mirrors exactly) per symmetry orbit of the box, of lambda^2
-    `lam2`; `key` maps the spatial box to these columns (_orbit_key).  `moments`
+    `lam2`, each evaluated at its own point; `key` maps the box to them.  `moments`
     = cell/Z sum_k0 f (m1, m2, m3)/(k0^2 + lambda^2) is all an instantaneous
     vertex sees (the ik0 part cancels in pairs); with the axes it is `box`, all a
     flow keeps.  `cell` is d0 d12^2 d3/(2pi)^4 of the virtual grid and `emax` the
@@ -214,9 +214,9 @@ class BandGrid:
                        k3_origin=-self.k3_origin)
 
     def mass_arrays(self):
-        box = np.meshgrid(self.k1s, self.k2s, self.k3s, indexing="ij")
-        c = self.couplings
-        return mass_vector(*box, self.params, c.v, c.v3, self.regime, self.omega)
+        """(m1, m2, m3) on the box, separable: shaped (n, n, 1), (n, n, 1), (n, n, n3)."""
+        c, axes = self.couplings, (self.k1s[:, None, None], self.k2s[None, :, None], self.k3s)
+        return mass_vector(*axes, self.params, c.v, c.v3, self.regime, self.omega)
 
     def position_values(self, x0s, x1s, x2s, x3s, m3=None) -> np.ndarray:
         """g(x) = cell * sum_k e^{-i k.x} f A^{-1}/Z on the tensor x-grid, as
@@ -231,7 +231,7 @@ class BandGrid:
         if m3 is not None:
             if np.shape(m3) != self.k3s.shape:
                 raise ValueError("m3 needs an (n3,) k3 profile")
-            s3 = np.broadcast_to(m3, m1.shape)
+            s3 = np.asarray(m3)
             lam2 = np.empty_like(lam2)
             lam2[key] = box = m1 ** 2 + m2 ** 2 + s3 ** 2
             if lam2[key].tobytes() != box.tobytes():
@@ -262,13 +262,18 @@ def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) 
     return (np.arange(n_lo, n_hi + 1) + off) * spacing
 
 
-def _orbit_key(n12: int, n3: int, fold3: bool) -> np.ndarray:
-    """Column of each point of an (n12, n12, n3) box with axes symmetric about 0:
-    its orbit under k1 -> -k1, k2 -> -k2, k1 <-> k2 (k3 -> -k3 with fold3)."""
+def _orbit_key(n12: int, n3: int, fold3: bool):
+    """The column layout of an (n12, n12, n3) box with axes symmetric about 0: key,
+    each point's orbit under k1 -> -k1, k2 -> -k2, k1 <-> k2 (k3 -> -k3 with fold3),
+    and axis indices (i1, i2, i3) of one point per column.  With f = min(i, n-1-i),
+    column (hi(hi+1)/2 + lo)(F3+1) + f3 is (hi, lo, f3), np.tril_indices' order."""
     f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in (n12, n3))
     f3 = f3 if fold3 else np.arange(n3)
     hi, lo = np.maximum.outer(f12, f12), np.minimum.outer(f12, f12)
-    return (hi * (hi + 1) // 2 + lo)[:, :, None] * (f3.max() + 1) + f3
+    key = (hi * (hi + 1) // 2 + lo)[:, :, None] * (f3.max() + 1) + f3
+    pair, i3 = np.divmod(np.arange(key.max() + 1), f3.max() + 1)
+    i1, i2 = (i[pair] for i in np.tril_indices(f12.max() + 1))
+    return key, (i1, i2, i3)
 
 
 def _band_bounds_r1(h, c, p, cutoff):
@@ -277,9 +282,7 @@ def _band_bounds_r1(h, c, p, cutoff):
     e_ub = p.t_prime * dpm ** 2
     hi = min(1.0, 1.0 - p.r + (emax + e_ub) / c.v3)
     lo = min(1.0, max(-1.0, 1.0 - p.r - (emax + e_ub) / c.v3))
-    k3_lo = math.acos(hi)
-    k3_hi = math.acos(lo)
-    return emax, 2.0 * dpm, k3_lo, k3_hi
+    return emax, 2.0 * dpm, math.acos(hi), math.acos(lo)
 
 
 def _band_bounds_r2(h, c, p, cutoff, p_F):
@@ -337,30 +340,29 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
         fields = dict(snap_offset=wp.p_F - p_F_snap, k3_origin=omega * wp.p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
-    axes = (k12[:, None, None], k12[None, :, None], k3s)  # separable: m broadcasts
-    m = np.stack(np.broadcast_arrays(*mass_vector(*axes, p, c.v, c.v3, regime, omega)))
-    key = _orbit_key(k12.size, k3s.size, fold3=regime == 1)
-    lam2 = np.empty(key.max() + 1)
-    lam2[key] = m[0] ** 2 + m[1] ** 2 + m[2] ** 2  # exactly constant on each orbit
+    key, (i1, i2, i3) = _orbit_key(k12.size, k3s.size, fold3=regime == 1)
+    cols = (k12[i1], k12[i2], k3s[i3])  # one point per column, whose whole orbit it stands for
+    m = mass_vector(*cols, p, c.v, c.v3, regime, omega)
+    lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
     k0 = k0s[k0s.size // 2:]  # the positive half; the other is its exact mirror
     s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2)
     table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
     # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
     live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
     if live.any():
-        low = _valley_split(k0[live, None, None, None], *axes, h, _regime2_couplings(c, p),
-                            p, cutoff)
-        split = np.empty((low[+1].shape[0], lam2.size))
-        split[:, key] = low[+1] + low[-1]  # exactly constant on each orbit too
-        table[live] = np.clip(table[live] - split, 0.0, None)
-    sums = _paired_sums(k0, np.full((1, k0.size), 2.0), lam2, table)[0]
-    moments = (cell / c.Z) * sums[key] * m
+        low = _valley_split(k0[live, None], *cols, h, _regime2_couplings(c, p), p, cutoff)
+        table[live] = np.clip(table[live] - (low[+1] + low[-1]), 0.0, None)
+    sums = ((cell / c.Z) * _paired_sums(k0, np.full((1, k0.size), 2.0), lam2, table)[0])[key]
     # both halves of the k0 axis, times each column's multiplicity on the box
     support = 2 * int(np.bincount(key.ravel(), minlength=lam2.size) @ np.sum(table > 0, axis=0))
+    moments = np.empty((3,) + key.shape)
+    bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, lam2, key, moments, support,
+                  cell, emax, c, p, **fields)
+    for out, mi in zip(moments, bg.mass_arrays()):  # separable: mi broadcasts
+        np.multiply(sums, mi, out=out)
     for arr in (table, lam2, key, moments):
         arr.flags.writeable = False
-    return BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, lam2, key, moments, support,
-                    cell, emax, c, p, **fields)
+    return bg
 
 
 # --- quasi-particle split --------------------------------------------------
@@ -407,8 +409,7 @@ def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
     if weyl_points(p) is None:
         raise ConfigurationError("disconnection check needs semimetal parameters")
     ks = np.linspace(-0.5, 0.5, 9)
-    K1, K2 = np.meshgrid(ks, ks, indexing="ij")
-    split = _valley_split(0.0, K1, K2, np.zeros_like(K1), h_star, c, p, cutoff)
+    split = _valley_split(0.0, ks[:, None], ks, 0.0, h_star, c, p, cutoff)
     chi = 2.0 * np.maximum(split[+1], split[-1])
     if np.any(chi > 0):
         raise ConfigurationError(

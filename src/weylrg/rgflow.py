@@ -436,7 +436,9 @@ def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
 def dressed_inverse(kk_abs, traj: FlowTrajectory, inter: InteractionSpec) -> np.ndarray:
     """A(kk) + nu sigma3 + sigma(kk) with the one loop of every scale the flow
     integrated, matching the counterterm produced by solve_nu; the
-    above-scale-0 dressing (uv_self_energy) is not included.
+    above-scale-0 dressing (uv_self_energy) is not included.  Measured, not
+    derived: on solve_nu trajectories its sigma3 part at k = 0 is the bare
+    t_perp r to within 1e-12 U on both sides of r = 0 (tests/test_rgflow.py).
     """
     sig = band_self_energy(kk_abs, traj.boxes, inter, traj.U)
     return inverse_propagator(kk_abs, traj.params) + traj.nu0 * SIGMA3 + sig

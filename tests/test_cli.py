@@ -121,12 +121,25 @@ def test_module_entry_point(tmp_path):
 def test_non_finite_b0_exits_2_with_one_line(tmp_path, capsys, sub, t_perp):
     """a0^2 underflows: b0 = 4/a0^2 is inf (1e-160) or a division by zero
     (1e-170).  Either is a computation error, and scales.json is not written
-    with an Infinity in it."""
-    path = write_cfg(tmp_path, dict(BASE, model=dict(BASE["model"], t_perp=t_perp)))
+    with an Infinity in it.  mu = t' is given, not r = 1/2, which such a t_perp
+    cannot store."""
+    model = {k: v for k, v in BASE["model"].items() if k != "r"}
+    path = write_cfg(tmp_path, dict(BASE, model=dict(model, t_perp=t_perp, mu=2.0)))
     assert dispatch([sub, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("computation error: b0 = 4/a0^2 is not finite") and err.count("\n") == 1
     assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("t_perp", [1e-160, 1e-12])
+def test_r_that_cannot_be_stored_is_a_config_error(tmp_path, capsys, t_perp):
+    """mu = t' + t_perp (r - 1) rounds: r = 1/2 would be stored as 1 (1e-160)
+    or as 0.49996 (1e-12).  The model is rejected with both values named."""
+    path = write_cfg(tmp_path, dict(BASE, model=dict(BASE["model"], t_perp=t_perp)))
+    assert dispatch(["weyl", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: r = 0.5 is stored as r = ")
+    assert err.count("\n") == 1
 
 
 def test_determinism_byte_identical(tmp_path):

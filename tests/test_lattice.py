@@ -50,6 +50,18 @@ def test_build_params_tests_the_window_on_r():
             build_params(1.0, 1.0, bad, r=0.5)
 
 
+def test_build_params_rejects_an_r_it_cannot_store():
+    """mu = t' + t_perp (r - 1) rounds when t_perp is tiny against t': at t, t'
+    = 1, 2 the stored r drifts by up to 1.5e-13 at t_perp = 1e-3 and 2.1e-4 at
+    1e-12, and r = 1/2 is stored as 1 at 1e-160.  Drift beyond 1e-12 is
+    rejected."""
+    for t_perp in (1e-160, 1e-12):
+        with pytest.raises(ParameterError, match=r"r = 0.5 is stored as r = "):
+            build_params(1.0, t_perp, 2.0, r=0.5)
+    assert build_params(1.0, 0.5, 2.0, r=0.5).r == 0.5  # the README model
+    assert abs(build_params(1.0, 1e-3, 2.0, r=0.25).r - 0.25) <= 1e-12
+
+
 def test_build_params_warns_outside_narrow_window():
     with pytest.warns(UserWarning):
         build_params(1.0, 0.5, 2.0, r=0.8)

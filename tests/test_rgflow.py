@@ -599,6 +599,22 @@ def test_r_uniformity_from_the_insulating_side():
     assert ratios[worst] <= 4.0, f"ratio {ratios[worst]:.3g} at r = -2^-{worst[0]}, h = {worst[1]}"
 
 
+@pytest.mark.parametrize("U", [0.05, 0.1])
+def test_dressed_sigma3_at_k0_is_the_bare_gap(U):
+    """On solve_nu trajectories at t, t_perp, t' = 1, 1/2, 2 (n_k = 12, h_min
+    = -12) the sigma3 part of dressed_inverse at k = 0 is the bare t_perp r to
+    within 1e-12 U, from both phases and at r = 0.  A measured fact, not a
+    derived one: the worst gap is 6.05e-13 U at r = 2^-6, at most 1.7e-17 U on
+    the insulating side (every flow ends in insulator-stop) and at most 1.7e-20 U
+    at r = 0.  The insulator's gap t_perp |r| does not move at one loop."""
+    for r in [0.0] + [s * 2.0 ** -j for j in (6, 12, 16) for s in (1, -1)]:
+        p = build_params(1.0, 0.5, 2.0, r=r)
+        _, traj = rg.solve_nu(p, U, INTER, -12, n_k=12)
+        assert traj.termination == ("insulator-stop" if r < 0 else "completed")
+        d = rg.dressed_inverse((0.0, 0.0, 0.0, 0.0), traj, INTER)
+        assert abs((d[0, 0] - d[1, 1]) / 2.0 - p.t_perp * r) <= 1e-12 * U
+
+
 def test_asymptotic_constants_zero_interaction(p_star):
     grid = GridSpec(L=8, beta=32.0, M=5)
     zero = rg.InteractionSpec(kappa=1.0, amplitude=0.0)
