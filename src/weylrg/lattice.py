@@ -29,6 +29,18 @@ def pauli(f, f0=None):
     return m if f0 is None else np.asarray(f0)[..., None, None] * ID2 + m
 
 
+def _orbit_key(f12, f3):
+    """Orbit columns of a box under k1 -> -k1, k2 -> -k2, k1 <-> k2, k3 -> -k3, where
+    lambda^2 is constant, from its axes' fold maps f12, f3 (index -> that of {k, -k}'s
+    representative, its own fold): key, each point's column, and axis indices (i1, i2,
+    i3) of one point per column; column (hi(hi+1)/2 + lo)(F3+1) + f3 is (hi, lo, f3)."""
+    hi, lo = np.maximum.outer(f12, f12), np.minimum.outer(f12, f12)
+    key = (hi * (hi + 1) // 2 + lo)[:, :, None] * (f3.max() + 1) + f3
+    pair, i3 = np.divmod(np.arange(key.max() + 1), f3.max() + 1)
+    i1, i2 = (i[pair] for i in np.tril_indices(f12.max() + 1))
+    return key, (i1, i2, i3)
+
+
 #: |  |mu - t'|/t_perp - 1 | below this counts as the critical boundary.
 CRITICAL_TOL = 1e-12
 
@@ -75,7 +87,7 @@ def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> Ho
     When r is given the latter is tested on r itself (-1/2 < r < 5/2), and the
     rounded mu is stepped inward by ulps until the stored r is inside as well;
     a stored r off by more than 1e-12 (tiny t_perp: mu rounds) is rejected.
-    |r| > 1/2 is admissible but triggers a warning (outside the narrow window
+    |r| > 1/2 (the requested r if given) is admissible but warns (outside the window
     where r was introduced, still inside the analyticity hypotheses).
     """
     if not all(0.0 < x < math.inf for x in (t, t_perp, t_prime)):
@@ -104,9 +116,9 @@ def build_params(t, t_perp, t_prime, *, r=None, mu=None, U=0.0, kappa=1.0) -> Ho
                       mu=float(mu), U=float(U), kappa=float(kappa))
     if r is not None and not abs(p.r - r) <= 1e-12:  # tiny t_perp: mu rounds
         raise ParameterError(f"r = {r:g} is stored as r = {p.r:.17g} at t_perp = {t_perp:g}")
-    if abs(p.r) > 0.5 + 1e-15:
-        warnings.warn(f"|r| = {abs(p.r):g} > 1/2: outside the narrow crossover window",
-                      stacklevel=2)
+    r = p.r if r is None else r  # a requested r, not its rounded stored value
+    if abs(r) > 0.5 + 1e-15:
+        warnings.warn(f"|r| = {abs(r):g} > 1/2: outside the narrow crossover window", stacklevel=2)
     return p
 
 

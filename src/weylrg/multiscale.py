@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cutoff import shell_cutoff, smooth_cutoff
-from .lattice import HoppingParams, band_energy, mass_vector, pauli, weyl_points
+from .lattice import HoppingParams, _orbit_key, band_energy, mass_vector, pauli, weyl_points
 from .propagator import _paired_sums
 
 MIN_BAND_POINTS = 100
@@ -208,8 +208,7 @@ class BandGrid:
         """Valley -1 of this valley +1 band: m3(-1, k3') = m3(+1, -k3') exactly and
         the k3' axis is +-n d3, so its box is this one reversed along k3' (0 - k3'
         keeps k3' = 0 at +0.0, as a build has it)."""
-        moments, key = (np.ascontiguousarray(a[..., ::-1]) for a in (self.moments, self.key))
-        moments.flags.writeable = key.flags.writeable = False
+        moments, key = (a[..., ::-1] for a in (self.moments, self.key))  # read-only views
         return replace(self, omega=-1, k3s=0.0 - self.k3s[::-1], moments=moments, key=key,
                        k3_origin=-self.k3_origin)
 
@@ -260,20 +259,6 @@ def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) 
     n_lo = math.ceil(lo / spacing - off)
     n_hi = math.floor(hi / spacing - off)
     return (np.arange(n_lo, n_hi + 1) + off) * spacing
-
-
-def _orbit_key(n12: int, n3: int, fold3: bool):
-    """The column layout of an (n12, n12, n3) box with axes symmetric about 0: key,
-    each point's orbit under k1 -> -k1, k2 -> -k2, k1 <-> k2 (k3 -> -k3 with fold3),
-    and axis indices (i1, i2, i3) of one point per column.  With f = min(i, n-1-i),
-    column (hi(hi+1)/2 + lo)(F3+1) + f3 is (hi, lo, f3), np.tril_indices' order."""
-    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in (n12, n3))
-    f3 = f3 if fold3 else np.arange(n3)
-    hi, lo = np.maximum.outer(f12, f12), np.minimum.outer(f12, f12)
-    key = (hi * (hi + 1) // 2 + lo)[:, :, None] * (f3.max() + 1) + f3
-    pair, i3 = np.divmod(np.arange(key.max() + 1), f3.max() + 1)
-    i1, i2 = (i[pair] for i in np.tril_indices(f12.max() + 1))
-    return key, (i1, i2, i3)
 
 
 def _band_bounds_r1(h, c, p, cutoff):
@@ -340,7 +325,8 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
         fields = dict(snap_offset=wp.p_F - p_F_snap, k3_origin=omega * wp.p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
-    key, (i1, i2, i3) = _orbit_key(k12.size, k3s.size, fold3=regime == 1)
+    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in (k12.size, k3s.size))
+    key, (i1, i2, i3) = _orbit_key(f12, f3 if regime == 1 else np.arange(k3s.size))
     cols = (k12[i1], k12[i2], k3s[i3])  # one point per column, whose whole orbit it stands for
     m = mass_vector(*cols, p, c.v, c.v3, regime, omega)
     lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2

@@ -17,6 +17,7 @@ the phase sign chosen so the equal-time jump S0(0,0+) - S0(0,0-) is +I
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
@@ -30,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .cutoff import smooth_cutoff
-from .lattice import HoppingParams, band_energy, mass_vector, pauli
+from .lattice import HoppingParams, _orbit_key, band_energy, mass_vector, pauli
 
 
 class SingularMomentumError(ZeroDivisionError):
@@ -149,6 +150,24 @@ def _displacement(x1, x2, x3) -> tuple[int, int, int]:
     return int(x1), int(x2), int(x3)
 
 
+@functools.lru_cache(maxsize=1)
+def _time_slice(x0: float, L: int, beta: float, p: HoppingParams, positive: bool):
+    """schwinger_time_domain's read-only time slice at one x0, all it needs besides
+    the phases: the momenta ks and f = (c0, c1 m1, c1 m2, c1 m3) on the L^3 grid."""
+    ks = 2.0 * np.pi * np.arange(L) / L
+    m = mass_vector(ks[:, None, None], ks[None, :, None], ks, p)
+    lam = band_energy(0.0, m)
+    gp = _mode_propagator(lam, x0, beta, positive)
+    gm = _mode_propagator(-lam, x0, beta, positive)
+    c0 = 0.5 * (gp + gm)
+    # (gp - gm)/(2 lam) stays finite as lam -> 0 and multiplies m directly
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c1 = np.where(lam > 0, 0.5 * (gp - gm) / np.where(lam > 0, lam, 1.0), 0.0)
+    f = np.stack([c0, c1 * m[0], c1 * m[1], c1 * m[2]])
+    ks.flags.writeable = f.flags.writeable = False
+    return ks, f
+
+
 def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None = None) -> np.ndarray:
     """Exact S0(x) from the diagonal-basis closed forms, rotated to (a, b).
 
@@ -156,8 +175,9 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
     raises ValueError) and x0 in (-beta, beta] (rejected outside; use
     normalize_time first).  side selects the one-sided limit at x0 = 0: "+"
     evaluates the x0 > 0 branch, "-" the x0 <= 0 branch (the time-ordering
-    default).  The phase e^{-i kbar.xbar} factorizes over the three axes, so
-    the L^3 sum is taken one axis at a time.
+    default).  A one-entry memo keeps the last O(L^3) time slice (_time_slice) for
+    the displacements of one x0; their phase e^{-i kbar.xbar} factorizes over the
+    three axes, so the L^3 sum is taken one axis at a time.
     """
     x0, xbar = x[0], _displacement(*x[1:])
     beta = grid.beta
@@ -166,17 +186,7 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
     if side not in (None, "+", "-"):
         raise ValueError("side must be None, '+' or '-'")
     branch_positive = x0 > 0 if side is None else (side == "+")
-
-    ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
-    m = mass_vector(ks[:, None, None], ks[None, :, None], ks, p)
-    lam = band_energy(0.0, m)
-    gp = _mode_propagator(lam, x0, beta, branch_positive)
-    gm = _mode_propagator(-lam, x0, beta, branch_positive)
-    c0 = 0.5 * (gp + gm)
-    # (gp - gm)/(2 lam) stays finite as lam -> 0 and multiplies m directly
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c1 = np.where(lam > 0, 0.5 * (gp - gm) / np.where(lam > 0, lam, 1.0), 0.0)
-    f = np.stack([c0, c1 * m[0], c1 * m[1], c1 * m[2]])
+    ks, f = _time_slice(float(x0), grid.L, beta, p, bool(branch_positive))
     e1, e2, e3 = (np.exp(-1j * ks * xi) for xi in xbar)
     w0, w1, w2, w3 = ((f @ e3) @ e2) @ e1
     return pauli((w1, w2, w3), w0) / grid.L ** 3
@@ -184,22 +194,22 @@ def schwinger_time_domain(x, grid: GridSpec, p: HoppingParams, side: str | None 
 
 # --- regularized momentum sums -------------------------------------------
 
-def _paired_sums(k0, w, lam2u, weight=None):
-    """w @ [weight / (k0^2 + lam2u)], the one frequency reduction: the axes
+def _paired_sums(k0, w, lam2, weight=None):
+    """w @ [weight / (k0^2 + lam2)], the one frequency reduction: the axes
     mirror exactly and every weight is even in k0, so each +-k0 pair is summed
     at once, k0 holding the positive half and w (n, k0.size) each pair's
-    factors, over the distinct lambda^2 lam2u, in blocks of frequencies.
-    weight is a (k0.size, lam2u.size) table or weight(k0sq, lam2u) per block.
+    factors, over lam2, one lambda^2 per orbit column, in blocks of frequencies.
+    weight is a (k0.size, lam2.size) table or weight(k0sq, lam2) per block.
     Every block is filled in place into one reused block buffer.
     """
-    sums = np.zeros((w.shape[0], lam2u.size))
-    buf = np.empty((min(k0.size, 4096), lam2u.size))
+    sums = np.zeros((w.shape[0], lam2.size))
+    buf = np.empty((min(k0.size, 4096), lam2.size))
     for lo in range(0, k0.size, 4096):
         k0sq = k0[lo:lo + 4096, None] ** 2
         g = buf[:k0sq.shape[0]]
-        np.divide(1.0, np.add(k0sq, lam2u, out=g), out=g)
+        np.divide(1.0, np.add(k0sq, lam2, out=g), out=g)
         if callable(weight):
-            g *= weight(k0sq, lam2u)
+            g *= weight(k0sq, lam2)
         elif weight is not None:
             g *= weight[lo:lo + 4096]
         sums += w[:, lo:lo + 4096] @ g
@@ -209,14 +219,24 @@ def _paired_sums(k0, w, lam2u, weight=None):
 def _matsubara_sums(grid: GridSpec, lam2, M: int, x0: float = 0.0, extra=None):
     """Real (s0, a) = (1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} [1, i k0] extra
     / (k0^2 + lam2) per entry of the 1-D lam2, extra(k0sq, lam2) an optional weight:
-    _paired_sums over the distinct lam2; a is exactly 0 at x0 = 0.
+    _paired_sums per orbit column (_grid_columns); a is exactly 0 at x0 = 0.
     """
     k0 = grid.matsubara_frequencies(M)
     k0 = k0[k0.size // 2:]  # the positive half; the other is its exact mirror
     cut = 2.0 * smooth_cutoff(k0 / 2.0 ** M)
     w = np.stack([cut * np.cos(k0 * x0), cut * k0 * np.sin(k0 * x0)])
-    lam2u, back = np.unique(lam2, return_inverse=True)
-    return _paired_sums(k0, w, lam2u, extra)[:, back] / grid.beta
+    return _paired_sums(k0, w, lam2, extra) / grid.beta
+
+
+def _grid_columns(grid: GridSpec, p: HoppingParams):
+    """The mass vector on the L^3 momenta in spatial_momenta() order, lambda^2 per
+    orbit column (lattice._orbit_key, each axis folding j to min(j, -j mod L)) at one
+    momentum per column, and the key that scatters columns back onto the momenta."""
+    j = np.arange(grid.L)
+    ks, fold = 2.0 * np.pi * j / grid.L, np.minimum(j, -j % grid.L)
+    key, (i1, i2, i3) = _orbit_key(fold, fold)
+    m1, m2, m3 = mass_vector(ks[i1], ks[i2], ks[i3], p)
+    return mass_vector(*grid.spatial_momenta().T, p), m1 ** 2 + m2 ** 2 + m3 ** 2, key.ravel()
 
 
 def regularized_all_spatial(x0: float, grid: GridSpec, p: HoppingParams,
@@ -224,13 +244,14 @@ def regularized_all_spatial(x0: float, grid: GridSpec, p: HoppingParams,
     """g_M(x0, xbar) for every lattice displacement at once; (L, L, L, 2, 2).
 
     (1/beta) sum_k0 chibar(2^-M |k0|) e^{-i k0 x0} A^{-1} is pauli(m s0, a) per kbar
-    with the real (s0, a) of _matsubara_sums; one FFT over the spatial axes gives
+    with the real (s0, a) of _matsubara_sums per orbit column, scattered by the key;
+    one FFT over the spatial axes gives
     value[xbar] = (1/L^3) sum_kbar e^{-i kbar.xbar} of it.
     """
     M = grid.M if M is None else M
     L = grid.L
-    m1, m2, m3 = mass_vector(*grid.spatial_momenta().T, p)
-    s0, a = _matsubara_sums(grid, m1 ** 2 + m2 ** 2 + m3 ** 2, M, x0)
+    (m1, m2, m3), lam2, key = _grid_columns(grid, p)
+    s0, a = (x[key] for x in _matsubara_sums(grid, lam2, M, x0))
     f = pauli((m1 * s0, m2 * s0, m3 * s0), a).reshape(L, L, L, 2, 2)
     return np.fft.fftn(f, axes=(0, 1, 2)) / L ** 3
 

@@ -30,9 +30,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .lattice import (HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, mass_vector, pauli,
-                      weyl_points)
-from .propagator import GridSpec, _matsubara_sums, inverse_propagator
+from .lattice import HoppingParams, ID2, SIGMA1, SIGMA2, SIGMA3, pauli, weyl_points
+from .propagator import GridSpec, _grid_columns, _matsubara_sums, inverse_propagator
 from .cutoff import smooth_cutoff
 from .multiscale import (RunningCouplings, _regime2_couplings, band_grid, crossover_scale,
                          default_cutoff, initial_couplings)
@@ -410,14 +409,14 @@ def _scale0_weight(a0: float, support: str):
 
 
 def _grid_moments(p: HoppingParams, grid: GridSpec, extra):
-    """The grid as one box: the k0 moments (m1, m2, m3) s0 / L^3 of A^{-1}
-    extra, shaped (3, L, L, L) on the axes 2 pi j / L (spatial_momenta is an
-    ij-meshgrid ravel), origin 0.  Its ik0 moment, the Hartree trace, is
-    exactly 0 (half filling)."""
-    m = np.stack(mass_vector(*grid.spatial_momenta().T, p))
-    s0, _ = _matsubara_sums(grid, m[0] ** 2 + m[1] ** 2 + m[2] ** 2, grid.M, extra=extra)
+    """The grid as one box: the k0 moments (m1, m2, m3) s0 / L^3 of A^{-1} extra, s0
+    per orbit column (_grid_columns), shaped (3, L, L, L) on the axes 2 pi j / L
+    (spatial_momenta is an ij-meshgrid ravel), origin 0.  Its ik0 moment, the
+    Hartree trace, is exactly 0 (half filling)."""
+    m, lam2, key = _grid_columns(grid, p)
+    s0 = _matsubara_sums(grid, lam2, grid.M, extra=extra)[0][key]
     ks = 2.0 * np.pi * np.arange(grid.L) / grid.L
-    return (m * s0 / grid.L ** 3).reshape(3, grid.L, grid.L, grid.L), ks, ks, ks, 0.0
+    return (np.stack(m) * s0 / grid.L ** 3).reshape(3, grid.L, grid.L, grid.L), ks, ks, ks, 0.0
 
 
 def uv_self_energy(kk_abs, p: HoppingParams, inter: InteractionSpec, U: float,
@@ -488,7 +487,7 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
     if weight is not None:
         # the weight is monotone in |k|, so it peaks at an end of the grid's |k| range
         k0sq = grid.matsubara_frequencies() ** 2
-        lam2 = np.sum(np.square(mass_vector(*grid.spatial_momenta().T, p)), axis=0)
+        lam2 = _grid_columns(grid, p)[1]
         top = max(weight(k0sq.min(), lam2.min()), weight(k0sq.max(), lam2.max()))
         if top < 0.5:
             raise QuadratureError(f"the largest {support} weight at a point of the L={grid.L}, "

@@ -67,6 +67,16 @@ def test_build_params_warns_outside_narrow_window():
         build_params(1.0, 0.5, 2.0, r=0.8)
 
 
+def test_build_params_warns_on_the_requested_r_not_its_rounding():
+    # t_perp = 1e-3 stores r = 1/2 as 0.5000000000000551; filterwarnings = error
+    # turns a warning here into a failure
+    assert build_params(1.0, 1e-3, 2.0, r=0.5).r > 0.5
+    with pytest.warns(UserWarning, match="outside the narrow crossover window"):
+        build_params(1.0, 1e-3, 2.0, r=0.6)
+    with pytest.warns(UserWarning, match="0.6 > 1/2"):  # given mu: the stored r
+        build_params(1.0, 0.5, 2.0, mu=1.8)
+
+
 def test_build_params_requires_exactly_one_of_r_mu():
     with pytest.raises(ParameterError):
         build_params(1.0, 0.5, 2.0)

@@ -667,7 +667,7 @@ def test_matsubara_sums_match_brute_force(p_star, brute_matsubara, L, x0):
     kbar = grid.spatial_momenta()
     m1, m2, m3 = mass_vector(kbar[:, 0], kbar[:, 1], kbar[:, 2], p_star)
     lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
-    assert np.unique(lam2).size < lam2.size  # the distinct-value path is taken
+    assert np.unique(lam2).size < lam2.size  # the grid's orbits repeat values
     # values 1e-9 apart must stay apart, and generic values too
     rng = np.random.default_rng(12)
     lam2 = np.concatenate([lam2, lam2 * (1.0 + 1e-9), rng.uniform(0.0, 9.0, 40)])
@@ -683,6 +683,79 @@ def test_matsubara_sums_match_brute_force(p_star, brute_matsubara, L, x0):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(b0))
         if x0 == 0.0:
             assert np.all(a == 0.0)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 8, 12])
+def test_grid_orbit_columns(p_star, L):
+    """The grid's orbit columns under k1 -> -k1, k2 -> -k2, k1 <-> k2, k3 -> -k3
+    (mod 2 pi): (F+1)^2 (F+2)/2 of them, F = L // 2, keyed in spatial_momenta()
+    order.  Each momentum's own lambda^2 lies within 8 ulp of the grid's largest
+    lambda^2 of its column's (measured: 5 at L = 3, 2.5 at L = 8 and 12); relative
+    to the entry itself it can be 22 ulp (L = 12), from the cancellation in m3."""
+    grid = GridSpec(L=L, beta=8.0)
+    m, lam2, key = propagator._grid_columns(grid, p_star)
+    F = L // 2
+    assert lam2.size == (F + 1) ** 2 * (F + 2) // 2 == key.max() + 1
+    assert key.shape == (L ** 3,) and np.array_equal(np.unique(key), np.arange(lam2.size))
+    kbar = grid.spatial_momenta()
+    own = mass_vector(*kbar.T, p_star)
+    assert all(np.array_equal(a, b) for a, b in zip(m, own))
+    own = own[0] ** 2 + own[1] ** 2 + own[2] ** 2
+    assert np.all(np.abs(own - lam2[key]) <= 8 * np.spacing(lam2.max()))
+    # the key partitions the momenta as the folded index triples do, row by row
+    j = np.rint(kbar * L / (2.0 * np.pi)).astype(int)
+    f = np.minimum(j, -j % L)
+    orbit = np.stack([f[:, :2].max(axis=1), f[:, :2].min(axis=1), f[:, 2]], axis=1)
+    _, label = np.unique(orbit, axis=0, return_inverse=True)
+    assert len(set(zip(key.tolist(), label.ravel().tolist()))) == lam2.size
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.5])
+def test_matsubara_sums_on_orbit_columns_match_brute_force(p_star, brute_matsubara, x0):
+    grid = GridSpec(L=5, beta=8.0, M=12)
+    m, lam2, key = propagator._grid_columns(grid, p_star)
+    s0, a = (x[key] for x in _matsubara_sums(grid, lam2, 12, x0))
+    b0, ba = brute_matsubara(grid, m[0] ** 2 + m[1] ** 2 + m[2] ** 2, 12, x0)
+    for got, want in ((s0, b0), (a, ba)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(b0))
+
+
+def test_time_slice_memo_returns_cold_bits(p_star):
+    """Interleaved x0, side, grid and p: every call returns the bits of a call
+    on a cleared memo, mutating a returned array moves no later result, and a
+    call with another p or grid at the same x0 builds its own slice."""
+    p2 = build_params(1.0, 0.5, 2.0, r=0.25)
+    g2, g3 = GridSpec(L=5, beta=8.0, M=12), GridSpec(L=4, beta=6.0, M=12)
+    calls = [(0.5, (1, 0, 2), GRID, p_star, None), (0.5, (0, 3, 1), GRID, p_star, None),
+             (0.5, (1, 0, 2), GRID, p2, None), (0.5, (1, 0, 2), g2, p_star, None),
+             (0.5, (1, 0, 2), g3, p_star, None), (0.5, (2, 2, 0), GRID, p_star, None),
+             (0.0, (1, 0, 2), GRID, p_star, "+"), (0.0, (1, 0, 2), GRID, p_star, "-"),
+             (0.0, (1, 0, 2), GRID, p_star, None), (0.0, (3, 1, 1), GRID, p_star, "+"),
+             (-3.25, (1, 0, 2), GRID, p_star, None), (0.5, (1, 0, 2), GRID, p_star, "+")]
+
+    def call(x0, x, grid, p, side):
+        return schwinger_time_domain((x0,) + x, grid, p, side)
+
+    cold = []
+    for c in calls:
+        propagator._time_slice.cache_clear()
+        cold.append(call(*c).tobytes())
+    propagator._time_slice.cache_clear()
+    last = None
+    for c, want in zip(calls, cold):
+        before = propagator._time_slice.cache_info()
+        got = call(*c)
+        assert got.tobytes() == want, c
+        # a memo hit exactly when x0, the branch, L, beta and p repeat the last call
+        slice_of = (c[0], c[0] > 0 if c[4] is None else c[4] == "+", c[2].L, c[2].beta, c[3])
+        hit = propagator._time_slice.cache_info().hits > before.hits
+        assert hit == (slice_of == last), c
+        last = slice_of
+        got[...] = 0.0  # the caller's array is its own
+    # other p and grids at x0 = 0.5 give other values: a reused slice would show
+    assert len({cold[i] for i in (0, 2, 3, 4)}) == 4
+    ks, f = propagator._time_slice(0.5, 4, 8.0, p_star, True)
+    assert not ks.flags.writeable and not f.flags.writeable
 
 
 def test_paired_sums_without_frequencies_is_zero():

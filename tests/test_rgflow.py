@@ -204,6 +204,20 @@ def test_valley_minus_one_is_the_mirror_of_valley_plus_one(p_star):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kk
 
 
+def test_mirrored_band_arrays_are_read_only_views(p_star):
+    """Valley -1 keeps no copy: its moments and key are the +1 arrays reversed
+    along k3', sharing their memory, and cannot be written."""
+    c = ms.initial_couplings(p_star, regime=2).replace(h=-2)
+    bp = ms.band_grid(-2, 2, 1, c, p_star, ms.default_cutoff(p_star), n=10, h_star=0)
+    bm = bp.mirror()
+    for got, own in ((bm.moments, bp.moments), (bm.key, bp.key)):
+        assert got.base is not None and np.shares_memory(got, own)
+        assert np.array_equal(got, own[..., ::-1])
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):  # read-only
+            got[(0,) * got.ndim] = 1
+
+
 def test_band_weight_cannot_be_written(p_star, p_small_r):
     kk = (0.0, 0.1, -0.2, 0.3)
     for name, bg in _test_bands(p_star, p_small_r).items():
