@@ -38,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -168,21 +168,35 @@ def _partitions(items):
         yield [[first]] + p
 
 
+def _check_clusters(clusters, even=True, distinct=True):
+    """ValueError on no clusters or a field kind other than -1/+1, and (as
+    asked) on an odd cluster or a field that appears twice."""
+    if not clusters:
+        raise ValueError("need at least one cluster")
+    fields = [f for cl in clusters for f in cl]
+    for i, f in enumerate(fields):
+        if f[1] not in (-1, 1):
+            raise ValueError(f"field {f} has kind {f[1]!r}, not -1 (psi^-) or +1 (psi^+)")
+        if distinct and f in fields[:i]:
+            raise ValueError(f"field {f} appears more than once")
+    if even and any(len(c) % 2 for c in clusters):
+        raise ValueError("clusters must hold an even number of fields")
+
+
 def truncated_expectation_oracle(clusters, g):
     """Joint cumulant of the cluster monomials by partition Moebius inversion.
 
     Requires even clusters (odd monomials anticommute across blocks and the
     partition formula would need extra signs; every cluster that arises from
-    the expansion is even).  s = 1 reduces to the plain expectation.
+    the expansion is even).  s = 1 reduces to the plain expectation.  A
+    repeated field is allowed: its monomials are nilpotent.
     """
     s = len(clusters)
     if s > MAX_CLUSTERS_ORACLE:
         raise SizeLimitError(f"oracle capped at s <= {MAX_CLUSTERS_ORACLE}")
     if sum(len(c) for c in clusters) > MAX_FIELDS_ORACLE:
         raise SizeLimitError(f"oracle capped at {MAX_FIELDS_ORACLE} fields")
-    for c in clusters:
-        if len(c) % 2:
-            raise ValueError("clusters must hold an even number of fields")
+    _check_clusters(clusters, distinct=False)
     total = 0
     for p in _partitions(list(range(s))):
         term = 1
@@ -206,78 +220,58 @@ class AnchoredTree:
 
     lines: tuple
 
-    def cluster_edges(self):
-        return tuple((min(l[0], l[2]), max(l[0], l[2])) for l in self.lines)
-
     def contracts_to_tree(self, s: int) -> bool:
-        seen = {0}
-        edges = [(l[0], l[2]) for l in self.lines]
-        grew = True
-        while grew:
-            grew = False
-            for a, b in edges:
-                if (a in seen) != (b in seen):
-                    seen.update((a, b))
-                    grew = True
-        return len(self.lines) == s - 1 and len(seen) == s
+        return len(self.lines) == s - 1 and _tree_paths([l[::2] for l in self.lines], s) is not None
 
 
-def _spanning_trees(s):
-    if s == 1:
-        return [()]
-    out = []
-    for sub in combinations(combinations(range(s), 2), s - 1):
-        seen = {0}
-        adj = {i: [] for i in range(s)}
-        for a, b in sub:
-            adj[a].append(b)
-            adj[b].append(a)
-        stack = [0]
+def _tree_paths(edges, s):
+    """{(i, u): indices of the edges on the path i -> u} over every ordered
+    pair of the s clusters (() for i == u), or None when the edges (a, b)
+    do not connect all s clusters."""
+    paths = {}
+    for i in range(s):
+        path, stack = {i: ()}, [i]
         while stack:
             v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
+            for e, (a, b) in enumerate(edges):
+                if v in (a, b) and (u := a + b - v) not in path:
+                    path[u] = path[v] + (e,)
                     stack.append(u)
-        if len(seen) == s:
-            out.append(sub)
-    return out
+        if any(u not in path for u in range(s)):
+            return None
+        paths.update(((i, u), p) for u, p in path.items())
+    return paths
+
+
+@functools.cache
+def _spanning_trees(s):
+    """The cluster trees on s clusters: (s - 1)-sets of edges (a, b), a < b, connecting all."""
+    return tuple(sub for sub in combinations(combinations(range(s), 2), s - 1)
+                 if _tree_paths(sub, s) is not None)
+
+
+def _pairings(tree, clusters):
+    """Line sets of the cluster tree: per edge (a, b) one line (ci, psi^-,
+    cj, psi^+) between a and b, every chosen field distinct; a's minus
+    fields with b's plus fields come first, then b's minus with a's plus."""
+    def lines(a, b):
+        return [(a, fm, b, fp) for fm in clusters[a] if fm[1] == -1
+                for fp in clusters[b] if fp[1] == +1]
+
+    return (combo for combo in product(*[lines(a, b) + lines(b, a) for a, b in tree])
+            if len({f for l in combo for f in l[1::2]}) == 2 * len(combo))
 
 
 def enumerate_anchored_trees(clusters):
     """All anchored trees: per tree edge an oriented field pair with every
-    chosen field distinct; contraction to a cluster tree holds by construction."""
+    chosen field distinct; contraction to a cluster tree holds by construction.
+    ValueError on no clusters, a field kind other than -1/+1 or a repeated field."""
     s = len(clusters)
     if s > MAX_CLUSTERS_ORACLE:
         raise SizeLimitError(f"anchored trees capped at s <= {MAX_CLUSTERS_ORACLE}")
-    cl_of = {}
-    for ci, cl in enumerate(clusters):
-        for f in cl:
-            cl_of[f] = ci
-    minus = [f for cl in clusters for f in cl if f[1] == -1]
-    plus = [f for cl in clusters for f in cl if f[1] == +1]
-    out = []
-    for tree in _spanning_trees(s):
-        def choices(edge):
-            a, b = edge
-            ch = [(fm, fp) for fm in minus if cl_of[fm] == a
-                  for fp in plus if cl_of[fp] == b]
-            ch += [(fm, fp) for fm in minus if cl_of[fm] == b
-                   for fp in plus if cl_of[fp] == a]
-            return ch
-
-        for combo in product(*[choices(e) for e in tree]):
-            used = set()
-            ok = True
-            for fm, fp in combo:
-                if fm in used or fp in used:
-                    ok = False
-                    break
-                used.update((fm, fp))
-            if ok:
-                out.append(AnchoredTree(lines=tuple(
-                    (cl_of[fm], fm, cl_of[fp], fp) for fm, fp in combo)))
-    return out
+    _check_clusters(clusters, even=False)
+    return [AnchoredTree(lines=lines) for tree in _spanning_trees(s)
+            for lines in _pairings(tree, clusters)]
 
 
 # --- interpolated determinant formula ------------------------------------------
@@ -313,23 +307,12 @@ def _frozen(a):
 @functools.cache
 def _tree_interpolation(tree, s):
     """(weights (n,), t (n, s, s)) for a cluster tree: t_ii' = min of w along
-    the tree path i -> i' at each quadrature point, 1 on the diagonal."""
+    the tree path i -> i' at each quadrature point and of 1 (every w < 1),
+    which makes the diagonal, with its empty path, 1."""
     wt, w = _sector_grid(len(tree))
-    adj = {i: [] for i in range(s)}
-    for e, (a, b) in enumerate(tree):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    t = np.ones((len(wt), s, s))
-    for i in range(s):
-        path = {i: []}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for u, e in adj[v]:
-                if u not in path:
-                    path[u] = path[v] + [e]
-                    t[:, i, u] = w[:, path[u]].min(axis=1)
-                    stack.append(u)
+    t = np.empty((len(wt), s, s))
+    for (i, u), path in _tree_paths(tree, s).items():
+        t[:, i, u] = w[:, list(path)].min(axis=1, initial=1.0)
     return wt, _frozen(t)
 
 
@@ -337,33 +320,34 @@ def bbf_evaluate(clusters, g):
     """Anchored-tree interpolated-determinant evaluation of the cumulant.
 
     Equals truncated_expectation_oracle to quadrature accuracy (1e-10 on
-    normalized inputs); s <= 3, total fields <= 10.  All pairings of one
-    cluster tree share its quadrature points and minor size, so each tree
-    takes one stacked determinant.
+    normalized inputs); s <= 3, total fields <= 10, even clusters of distinct
+    fields of kind -1/+1 (ValueError otherwise).  All pairings of one cluster
+    tree share its quadrature points and minor size, so each tree takes one
+    stacked determinant.
     """
     s = len(clusters)
     if s > MAX_CLUSTERS_BBF:
         raise SizeLimitError(f"bbf_evaluate capped at s <= {MAX_CLUSTERS_BBF}")
     if sum(len(c) for c in clusters) > MAX_FIELDS_BBF:
         raise SizeLimitError(f"bbf_evaluate capped at {MAX_FIELDS_BBF} fields")
+    _check_clusters(clusters)
     garr = np.asarray(g, dtype=float)
     fields = [f for cl in clusters for f in cl]
     if 2 * sum(f[1] == -1 for f in fields) != len(fields):
         return 0.0
     cl_of = {f: ci for ci, cl in enumerate(clusters) for f in cl}
     total = 0.0
-    for tree, group in groupby(enumerate_anchored_trees(clusters),
-                               key=AnchoredTree.cluster_edges):
-        coef, minus, plus, rows, cols = [], [], [], [], []
-        for at in group:
-            front = [f for _, fm, _, fp in at.lines for f in (fm, fp)]
+    for tree in _spanning_trees(s):
+        terms = []
+        for lines in _pairings(tree, clusters):
+            front = [f for _, fm, _, fp in lines for f in (fm, fp)]
             sgn0, rest = _move_front_sign(fields, front)
             sgn1, mi, pi = interleave_sign(tuple(rest))
-            coef.append(sgn0 * sgn1 * math.prod(garr[fm[0], fp[0]] for _, fm, _, fp in at.lines))
-            minus.append(mi)
-            plus.append(pi)
-            rows.append([cl_of[(i, -1)] for i in mi])
-            cols.append([cl_of[(j, +1)] for j in pi])
+            terms.append((sgn0 * sgn1 * math.prod(garr[fm[0], fp[0]] for _, fm, _, fp in lines),
+                          mi, pi, [cl_of[(i, -1)] for i in mi], [cl_of[(j, +1)] for j in pi]))
+        if not terms:
+            continue
+        coef, minus, plus, rows, cols = zip(*terms)
         # (P, m): every pairing of the tree leaves an m x m minor, m = nf/2 - (s - 1)
         minus, plus, rows, cols = (np.array(a, dtype=int).reshape(len(coef), -1)
                                    for a in (minus, plus, rows, cols))

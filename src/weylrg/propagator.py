@@ -431,8 +431,9 @@ class PropagatorGrid:
                                          initial=worst))
         return worst
 
-    def to_csv(self, path_or_buf):
-        """Header plus one CRLF row per momentum, every float written by repr.
+    def to_csv(self, buf):
+        """Write a header plus one CRLF row per momentum, every float written by
+        repr, into the writable text buffer buf (opened with newline="").
 
         The momenta are written from the layout: one "\\r\\n" + k0 + "," lead
         per block, which starts each row, and one "k1,k2,k3" per spatial
@@ -453,7 +454,6 @@ class PropagatorGrid:
         lead = np.array([f"\r\n{k!r}," for k in self.k0.tolist()], dtype=object)
         spatial = np.array([",".join(map(repr, k)) for k in kbar.tolist()], dtype=object)
         runs = _runs(list(_boxes(self.k0.size, kbar.shape[0])))
-        buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w", newline="")
         temps, pids = [], {}  # per later run its file, and its child until reaped
         try:
             for i, run in enumerate(runs[1:], 1):
@@ -480,8 +480,6 @@ class PropagatorGrid:
                 os.waitpid(pid, 0)
             for tmp in temps:
                 tmp.close()
-            if buf is not path_or_buf:
-                buf.close()
 
     def _box_texts(self, boxes, lead, spatial):
         """The CSV text of each box in turn: its rows, each led by "\\r\\n"."""

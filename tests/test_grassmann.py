@@ -148,6 +148,73 @@ def test_anchored_tree_counts():
     assert gr.enumerate_anchored_trees((((0, -1), (1, +1)),)) == [gr.AnchoredTree(lines=())]
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_spanning_trees_match_cayley(s):
+    # Cayley's formula: s^(s-2) labelled trees on s vertices (1 for s = 1)
+    trees = gr._spanning_trees(s)
+    assert len(trees) == len(set(trees)) == round(s ** (s - 2))
+    for tree in trees:
+        assert len(tree) == s - 1 and all(a < b for a, b in tree)
+
+
+def test_tree_paths_by_hand():
+    chain = gr._tree_paths(((0, 1), (1, 2), (2, 3)), 4)
+    assert chain[0, 3] == (0, 1, 2) and chain[3, 0] == (2, 1, 0)
+    assert chain[1, 3] == (1, 2) and chain[3, 1] == (2, 1)
+    assert chain[0, 1] == chain[1, 0] == (0,)
+    assert all(chain[i, i] == () for i in range(4))
+    star = gr._tree_paths(((0, 1), (0, 2), (0, 3)), 4)
+    assert star[1, 2] == (0, 1) and star[2, 1] == (1, 0)
+    assert star[3, 1] == (2, 0) and star[1, 3] == (0, 2)
+    assert [star[0, u] for u in (1, 2, 3)] == [(0,), (1,), (2,)]
+    assert [star[u, 0] for u in (1, 2, 3)] == [(0,), (1,), (2,)]
+    assert len(chain) == len(star) == 16
+    assert gr._tree_paths(((0, 1), (2, 3)), 4) is None
+    assert gr._tree_paths(((0, 1), (0, 1)), 3) is None
+
+
+def test_contracts_to_tree_needs_a_spanning_tree():
+    a, b, c = (0, -1), (1, 1), (2, -1)
+    assert gr.AnchoredTree(lines=((0, a, 1, b), (2, c, 1, b))).contracts_to_tree(3)
+    assert not gr.AnchoredTree(lines=((0, a, 1, b), (1, c, 0, b))).contracts_to_tree(3)
+    assert not gr.AnchoredTree(lines=((0, a, 1, b),)).contracts_to_tree(3)
+    assert gr.AnchoredTree(lines=()).contracts_to_tree(1)
+
+
+@pytest.mark.parametrize("clusters, oracle", [
+    ((((0, -1), (1, 1)), ((0, -1), (2, 1))), -0.5),
+    ((((0, -1), (1, 1)), ((2, -1), (1, 1))), -1.0)])
+def test_repeated_field_is_refused_where_the_oracle_is_nilpotent(clusters, oracle):
+    # the anchored-tree formula needs distinct fields; the oracle's values
+    # are the cumulants of the nilpotent monomials
+    g = np.ones((3, 3))
+    g[0, 2] = 0.5
+    assert gr.truncated_expectation_oracle(clusters, g) == oracle
+    with pytest.raises(ValueError, match="appears more than once"):
+        gr.bbf_evaluate(clusters, g)
+    with pytest.raises(ValueError, match="appears more than once"):
+        gr.enumerate_anchored_trees(clusters)
+
+
+def test_bbf_rejects_odd_clusters():
+    clusters = (((0, -1),), ((1, 1), (2, -1)), ((3, 1),))
+    for f in (gr.bbf_evaluate, gr.truncated_expectation_oracle):
+        with pytest.raises(ValueError, match="^clusters must hold an even number of fields$"):
+            f(clusters, np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("clusters, match", [
+    ((), "^need at least one cluster$"),
+    ((((0, -1), (1, 2)),), r"^field \(1, 2\) has kind 2, not -1")])
+def test_entry_points_reject_no_clusters_and_other_kinds(clusters, match):
+    g = np.ones((2, 2))
+    for call in (lambda: gr.bbf_evaluate(clusters, g),
+                 lambda: gr.truncated_expectation_oracle(clusters, g),
+                 lambda: gr.enumerate_anchored_trees(clusters)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_bbf_connected_pair_regression():
     # two 2-field clusters whose only covariances are g(0,3) = 2, g(2,1) = 3:
     # the connected part is -g(0,3) g(2,1) = -6, with no sign to calibrate
