@@ -157,14 +157,14 @@ def update_couplings(c: RunningCouplings, loc: LocalizedKernel) -> RunningCoupli
     -sin k3' in regime 2, which flow_step localizes at +p_F; so
     v3_{h-1} = (Z_h/Z_{h-1})(v3_h - b3).  nu is flown separately (flow_step).
     """
-    if 1.0 + loc.b0_h <= 0.0:
-        raise FlowBlowupError(f"wavefunction update 1 + b0 = {1.0 + loc.b0_h:g} <= 0")
+    if not 1.0 + loc.b0_h > 0.0:  # NaN fails too
+        raise FlowBlowupError(f"wavefunction update 1 + b0 = {1.0 + loc.b0_h:g} is not > 0")
     z_new = c.Z * (1.0 + loc.b0_h)
     ratio = c.Z / z_new
     v_new = ratio * (c.v + loc.bplus_h)
     v3_new = ratio * (c.v3 - loc.b3_h)
-    if v_new <= 0 or v3_new <= 0:
-        raise FlowBlowupError("velocity turned non-positive")
+    if not (v_new > 0 and v3_new > 0):
+        raise FlowBlowupError(f"velocities v = {v_new:g}, v3 = {v3_new:g} are not both > 0")
     return c.replace(Z=z_new, v=v_new, v3=v3_new, h=c.h - 1)
 
 
@@ -302,8 +302,8 @@ def flow_step(h: int, c: RunningCouplings, bands: list, inter: InteractionSpec,
 
 
 def _check_window(c: RunningCouplings, ref: RunningCouplings, eps0: float):
-    if abs(c.Z - 1.0) > eps0 or abs(c.v / ref.v - 1.0) > eps0 or \
-            abs(c.v3 / ref.v3 - 1.0) > eps0:
+    if not (abs(c.Z - 1.0) <= eps0 and abs(c.v / ref.v - 1.0) <= eps0
+            and abs(c.v3 / ref.v3 - 1.0) <= eps0):  # NaN fails too
         raise FlowBlowupError(
             f"couplings left the eps0 = {eps0} window at h = {c.h}: "
             f"Z={c.Z:g} v={c.v:g} v3={c.v3:g}")
@@ -361,12 +361,12 @@ def run_flow(p: HoppingParams, U: float, inter: InteractionSpec, h_min: int,
             c = c_new.replace(nu=0.0)  # nu_{h*} = 0: no singularity to tune
             termination = "insulator-stop"
             break
+        # the bridge step's output is still regime 1, checked against ref1
+        _check_window(c_new, ref1 if c_new.regime == 1 else ref1.replace(v3=v3_cross), eps0)
         if at_crossover:
             # enter regime 2: the axial coupling becomes the Weyl velocity
             c_new = _regime2_couplings(c_new, p)
             v3_cross = c_new.v3
-        ref = ref1 if c_new.regime == 1 else ref1.replace(v3=v3_cross)
-        _check_window(c_new, ref, eps0)
         c = c_new
         h -= 1
 
@@ -455,14 +455,14 @@ def dressed_det_scan(traj: FlowTrajectory, inter: InteractionSpec, L: int):
 
 
 def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpec,
-                         delta: float = np.pi / 64.0, support: str = "full"):
+                         support: str = "full"):
     """First-order velocity slopes from the stated one-loop integrals.
 
     a3 is the sigma3 contraction of the k3 derivative at +p_F of the Fock map
     built on the UV-regularized propagator (quadrature over `grid`), with the
     regime-2 basis orientation (-sin k3') applied; aplus the sigma1
     contraction of the sin k+ slope.  Both come from localize_kernel at
-    stencil spacing delta.  v3 = v30 + a3 U + O(U^2) and
+    stencil spacing pi/64.  v3 = v30 + a3 U + O(U^2) and
     v = t + aplus U + O(U^2); the output is per unit U.
 
     support selects the integration region: "full" (everything under the
@@ -494,7 +494,7 @@ def asymptotic_constants(p: HoppingParams, inter: InteractionSpec, grid: GridSpe
                                   f"beta={grid.beta:g} grid is {top:.2g}, below 1/2")
     # at U = 1 the self-energy is exactly -Fock, the map the slopes localize
     loc = localize_kernel(lambda kk: band_self_energy(kk, [box], inter, 1.0), regime=2,
-                          point=(0.0, 0.0, 0.0, wp.p_F), spacing=delta)
+                          point=(0.0, 0.0, 0.0, wp.p_F), spacing=np.pi / 64.0)
     return -loc.b3_h, loc.bplus_h  # basis -sin k3' at +p_F
 
 

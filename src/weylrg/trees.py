@@ -221,10 +221,6 @@ def _vertices(assignment):
         yield from _vertices(kid)
 
 
-def root_legs(tree: GNTree, assignment) -> int:
-    return assignment[0]
-
-
 @dataclass(frozen=True)
 class TreeBound:
     """log2 decomposition of the dimensional product of one labeled tree."""
@@ -232,10 +228,6 @@ class TreeBound:
     dimension: Fraction      # h * D(l), the root power-counting factor
     gain: Fraction           # telescoped per-vertex renormalization decay (<= -1/2 per chain scale)
     velocity_exponent: Fraction  # regime 2: net power of v_{3,0}
-
-    @property
-    def total(self) -> Fraction:
-        return self.dimension + self.gain
 
 
 def tree_bound(tree: GNTree, assignment, regime: int) -> TreeBound:
@@ -272,34 +264,28 @@ def tree_bound(tree: GNTree, assignment, regime: int) -> TreeBound:
 # --- structural identities ----------------------------------------------------
 
 def _materialize(tree: GNTree, assignment):
-    """Expand trivial chains: list of (h_v, h_v', P_v, sum_child_P, s_v, n_v, I_v)
-    for every non-endpoint vertex, plus endpoint rows (h_e, h_v', I_e)."""
-    vertices = []
-    endpoint_rows = []
+    """Expand trivial chains: rows dict(h, hp, P, child_sum, s_v, n_v, I_v)
+    for every non-endpoint vertex, plus endpoint rows dict(h, hp, I_v).
 
-    def subtree_fields(node):
-        return sum(_FIELDS[e.kind] for e in node.endpoints())
-
-    def subtree_eps(node):
-        return sum(1 for _ in node.endpoints())
+    One bottom-up walk: each subtree returns its endpoint and field counts
+    (n_v, |I_v|), which its branch row and the chain above it share.
+    """
+    vertices, endpoint_rows = [], []
 
     def walk(parent_scale, node, a):
-        p_here, kids = a
-        if node.is_endpoint:
-            for s in range(parent_scale + 1, node.scale):
-                vertices.append(dict(h=s, hp=s - 1, P=p_here, child_sum=p_here,
-                                     s_v=1, n_v=1, I_v=p_here))
-            endpoint_rows.append(dict(h=node.scale, hp=node.scale - 1, I_v=p_here))
-            return
-        for s in range(parent_scale + 1, node.scale):
-            vertices.append(dict(h=s, hp=s - 1, P=p_here, child_sum=p_here,
-                                 s_v=1, n_v=subtree_eps(node), I_v=subtree_fields(node)))
-        vertices.append(dict(h=node.scale, hp=node.scale - 1, P=p_here,
-                             child_sum=sum(k[0] for k in kids),
-                             s_v=len(node.children), n_v=subtree_eps(node),
-                             I_v=subtree_fields(node)))
-        for c, k in zip(node.children, kids):
-            walk(node.scale, c, k)
+        size, kids = a
+        if node.is_endpoint:  # |P_e| = |I_e|
+            n_v, i_v = 1, size
+            endpoint_rows.append(dict(h=node.scale, hp=node.scale - 1, I_v=size))
+        else:
+            counts = [walk(node.scale, c, k) for c, k in zip(node.children, kids)]
+            n_v, i_v = sum(m for m, _ in counts), sum(f for _, f in counts)
+            vertices.append(dict(h=node.scale, hp=node.scale - 1, P=size,
+                                 child_sum=sum(k[0] for k in kids), s_v=len(kids),
+                                 n_v=n_v, I_v=i_v))
+        vertices.extend(dict(h=s, hp=s - 1, P=size, child_sum=size, s_v=1, n_v=n_v, I_v=i_v)
+                        for s in range(parent_scale + 1, node.scale))
+        return n_v, i_v
 
     walk(tree.root_scale, tree.top, assignment)
     return vertices, endpoint_rows
@@ -311,54 +297,45 @@ def structural_identities_check(tree: GNTree, assignment) -> dict:
     Checks, in integer arithmetic: (a) total contracted fields telescope to
     |I_v0| - |P_v0|; (b) sum (s_v - 1) = n - 1; (c)/(d) the two weighted
     telescopings; (e)/(f) the endpoint-factor product identities.  Returns a
-    report dict; 'ok' is False at the first violated identity.
+    report dict; 'ok' is False and 'failed' names the first violated identity.
     """
     v, eps = _materialize(tree, assignment)
-    h = tree.root_scale
-    n = tree.n
-    l = root_legs(tree, assignment)
+    h, n, l = tree.root_scale, tree.n, assignment[0]
     i_v0 = sum(_FIELDS[e.kind] for e in tree.endpoints())
-    report = {"ok": True, "failed": None}
-
-    def fail(name):
-        report["ok"] = False
-        report["failed"] = name
-        return report
-
-    if sum(r["child_sum"] - r["P"] for r in v) != i_v0 - l:
-        return fail("contracted-fields telescoping")
-    if sum(r["s_v"] - 1 for r in v) != n - 1:
-        return fail("branching count")
-    lhs = sum((r["h"] - h) * (r["child_sum"] - r["P"]) for r in v)
-    rhs = sum((r["h"] - r["hp"]) * (r["I_v"] - r["P"]) for r in v)
-    if lhs != rhs:
-        return fail("weighted field telescoping")
-    lhs = sum((r["h"] - h) * (r["s_v"] - 1) for r in v)
-    rhs = sum((r["h"] - r["hp"]) * (r["n_v"] - 1) for r in v)
-    if lhs != rhs:
-        return fail("weighted branching telescoping")
-    if h * n + sum((r["h"] - r["hp"]) * r["n_v"] for r in v) != \
-            sum(e["hp"] for e in eps):
-        return fail("endpoint scale product")
-    if h * i_v0 + sum((r["h"] - r["hp"]) * r["I_v"] for r in v) != \
-            sum(e["hp"] * e["I_v"] for e in eps):
-        return fail("endpoint field product")
-    return report
+    identities = (  # (name, lhs, rhs)
+        ("contracted-fields telescoping", sum(r["child_sum"] - r["P"] for r in v), i_v0 - l),
+        ("branching count", sum(r["s_v"] - 1 for r in v), n - 1),
+        ("weighted field telescoping",
+         sum((r["h"] - h) * (r["child_sum"] - r["P"]) for r in v),
+         sum((r["h"] - r["hp"]) * (r["I_v"] - r["P"]) for r in v)),
+        ("weighted branching telescoping",
+         sum((r["h"] - h) * (r["s_v"] - 1) for r in v),
+         sum((r["h"] - r["hp"]) * (r["n_v"] - 1) for r in v)),
+        ("endpoint scale product",
+         h * n + sum((r["h"] - r["hp"]) * r["n_v"] for r in v), sum(e["hp"] for e in eps)),
+        ("endpoint field product",
+         h * i_v0 + sum((r["h"] - r["hp"]) * r["I_v"] for r in v),
+         sum(e["hp"] * e["I_v"] for e in eps)),
+    )
+    failed = next((name for name, lhs, rhs in identities if lhs != rhs), None)
+    return {"ok": failed is None, "failed": failed}
 
 
 # --- scale sums ----------------------------------------------------------------
 
-def _proto(shape, kind_iter) -> Node:
-    """Node structure with placeholder scales (0); kinds drawn off kind_iter."""
+def _proto(shape) -> Node:
+    """Node structure of `shape` with placeholder scales (0), interaction leaves."""
     if shape == ():
-        return Node(scale=0, children=(), kind=next(kind_iter))
-    return Node(scale=0, children=tuple(_proto(c, kind_iter) for c in shape))
+        return Node(scale=0, kind=INTERACTION)
+    return Node(scale=0, children=tuple(map(_proto, shape)))
 
 
-def _protos(shape, n, kinds):
-    """All kind-assignments of `shape`, as placeholder-scaled Nodes."""
-    for combo in product(kinds, repeat=n):
-        yield _proto(shape, iter(combo))
+def _interaction_assignments(n: int):
+    """(shape, assignment) for every n-leaf shape with interaction endpoints
+    only, in _shapes order, and every sizes-only assignment of it."""
+    for shape in _shapes(n):
+        for assignment in _assignments(_proto(shape)):
+            yield shape, assignment
 
 
 def _sum_over_scales(assignment, regime, parent_scale, memo, top=False):
@@ -395,41 +372,30 @@ class ScaleSumAudit:
     regime: int
     h: int
     value: float
-    fitted_C: float
     term_count: int
 
 
-def scale_sum_audit(n: int, l: int, regime: int, h: int = MIN_ROOT_SCALE,
-                    kinds=(INTERACTION,), require_interaction: bool = True) -> ScaleSumAudit:
+def scale_sum_audit(n: int, l: int, regime: int, h: int = MIN_ROOT_SCALE) -> ScaleSumAudit:
     """Explicit sum of 2^gain over trees and assignments with |P_v0| = l.
 
     Runs over every labeled tree with root h (scale labelings summed by exact
     dynamic programming over the same admissible set) and every sizes-only
     assignment; per-tree gains telescope geometrically so the value saturates
-    as h drops.  fitted_C = value^(1/n).
+    as h drops.
 
-    The audited family defaults to interaction endpoints only: every gain
-    weight is then >= 3/2 per scale and the tails are sharply geometric.
+    The audited family is interaction endpoints only: every gain weight is
+    then >= 3/2 per scale and the tails are sharply geometric.
     nu-counterterm endpoints carry scale-neutral weight factors of their own
     (the running 2^h nu_h values) and are audited through the flow instead.
     """
     if n > 4:
         raise SizeLimitError("scale sums capped at n <= 4")
-    total = 0.0
-    count = 0
-    memo = {}
-    for shape in _shapes(n):
-        for proto in _protos(shape, n, kinds):
-            if require_interaction and all(e.kind == NU for e in proto.endpoints()):
-                continue
-            for assignment in _assignments(proto):
-                if assignment[0] == l:
-                    total += _sum_over_scales(assignment, regime, h, memo,
-                                              top=proto.is_endpoint)
-                    count += 1
-    return ScaleSumAudit(n=n, l=l, regime=regime, h=h, value=total,
-                         fitted_C=total ** (1.0 / n) if total > 0 else 0.0,
-                         term_count=count)
+    total, count, memo = 0.0, 0, {}
+    for shape, assignment in _interaction_assignments(n):
+        if assignment[0] == l:
+            total += _sum_over_scales(assignment, regime, h, memo, top=shape == ())
+            count += 1
+    return ScaleSumAudit(n=n, l=l, regime=regime, h=h, value=total, term_count=count)
 
 
 def serialize_tree(tree: GNTree) -> dict:
@@ -446,12 +412,7 @@ def serialize_tree(tree: GNTree) -> dict:
 def combinatorial_inequality_value(n: int) -> float:
     """Explicit evaluation of the assignment sum of prod_v 2^{-|P_v|/8}."""
     total = 0.0
-    for shape in _shapes(n):
-        for proto in _protos(shape, n, (INTERACTION,)):
-            for assignment in _assignments(proto):
-                term = 1.0
-                for size, kids in _vertices(assignment):
-                    if kids:
-                        term *= 2.0 ** (-size / 8.0)
-                total += term
+    for _, assignment in _interaction_assignments(n):
+        total += math.prod((2.0 ** (-size / 8.0) for size, kids in _vertices(assignment) if kids),
+                           start=1.0)
     return total

@@ -152,7 +152,7 @@ def test_criterion_5_power_counting_exact():
         for t in tr.enumerate_trees(n, -3):
             for a in tr.enumerate_assignments(t):
                 tb = tr.tree_bound(t, a, 2)
-                l = tr.root_legs(t, a)
+                l = a[0]
                 vel_ok &= tb.velocity_exponent == Fraction(l, 2) - 1
                 checked += 1
     ok = dims_ok and vel_ok

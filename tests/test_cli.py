@@ -77,6 +77,16 @@ def test_flow_deep_insulator_stops(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["0", "-1"]  # the step, then the final couplings
 
 
+@pytest.mark.parametrize("kappa,cause", [(1e-7, "couplings left the eps0 = 0.5 window"),
+                                         (1e-9, "wavefunction update 1 + b0 = nan")])
+def test_flow_tiny_kappa_exits_2_with_its_cause(tmp_path, capsys, kappa, cause):
+    # kappa = 1e-7 used to exit 0 with v3 = 6.196 from h = -1 on (bare 0.433);
+    # kappa = 1e-9 exited 2 with "band empty", which hid the NaN couplings
+    path = write_cfg(tmp_path, dict(BASE, model=dict(BASE["model"], kappa=kappa)))
+    assert dispatch(["flow", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"computation error: {cause}")
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = dict(BASE, extra={"x": 1})
     path = write_cfg(tmp_path, cfg)

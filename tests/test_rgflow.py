@@ -101,8 +101,11 @@ def test_update_couplings_examples(p_star):
     assert c3.Z == pytest.approx(1.01 * c.Z)
     assert c3.v == pytest.approx(c.v / 1.01)
 
-    with pytest.raises(rg.FlowBlowupError):
-        rg.update_couplings(c, rg.LocalizedKernel(0, -1.0, 0, 0, 0))
+    # every comparison with NaN is False: a NaN kernel used to pass both tests
+    for bad in (rg.LocalizedKernel(0, -1.0, 0, 0, 0), rg.LocalizedKernel(0, math.nan, 0, 0, 0),
+                rg.LocalizedKernel(0, 0, math.nan, 0, 0), rg.LocalizedKernel(0, 0, 0, 0, math.nan)):
+        with pytest.raises(rg.FlowBlowupError, match="is not > 0|are not both > 0"):
+            rg.update_couplings(c, bad)
 
 
 def test_self_energy_zero_interaction(p_star):
@@ -328,6 +331,13 @@ def test_run_flow_rejects_bad_eps0(p_star):
     for bad in (math.nan, math.inf, 0.0, -0.5):
         with pytest.raises(ValueError, match="eps0"):
             rg.run_flow(p_star, 0.01, INTER, -2, n_k=10, eps0=bad)
+
+
+def test_run_flow_checks_the_bridge_step(p_star):
+    # kappa = 1e-7 drives the h* = 0 bridge step's v3 from 0.5 to 7.15; it used
+    # to be compared with itself and the flow ran on at v3 = 6.196 to "completed"
+    with pytest.raises(rg.FlowBlowupError, match="eps0 = 0.5 window at h = -1"):
+        rg.run_flow(p_star, 0.05, rg.exponential_interaction(1e-7), -6)
 
 
 def test_run_flow_insulator_stops_at_crossover():

@@ -97,22 +97,27 @@ def test_tree_bound_direct_product_oracle():
             assert tb.gain == direct
 
 
+_KINDS = ((tr.INTERACTION,), (tr.INTERACTION, tr.NU))
+
+
 def test_velocity_exponent_identity_all_trees():
     # regime-2 bookkeeping collapses to l/2 - 1 on every tree/assignment
-    for n in (1, 2, 3, 4):
-        for t in tr.enumerate_trees(n, -3):
-            for a in tr.enumerate_assignments(t):
-                tb = tr.tree_bound(t, a, 2)
-                l = tr.root_legs(t, a)
-                assert tb.velocity_exponent == Fraction(l, 2) - 1
+    for kinds in _KINDS:
+        for n in (1, 2, 3, 4):
+            for t in tr.enumerate_trees(n, -3, kinds=kinds):
+                for a in tr.enumerate_assignments(t):
+                    tb = tr.tree_bound(t, a, 2)
+                    l = a[0]
+                    assert tb.velocity_exponent == Fraction(l, 2) - 1
 
 
 def test_structural_identities_all_trees():
-    for n in (1, 2, 3):
-        for t in tr.enumerate_trees(n, -3):
-            for a in tr.enumerate_assignments(t):
-                rep = tr.structural_identities_check(t, a)
-                assert rep["ok"], rep
+    for kinds in _KINDS:
+        for n in (1, 2, 3):
+            for t in tr.enumerate_trees(n, -3, kinds=kinds):
+                for a in tr.enumerate_assignments(t):
+                    rep = tr.structural_identities_check(t, a)
+                    assert rep["ok"], rep
 
 
 def test_structural_identities_hand_tree():
@@ -125,12 +130,51 @@ def test_structural_identities_hand_tree():
     assert tr.structural_identities_check(t, a)["ok"]
 
 
+@pytest.mark.parametrize("rows,key,delta,name", [
+    (0, "P", 2, "contracted-fields telescoping"),
+    (0, "s_v", 1, "branching count"),
+    (0, "I_v", 2, "weighted field telescoping"),
+    (0, "n_v", 1, "weighted branching telescoping"),
+    (1, "hp", 1, "endpoint scale product"),
+    (1, "I_v", 2, "endpoint field product"),
+])
+def test_structural_identities_name_the_corrupted_one(monkeypatch, rows, key, delta, name):
+    # one row of the expanded tree off by delta breaks the first identity that reads it
+    t = tr.enumerate_trees(3, -3)[0]
+    a = tr.enumerate_assignments(t)[0]
+    materialize = tr._materialize
+
+    def corrupted(tree, assignment):
+        out = materialize(tree, assignment)
+        out[rows][0][key] += delta
+        return out
+
+    monkeypatch.setattr(tr, "_materialize", corrupted)
+    assert tr.structural_identities_check(t, a) == {"ok": False, "failed": name}
+
+
+def test_scale_sums_pinned():
+    # sha256 of every scale sum (value, term count) at n <= 4, l in {2, 4, 6},
+    # both regimes and h = -1..-8, and of the assignment sums at n <= 5
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4):
+        for l in (2, 4, 6):
+            for regime in (1, 2):
+                for h in range(-1, -9, -1):
+                    a = tr.scale_sum_audit(n, l, regime, h=h)
+                    digest.update(f"{n} {l} {regime} {h} {a.value!r} {a.term_count}\n".encode())
+    for n in (1, 2, 3, 4, 5):
+        digest.update(f"{n} {tr.combinatorial_inequality_value(n)!r}\n".encode())
+    assert digest.hexdigest() == \
+        "3dc0307eccb352b97b09bc243d091a9e013dba6f8b172e4f7211579ab38c8bd1"
+
+
 def test_scale_sum_dp_matches_bruteforce():
     def brute(n, l, regime, h):
         total = 0.0
         for t in tr.enumerate_trees(n, h):
             for a in tr.enumerate_assignments(t):
-                if tr.root_legs(t, a) != l:
+                if a[0] != l:
                     continue
                 total += 2.0 ** float(tr.tree_bound(t, a, regime).gain)
         return total
