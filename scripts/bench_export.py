@@ -7,10 +7,20 @@ perfbench/run.py leaves one record per run in the checkout's .perfbench_out/,
 named <workload>-seed<seed>-trace<0|1>.json.  Runs of the parent commit and of
 the change with the same workload and seed form a pair.  For each workload and
 end-to-end metric this copies every pair's medians (each run's median over its
-passes), each side's median and quartiles, and how many pairs the change wins
-(lower is better for every end-to-end metric).  Traced runs (trace 1) are
-copied as their per-layer metrics.  The machine record is copied once; runs
-from different machines are refused.
+passes), each side's median and quartiles, how many pairs the change wins
+(lower is better for every end-to-end metric) and a verdict against the
+metric's bound in BENCHMARK.json:
+
+  gain        the change wins at least 9 pairs in 10 and its median is below
+              the parent's by more than the parent's q3 - q1;
+  worse       the change median exceeds the parent median by more than the
+              bound (relative);
+  unresolved  the parent's own q3 - q1 exceeds the bound times its median,
+              and not every change run beats every parent run;
+  no_worse    any other case.
+
+Traced runs (trace 1) are copied as their per-layer metrics.  The machine
+record is copied once; runs from different machines are refused.
 """
 
 import argparse
@@ -19,7 +29,7 @@ import statistics
 import sys
 from pathlib import Path
 
-METRICS = ("wall_s", "key_job_s", "peak_rss_mb", "setup_s")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def load(directory: Path) -> dict:
@@ -36,12 +46,31 @@ def spread(values) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def compare(pairs, bound: float) -> dict:
+    """Spreads, change wins and verdict of (parent, change) pairs of a
+    lower-is-better metric; the verdicts are in the module docstring."""
+    parent, change = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
+    iqr = parent["q3"] - parent["q1"]
+    wins = sum(c < p for p, c in pairs)
+    if 10 * wins >= 9 * len(pairs) and parent["median"] - change["median"] > iqr:
+        verdict = "gain"
+    elif change["median"] > parent["median"] * (1 + bound):
+        verdict = "worse"
+    elif iqr > bound * parent["median"] and max(c for _, c in pairs) >= min(p for p, _ in pairs):
+        verdict = "unresolved"
+    else:
+        verdict = "no_worse"
+    return {"parent": parent, "change": change, "change_wins": wins,
+            "bound": bound, "verdict": verdict}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    bounds = {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     parent, change = load(args.parent), load(args.change)
     machines = {json.dumps(r["machine"], sort_keys=True)
                 for r in (*parent.values(), *change.values()) if r["machine"]}
@@ -57,15 +86,12 @@ def main(argv=None) -> int:
         entry = {"seeds": seeds, "failed": {"parent": sum(p["failed"] for p, _ in pairs),
                                             "change": sum(c["failed"] for _, c in pairs)},
                  "metrics": {}}
-        for m in METRICS:
+        for m, bound in bounds.items():
             vals = [(p["metrics"][m]["value"], c["metrics"][m]["value"]) for p, c in pairs
                     if m in p["metrics"] and m in c["metrics"]]
             if vals:
-                entry["metrics"][m] = {
-                    "unit": pairs[0][1]["metrics"][m]["unit"], "pairs": vals,
-                    "parent": spread([p for p, _ in vals]),
-                    "change": spread([c for _, c in vals]),
-                    "change_wins": sum(c < p for p, c in vals)}
+                entry["metrics"][m] = {"unit": pairs[0][1]["metrics"][m]["unit"],
+                                       "pairs": vals, **compare(vals, bound)}
         entry["traced"] = {side: {k: v["value"] for k, v in runs[k2]["metrics"].items()}
                            for side, runs in (("parent", parent), ("change", change))
                            for k2 in sorted(k for k in runs if k[0] == wl and k[2] == 1)[:1]}

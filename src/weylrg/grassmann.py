@@ -101,58 +101,68 @@ def interleave_sign(mono):
 
 
 def _det(rows):
-    """Exact determinant by expansion (Fractions/ints); rows as nested lists."""
+    """Exact determinant by Gaussian elimination over Fractions; rows as nested
+    lists of ints/Fractions.
+
+    A zero pivot is swapped for a nonzero one below it.  The columns are
+    eliminated as rows, so the first pivot is taken from the first row.  The
+    type is the one expansion along that row gives: a 1x1 matrix returns its
+    entry, an all-int matrix an int, a larger matrix with a zero first row
+    the int 0, and any other a Fraction.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
     if n == 1:
         return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
+    all_int = all(isinstance(x, int) for r in rows for x in r)
+    m = [[Fraction(x) for x in col] for col in zip(*rows)]
+    det = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            det *= 0
+            break
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        for row in m[k + 1:]:
+            f = row[k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    row[j] -= f * m[k][j]
+    return int(det) if all_int else det
 
 
 def wick_expectation(mono, g, method: str = "auto"):
     """Gaussian expectation of one monomial; unbalanced monomials give 0.
 
     method "det" uses the signed-determinant identity on the interleaved
-    order; "expansion" the pairing recursion; "auto" computes the determinant
-    and, for <= 8 fields, checks it against the expansion (exactly for
-    Fraction covariances, within 1e-9 max(1, |det|) otherwise), raising
-    WickMismatchError on a disagreement.
+    order, exact when every covariance entry it reads is an int or Fraction
+    and numpy's float determinant otherwise; "expansion" the pairing
+    recursion; "auto" computes the determinant and, for <= 8 fields, checks
+    it against the expansion (exactly, or within 1e-9 max(1, |det|) for the
+    float determinant), raising WickMismatchError on a disagreement.
     """
+    if method not in ("auto", "det", "expansion"):
+        raise ValueError("method must be auto, det or expansion")
+    _check_clusters((mono,), even=False, distinct=False)
     n_minus = sum(1 for f in mono if f[1] == -1)
     n_plus = len(mono) - n_minus
     if n_minus != n_plus:
         return 0
-    exact = _is_exact(g)
-    if method in ("det", "auto"):
-        sign, mi, pi = interleave_sign(mono)
-        if exact:
-            sub = [[g[a][b] for b in pi] for a in mi]
-            d = sign * _det(sub)
-        else:
-            d = sign * (np.linalg.det(np.asarray(g)[np.ix_(mi, pi)]) if mi else 1.0)
-        if method == "det":
-            return d
-        if len(mono) <= 8:
-            e = wick_expansion(mono, g)
-            agree = e == d if exact else abs(e - d) <= 1e-9 * max(1.0, abs(d))
-            if not agree:
-                raise WickMismatchError(
-                    f"determinant {d!r} and expansion {e!r} disagree on {mono}")
-        return d
     if method == "expansion":
         return wick_expansion(mono, g)
-    raise ValueError("method must be auto, det or expansion")
-
-
-def _is_exact(g):
-    return isinstance(g[0][0], (int, Fraction))
+    sign, mi, pi = interleave_sign(mono)
+    sub = [[g[a][b] for b in pi] for a in mi]
+    exact = all(isinstance(x, (int, Fraction)) for row in sub for x in row)
+    d = sign * (_det(sub) if exact else np.linalg.det(np.array(sub, dtype=float)))
+    if method == "det" or len(mono) > 8:
+        return d
+    e = wick_expansion(mono, g)
+    if not (e == d if exact else abs(e - d) <= 1e-9 * max(1.0, abs(d))):
+        raise WickMismatchError(f"determinant {d!r} and expansion {e!r} disagree on {mono}")
+    return d
 
 
 # --- cumulants ----------------------------------------------------------------

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_export.py"
 MACHINE = {"nproc": 2, "numpy": "2.4.6"}
 
@@ -44,3 +46,29 @@ def test_refuses_runs_from_two_machines(tmp_path):
     result = _export(tmp_path)
     assert result.returncode == 1 and "machine" in result.stderr
     assert not (tmp_path / "b.json").exists()
+
+
+BOUNDS = {m["name"]: m["bound"] for m in json.loads(
+    (SCRIPT.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]}
+_STEADY = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]  # q3 - q1 = 0.02
+_WIDE = [1.0, 2.0] * 5                                             # q3 - q1 = 1.0
+
+
+@pytest.mark.parametrize("metric,parent,change,want", [
+    ("wall_s", _STEADY, [0.8] * 10, "gain"),
+    ("wall_s", _STEADY, [0.8] * 8 + [1.5] * 2, "no_worse"),       # 8 wins in 10
+    ("wall_s", _WIDE, [1.0] * 10, "unresolved"),                   # gap 0.5 < q3 - q1
+    ("wall_s", _WIDE, [0.9] * 10, "no_worse"),                     # every change run beats
+    ("wall_s", _STEADY, [1.15] * 10, "no_worse"),                  # +15% within 0.24
+    ("peak_rss_mb", _STEADY, [1.15] * 10, "worse"),                # +15% past 0.1
+    ("wall_s", _STEADY, [1.3] * 10, "worse"),
+])
+def test_verdict_per_metric_bound(tmp_path, metric, parent, change, want):
+    assert BOUNDS["wall_s"] > 0.15 > BOUNDS["peak_rss_mb"]
+    for seed, (p, c) in enumerate(zip(parent, change), start=1):
+        _record(tmp_path / "p", "oracle_audit", seed, 0, {metric: p})
+        _record(tmp_path / "c", "oracle_audit", seed, 0, {metric: c})
+    assert _export(tmp_path).returncode == 0
+    row = json.loads((tmp_path / "b.json").read_text())["workloads"]["oracle_audit"]
+    assert row["metrics"][metric]["bound"] == BOUNDS[metric]
+    assert row["metrics"][metric]["verdict"] == want

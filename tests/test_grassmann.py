@@ -92,6 +92,65 @@ def test_det_equals_expansion_exhaustively():
         assert gr.wick_expectation(mono, g, method="det") == gr.wick_expansion(mono, g)
 
 
+def _laplace_det(rows):
+    """Reference determinant: Laplace expansion along the first row (n! terms)."""
+    if not rows:
+        return 1
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, a in enumerate(rows[0]):
+        if a != 0:
+            total += (-1) ** j * a * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+    return total
+
+
+def _det_cases():
+    rng = np.random.default_rng(34)
+    cases = [[], [[5]], [[Fraction(-2, 3)]], [[0]], [[Fraction(0)]],
+             [[0, 1, 2], [3, 4, 5], [6, 7, 9]],                      # zero leading pivot
+             [[Fraction(0), Fraction(1, 2)], [Fraction(3), Fraction(1)]],
+             [[1, 2, 3], [2, 4, 6], [1, 0, 1]],                      # singular
+             [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]],
+             [[0, 0], [1, 2]], [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(2)]]]
+    for n in range(2, 8):
+        for _ in range(4):
+            cases.append([[int(x) for x in rng.integers(-3, 4, n)] for _ in range(n)])
+            cases.append(rational_cov(rng, n))
+    return cases
+
+
+@pytest.mark.parametrize("rows", _det_cases())
+def test_det_by_elimination_matches_laplace(rows):
+    got, want = gr._det(rows), _laplace_det(rows)
+    assert got == want
+    assert type(got) is type(want)  # an int for int input; 0 vs Fraction(0) kept
+    if all(isinstance(x, int) for r in rows for x in r):
+        assert type(got) is int
+
+
+def test_wick_rejects_unknown_method_before_the_balance_check():
+    with pytest.raises(ValueError, match="^method must be auto, det or expansion$"):
+        gr.wick_expectation(((0, -1),), [[Fraction(1)]], method="bogus")
+
+
+def test_wick_rejects_other_field_kinds():
+    with pytest.raises(ValueError, match=r"^field \(0, 2\) has kind 2, not -1"):
+        gr.wick_expectation(((0, -1), (0, 2)), [[1]])
+
+
+def test_wick_mixed_int_and_float_covariance_takes_the_float_determinant():
+    g = [[1, 0.3, 0.7], [0.2, 1, 0.4], [0.9, 0.1, 1]]  # exact diagonal, float elsewhere
+    mono = ((0, -1), (1, 1), (1, -1), (2, 1))
+    d = gr.wick_expectation(mono, g)  # auto: compared with the expansion within 1e-9
+    assert isinstance(d, float) and abs(d - gr.wick_expansion(mono, g)) <= 1e-12
+
+
+def test_wick_empty_monomial_is_one():
+    for g in ([], [[Fraction(3)]], np.eye(2)):
+        assert gr.wick_expectation((), g) == 1
+
+
 def test_truncated_expectation_single_cluster():
     rng = np.random.default_rng(2)
     g = rational_cov(rng, 4)
