@@ -19,8 +19,11 @@ metric's bound in BENCHMARK.json:
               and not every change run beats every parent run;
   no_worse    any other case.
 
-Traced runs (trace 1) are copied as their per-layer metrics.  The machine
-record is copied once; runs from different machines are refused.
+Each side's job times go to `job_wall_s`: per job, the median of its wall
+time over every pass of that side's paired untraced runs, so the jobs that
+moved can be named without a traced run.  Traced runs (trace 1) are copied as
+their per-layer metrics.  The machine record is copied once; runs from
+different machines are refused.
 """
 
 import argparse
@@ -44,6 +47,16 @@ def load(directory: Path) -> dict:
 def spread(values) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def job_medians(records) -> dict:
+    """{job: median wall_s over every pass of the run records}."""
+    times = {}
+    for rec in records:
+        for p in rec.get("results") or ():
+            for j in (p or {}).get("jobs", ()):  # set-up probes run no jobs; None died
+                times.setdefault(j["name"], []).append(j["wall_s"])
+    return {name: statistics.median(t) for name, t in sorted(times.items())}
 
 
 def compare(pairs, bound: float) -> dict:
@@ -85,7 +98,9 @@ def main(argv=None) -> int:
         pairs = [(parent[wl, s, 0], change[wl, s, 0]) for s in seeds]
         entry = {"seeds": seeds, "failed": {"parent": sum(p["failed"] for p, _ in pairs),
                                             "change": sum(c["failed"] for _, c in pairs)},
-                 "metrics": {}}
+                 "metrics": {},
+                 "job_wall_s": {"parent": job_medians(p for p, _ in pairs),
+                                "change": job_medians(c for _, c in pairs)}}
         for m, bound in bounds.items():
             vals = [(p["metrics"][m]["value"], c["metrics"][m]["value"]) for p, c in pairs
                     if m in p["metrics"] and m in c["metrics"]]

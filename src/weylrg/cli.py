@@ -85,11 +85,12 @@ MIN_AUDIT_H = -28
 
 
 #: Largest audit.N and audit.x_points bounds-check accepts.  Memory grows about
-#: as N^3 per scale (position_values pairs its k0 sums, 32 x0 at a time), time
-#: also with x_points and the scales: the README audit (4 scales) peaks at 45 MB
-#: at N = 28, 61 MB at 40, 73 MB at 48, 124 MB at 64 and 54 MB at x_points = 100;
-#: both caps over all 28 scales (h = -28..-1) take 19 s and 181 MB on a 2-core
-#: Xeon.  At N = 5 a regime-2 band resolves 50 momenta (< MIN_BAND_POINTS).
+#: as N^3 per scale (position_values pairs its k0 sums, 32 x0 at a time, and
+#: meets the phases on the band's columns), time also with x_points and the
+#: scales: the README audit (4 scales) peaks at 43 MB at N = 28, 55 MB at 40,
+#: 68-74 MB at 48, 122 MB at 64 and 54 MB at x_points = 100; both caps over all
+#: 28 scales (h = -28..-1) take 6.5 s and 138 MB on a 2-core Xeon (ru_maxrss).
+#: At N = 5 a regime-2 band resolves 50 momenta (< MIN_BAND_POINTS).
 MAX_AUDIT_N = 64
 MAX_X_POINTS = 100
 

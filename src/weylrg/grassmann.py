@@ -67,17 +67,26 @@ def _pair(x, y, g):
 def wick_expansion(mono, g):
     """Gaussian expectation by exhaustive pairing recursion (exact for
     Fraction covariances); any interleaving of field kinds is allowed."""
-    if len(mono) == 0:
+    return _expansion_sum(mono, g, tuple(range(len(mono))), {})
+
+
+def _expansion_sum(mono, g, pos, memo):
+    """Sum over the pairings of the fields of mono at positions pos: the first
+    pairs with each later one, sign (-1)^(j-1).  memo keeps each subtotal by its
+    tuple of positions, which determines it, so each is computed once."""
+    if len(pos) == 0:
         return 1
-    if len(mono) % 2:
+    if len(pos) % 2:
         return 0
-    x0 = mono[0]
-    total = 0
-    for j in range(1, len(mono)):
-        c = _pair(x0, mono[j], g)
-        if c != 0:
-            rest = mono[1:j] + mono[j + 1:]
-            total += (-1) ** (j - 1) * c * wick_expansion(rest, g)
+    total = memo.get(pos)
+    if total is None:
+        total, x0 = 0, mono[pos[0]]
+        for j in range(1, len(pos)):
+            c = _pair(x0, mono[pos[j]], g)
+            if c != 0:
+                rest = pos[1:j] + pos[j + 1:]
+                total += (-1) ** (j - 1) * c * _expansion_sum(mono, g, rest, memo)
+        memo[pos] = total
     return total
 
 

@@ -38,8 +38,8 @@ valley split (_valley_split) serves quasiparticle_split, disconnection_check.
 
 Position values (decay audits, the relativistic remainder) reduce the band's
 own columns (BandGrid.lam2) with pair weights [2 cos(k0 x0), 2 k0 sin(k0 x0)]:
-real (s0, a) per column, so g = pauli(m s0, a) needs only the four real fields
-(a, m s0) summed over the spatial phases, one x0 at a time, in O(box) memory.
+real (s0, a) per column, so g = pauli(m s0, a) meets the spatial phases on the
+columns themselves: per-orbit kbar phase sums times per-fold k3 phase sums.
 """
 
 from __future__ import annotations
@@ -223,34 +223,64 @@ class BandGrid:
         coefficient of A and must keep lambda^2 constant on the band's orbits.
 
         Real (s0, a) = cell/Z sum_k0 e^{-i k0 x0} [1, i k0] f/(k0^2 + lambda^2) by
-        _paired_sums over the columns, 32 x0 at a time; (a, m s0) of pauli(m s0, a)
-        meet the spatial phases per x0."""
-        m1, m2, s3 = self.mass_arrays()
+        _paired_sums over the columns, 32 x0 at a time.  A column is a kbar orbit
+        times a k3 fold and m = (m1, m2, t3(k3) + E(kbar)) (t3 = m3 and E = 0 when
+        m3 is given), so each entry of pauli(m s0, a) is sum_orbit Phi_w(xbar)
+        [(s0 or a) @ P_u](x3): Phi_w sums w e^{-i kbar.xbar} over an orbit, w in
+        (1, m1, m2, E), and P_u sums u e^{-i k3 x3} over a fold, u in (1, t3).  Both
+        tables are built once per call; no box-sized array is made per x0."""
+        c, p, rg = self.couplings, self.params, (self.regime, self.omega)
+        # E alone at k3 = 0 with v3 = 0; t3 alone at kbar = 0, where E = 0
+        m1, m2, e = mass_vector(self.k1s[:, None], self.k2s, 0.0, p, c.v, 0.0, *rg)
+        t3 = mass_vector(0.0, 0.0, self.k3s, p, c.v, c.v3, *rg)[2]
         lam2, key = self.lam2, self.key
         if m3 is not None:
             if np.shape(m3) != self.k3s.shape:
                 raise ValueError("m3 needs an (n3,) k3 profile")
-            s3 = np.asarray(m3)
+            t3, e = np.asarray(m3, float), 0.0
             lam2 = np.empty_like(lam2)
-            lam2[key] = box = m1 ** 2 + m2 ** 2 + s3 ** 2
+            lam2[key] = box = m1[..., None] ** 2 + m2[..., None] ** 2 + t3 ** 2
             if lam2[key].tobytes() != box.tobytes():
                 raise ValueError("m3 needs a k3 profile whose lambda^2 keeps the band's orbits")
-        k0 = self.k0s[self.k0s.size // 2:]
+        fold = key[0, 0] - key[0, 0].min()  # key = orbit (F3 + 1) + fold (lattice._orbit_key)
+        orbit = key[:, :, 0] // (fold.max() + 1)
         p1, p2, p3 = (np.exp(-1j * np.outer(np.asarray(x, float), k)) for x, k in zip(
             (x1s, x2s, x3s), (self.k1s, self.k2s, self.k3s)))
-        x0s, out = np.asarray(x0s, float), []
+        nx12, nx3 = len(p1) * len(p2), len(p3)
+        # (fold, P_1 | P_t3) as interleaved (re, im) reals: a real table times it is
+        # one real product, viewed back as complex
+        q = _orbit_sums(fold, np.stack([np.ones_like(t3), t3], axis=1)[..., None] * p3.T[:, None])
+        q = q.reshape(len(q), -1).view(float)
+        ws = np.stack(np.broadcast_arrays(1.0, m1, m2, e), axis=-1)[..., None] * p2.T[:, None]
+        phi = np.stack([_orbit_sums(orbit, row[:, None, None, None] * ws) for row in p1], axis=1)
+        phi = phi.transpose(2, 1, 3, 0).reshape(4, nx12, -1)  # (w, xbar, orbit)
+        k0 = self.k0s[self.k0s.size // 2:]
+
+        def chunk(x0):  # (x0.size, xbar, x3, 2, 2); its arrays go before the next chunk's
+            w = (2.0 * self.cell / c.Z) * np.concatenate([np.cos(k0 * x0), k0 * np.sin(k0 * x0)])
+            s0, a = _paired_sums(k0, w, lam2, self.table).reshape(2, x0.size, -1, fold.max() + 1)
+            f = np.empty((4, x0.size, nx12, nx3), complex)  # sigma1, sigma2, sigma3, I
+            for i in range(x0.size):  # (m1, m2, E) s0 @ P_1, then + s0 @ P_t3, a @ P_1
+                g1, gt = np.hsplit((s0[i] @ q).view(complex), 2)
+                f[:3, i] = phi[1:] @ g1
+                f[2, i] += phi[0] @ gt
+                f[3, i] = phi[0] @ (a[i] @ q[:, :2 * nx3]).view(complex)
+            return pauli(f[:3], f[3])
+
+        x0s = np.asarray(x0s, float)
+        out = np.empty((x0s.size, nx12, nx3, 2, 2), complex)
         for lo in range(0, x0s.size, 32):
-            x0 = x0s[lo:lo + 32, None]
-            w = (2.0 * self.cell / self.couplings.Z) * np.concatenate(
-                [np.cos(k0 * x0), k0 * np.sin(k0 * x0)])
-            sums = _paired_sums(k0, w, lam2, self.table)
-            for s0, a in zip(sums[:x0.size], sums[x0.size:]):
-                s0 = s0[key]
-                f = np.stack([a[key], s3 * s0, m1 * s0, m2 * s0]).reshape(4, len(self.k1s), -1)
-                g = p1.real @ f + 1j * (p1.imag @ f)  # real fields: two real products
-                ga, g3, g1, g2 = p2 @ g.reshape(4, len(p1), len(self.k2s), -1) @ p3.T
-                out.append(pauli((g1, g2, g3), ga))
-        return np.array(out).reshape(x0s.size, len(p1), len(p2), len(p3), 2, 2)
+            out[lo:lo + 32] = chunk(x0s[lo:lo + 32, None])
+        return out.reshape(x0s.size, len(p1), len(p2), nx3, 2, 2)
+
+
+def _orbit_sums(ids, vals) -> np.ndarray:
+    """Complex vals, shaped ids.shape + S, summed over the points of each id
+    0..ids.max() (every one occurs): (ids.max() + 1,) + S, one bincount per part."""
+    n, cols = ids.max() + 1, vals.size // ids.size
+    at = (ids.reshape(-1, 1) * cols + np.arange(cols)).ravel()
+    re, im = (np.bincount(at, part.ravel(), n * cols) for part in (vals.real, vals.imag))
+    return (re + 1j * im).reshape((n,) + vals.shape[ids.ndim:])
 
 
 def _axis_values(spacing: float, lo: float, hi: float, fermionic: bool = False) -> np.ndarray:

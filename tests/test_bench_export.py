@@ -9,10 +9,11 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_export.py"
 MACHINE = {"nproc": 2, "numpy": "2.4.6"}
 
 
-def _record(directory, workload, seed, trace, metrics, machine=MACHINE):
+def _record(directory, workload, seed, trace, metrics, machine=MACHINE, results=()):
     directory.mkdir(exist_ok=True)
     rec = {"workload": workload, "seed": seed, "trace": trace, "machine": machine,
-           "failed": 0, "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}
+           "failed": 0, "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+           "results": list(results)}
     (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(rec))
 
 
@@ -38,6 +39,29 @@ def test_pairs_by_seed_and_copies_machine(tmp_path):
     assert wall["change_wins"] == 2
     assert wall["parent"]["median"] == 4.1 and wall["change"]["median"] == 0.5
     assert entry["traced"] == {"change": {"cutoff.smooth_cutoff.self_s": 0.01}}
+
+
+def _passes(*walls):
+    """A set-up probe, a worker that died, then one pass per {job: wall_s}."""
+    return [{"setup_s": 0.2}, None] + [
+        {"jobs": [{"name": k, "ok": True, "wall_s": v} for k, v in w.items()]} for w in walls]
+
+
+def test_job_medians_per_side_over_paired_untraced_passes(tmp_path):
+    _record(tmp_path / "p", "oracle_audit", 1, 0, {"wall_s": 1.0},
+            results=_passes({"a": 0.5, "b": 0.1}, {"a": 0.7, "b": 0.3}))
+    _record(tmp_path / "p", "oracle_audit", 2, 0, {"wall_s": 1.0}, results=_passes({"a": 0.6}))
+    _record(tmp_path / "c", "oracle_audit", 1, 0, {"wall_s": 0.8},
+            results=_passes({"a": 0.2, "b": 0.1}))
+    _record(tmp_path / "c", "oracle_audit", 2, 0, {"wall_s": 0.8},
+            results=_passes({"a": 0.4}, {"a": 0.3}))
+    _record(tmp_path / "c", "oracle_audit", 3, 0, {"wall_s": 0.8},  # no parent run: unpaired
+            results=_passes({"a": 9.0}))
+    _record(tmp_path / "c", "oracle_audit", 901, 1, {"trace.wall_s": 2.0},  # traced: skipped
+            results=_passes({"a": 9.0}))
+    assert _export(tmp_path).returncode == 0
+    row = json.loads((tmp_path / "b.json").read_text())["workloads"]["oracle_audit"]
+    assert row["job_wall_s"] == {"parent": {"a": 0.6, "b": 0.2}, "change": {"a": 0.3, "b": 0.1}}
 
 
 def test_refuses_runs_from_two_machines(tmp_path):

@@ -498,8 +498,8 @@ _README_DIGESTS = {
     "flow/flow.json": "bd00ef8f6427fe562fdf1db99b718a396de7149cf384c6552ca2ad89b3d0da6a",
     "solve-nu/flow.csv": "c33f2feb6d4cb70b134934d3e89650ff83e966ec92ac0a368e120014bc5311c5",
     "solve-nu/flow.json": "415f310dfd79c7ec7441b59bbcdbba0ac547122d390084e6bed77c5c4c3b1b52",
-    "bounds-check/decay.csv": "5f88c96253a8f442030ef41d98de46fe107762678bdd7686d7726d605ced497d",
-    "bounds-check/decay.json": "cf569eeaac5ce55f14f341dbf32d5ecc4d5cf899664bf9ed87cafd4086d15e6f",
+    "bounds-check/decay.csv": "9699e49ba763ffd52e230f2374c7800849b39c4cc75a42dc8815bf753b6e9e8c",
+    "bounds-check/decay.json": "bf6b154439e9cecb06144577c182ce6f6ea133f58c6593d7a08b2db8e06f3d9f",
     "trees/trees.json": "1e86ee429eb1cb4a4a93a26477e1a7cb3dbedb1dc7117fcf33b678e3718f35a6",
     "bbf-verify/bbf.json": "0dd282645f2ef27a012d0f84abedc9cea1cf261d5690f1ee57f4d9fe742d0c4a",
 }

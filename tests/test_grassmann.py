@@ -129,6 +129,84 @@ def test_det_by_elimination_matches_laplace(rows):
         assert type(got) is int
 
 
+def _unmemoized_expansion(mono, g):
+    """The pairing recursion as wick_expansion had it before its memo."""
+    if len(mono) == 0:
+        return 1
+    if len(mono) % 2:
+        return 0
+    x0 = mono[0]
+    total = 0
+    for j in range(1, len(mono)):
+        c = gr._pair(x0, mono[j], g)
+        if c != 0:
+            rest = mono[1:j] + mono[j + 1:]
+            total += (-1) ** (j - 1) * c * _unmemoized_expansion(rest, g)
+    return total
+
+
+def _matchings(idx):
+    """Every perfect matching of the positions idx, as lists of (i, j), i < j."""
+    if not idx:
+        yield []
+        return
+    for j in range(1, len(idx)):
+        for rest in _matchings(idx[1:j] + idx[j + 1:]):
+            yield [(idx[0], idx[j])] + rest
+
+
+def _matching_sum(mono, g):
+    """(value, sum of |terms|) of sum over perfect matchings of sign(permutation)
+    times the product of contractions <psi-_a psi+_b> = g[a][b] (a psi+ before
+    a psi- gives -g[b][a], two fields of one kind 0)."""
+    def contraction(x, y):
+        (a, ea), (b, eb) = x, y
+        return g[a][b] if (ea, eb) == (-1, 1) else -g[b][a] if (ea, eb) == (1, -1) else 0
+
+    total = size = 0
+    for m in _matchings(tuple(range(len(mono)))) if len(mono) % 2 == 0 else ():
+        order = [i for pair in m for i in pair]
+        inversions = sum(x > y for k, x in enumerate(order) for y in order[k + 1:])
+        term = (-1) ** inversions
+        for i, j in m:
+            term *= contraction(mono[i], mono[j])
+        total, size = total + term, size + abs(term)
+    return total, size
+
+
+def _expansion_cases():
+    rng = np.random.default_rng(35)
+    monos = [(), ((0, -1),),
+             ((0, -1), (1, -1), (2, 1), (3, 1)),                      # same-kind neighbours
+             ((0, 1), (1, 1), (2, 1), (3, -1), (4, -1), (5, -1)),
+             ((0, -1), (1, 1), (0, -1), (2, 1)),                      # a repeated field
+             ((0, -1), (1, 1), (2, -1), (1, 1), (3, -1), (4, 1))]
+    for n in (2, 4, 6, 8, 10, 10):
+        kinds = [-1] * (n // 2) + [1] * (n // 2)
+        rng.shuffle(kinds)
+        monos.append(tuple((int(a), k) for a, k in zip(rng.permutation(n), kinds)))
+    monos.append(tuple((i, 1 - 2 * int(rng.integers(0, 2))) for i in range(8)))  # any balance
+    for mono in monos:
+        n = 1 + max((a for a, _ in mono), default=0)
+        yield mono, rational_cov(rng, n)
+        yield mono, rng.standard_normal((n, n)).tolist()
+
+
+@pytest.mark.parametrize("mono,g", list(_expansion_cases()))
+def test_wick_expansion_is_the_sum_over_matchings(mono, g, monkeypatch):
+    """The memoized recursion against an explicit sum over perfect matchings
+    (exact for Fractions, to 1e-13 of the summed |terms| for floats), and
+    equal in value and type to the unmemoized recursion.  It never calls _det."""
+    monkeypatch.setattr(gr, "_det", None)
+    got, old = gr.wick_expansion(mono, g), _unmemoized_expansion(mono, g)
+    assert got == old and type(got) is type(old)
+    want, size = _matching_sum(mono, g)
+    if isinstance(g[0][0], Fraction):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * size
+
+
 def test_wick_rejects_unknown_method_before_the_balance_check():
     with pytest.raises(ValueError, match="^method must be auto, det or expansion$"):
         gr.wick_expectation(((0, -1),), [[Fraction(1)]], method="bogus")

@@ -202,6 +202,7 @@ def _oracle_band(p_star, name):
     return {
         "regime 1": lambda: ms.band_grid(-3, 1, 1, c1, p1, ms.default_cutoff(p1), n=10),
         "regime 2": lambda: ms.band_grid(-3, 2, +1, c2, p_star, cut, n=10, h_star=0),
+        "regime 2 mirror": lambda: ms.band_grid(-3, 2, -1, c2, p_star, cut, n=10, h_star=0),
         "bridge": lambda: ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star,
                                        ms.CutoffSpec(a0=p_star.a0, b0=30.0), n=6, n3=96,
                                        lower="valleys"),
@@ -230,6 +231,48 @@ def _check_position_values(p_star, name):
     assert got.shape == (2, 2, 3, 5, 2, 2)
     # to 1e-13 of the largest sum of |summands|, which bounds every value
     assert np.max(np.abs(got - want)) <= 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
+
+
+@pytest.mark.parametrize("name,nx0,wide,m3", [
+    ("regime 2 mirror", 3, False, None),  # its key runs backwards along k3
+    ("regime 2", 37, False, None),        # two k0 reductions of 32 and 5 x0
+    ("regime 1", 2, True, None),          # x1, x2 grids of 5 and 4 points, some < 0
+    ("bridge", 2, True, np.cos),          # the m3 override: even in k3 ...
+    ("bridge", 2, False, np.sin),         # ... and odd, so its folds pair -u with u
+])
+def test_position_values_on_orbit_columns_match_all_entries_einsum(p_star, name, nx0, wide, m3):
+    bg = _oracle_band(p_star, name)
+    prof = None if m3 is None else m3(bg.k3s)
+    ext12, k3max = bg.k1s.max(), np.abs(bg.k3s).max()
+    xs = (np.linspace(0.0, 4.0 / bg.emax, nx0),
+          np.array([-2.0, -0.5, 0.0, 1.0, 3.0] if wide else [0.0, 1.0]) / ext12,
+          np.array([-1.0, 0.0, 0.5, 2.0] if wide else [0.0, -1.0]) / ext12,
+          np.linspace(-2.0 / k3max, 4.0 / k3max, 5))
+    ent = _entries_oracle(bg, prof)
+    got = bg.position_values(*xs, m3=prof)
+    assert got.shape == tuple(map(len, xs)) + (2, 2)
+    bound = 1e-13 * bg.cell * max(np.sum(np.abs(f)) for f in ent)
+    assert np.max(np.abs(got - _position_oracle(bg, xs, ent))) <= bound
+
+
+def test_position_values_memory_stops_at_one_chunk(p_star):
+    """At N = 40 (a regime-2 band of 43^3 box points on 10,879 columns) one call's
+    traced peak, less its output, is the same for 32, 33 and 96 x0: each
+    reduction of 32 x0 and its products are freed before the next.  Measured:
+    13.60 MB for each, within 2 kB."""
+    cut = ms.default_cutoff(p_star)
+    c = ms.initial_couplings(p_star, regime=2).replace(h=-3)
+    bg = ms.band_grid(-3, 2, +1, c, p_star, cut, n=40, h_star=0)
+    assert bg.lam2.size == 10879 and bg.key.size == 43 ** 3
+    xps, x3s, extra = [0.0, 1.0, 2.0], np.linspace(0.0, 6.0, 25), {}
+    for nx0 in (32, 33, 96):
+        tracemalloc.start()
+        try:
+            g = bg.position_values(np.linspace(0.0, 6.0 / bg.emax, nx0), xps, xps, x3s)
+            extra[nx0] = tracemalloc.get_traced_memory()[1] - g.nbytes
+        finally:
+            tracemalloc.stop()
+    assert max(extra.values()) <= extra[32] + 2 ** 16
 
 
 def _bridge_oracle(bg, cut):
