@@ -38,12 +38,12 @@ class ConfigError(ValueError):
 
 
 #: Largest GridSpec.row_bound() the propagator subcommand accepts.  A row
-#: costs about 240 bytes of CSV and, written on two CPUs, 1.9 us; the peak RSS
+#: costs about 240 bytes of CSV and, written on two CPUs, 1.6 us; the peak RSS
 #: does not grow with the rows, since the grid is tabulated box by box as it
-#: is written (the README grid: 1.33M rows, 311.6 MB of CSV, 63 MiB peak;
-#: L=8, beta=8, M=11: 5.34M rows, 1.31 GB, 10.3 s against 15.6 s for the
-#: one-process writer, 64 MiB peak, on a 2-core Xeon), so the cap bounds the
-#: CSV at about 2.0 GB and the run at about 16 s on two CPUs, 25 s on one.
+#: is written (the README grid: 1.33M rows, 311.6 MB of CSV, 60 MiB peak;
+#: L=8, beta=8, M=11: 5.34M rows, 1.31 GB, 8.6 s against 9.3 s when each box
+#: was formatted alone, 60 MiB peak, on a 2-core Xeon), so the cap bounds the
+#: CSV at about 2.0 GB and the run at about 14 s on two CPUs, 21 s on one.
 MAX_PROPAGATOR_ROWS = 2 ** 23
 
 

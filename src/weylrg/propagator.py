@@ -293,40 +293,60 @@ def counterterm_nu_C(grid: GridSpec, p: HoppingParams, v_hat_0: float) -> float:
 
 _CSV_HEADER = ["k0", "k1", "k2", "k3",
                "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-# rows per box of the CSV writer, the conjugation check and the sup norm:
-# bounds the temporaries (the box's values, bit patterns, cell indices,
-# magnitude texts, tokens, box text, paired values) to a few MB
+# rows per mirror pair of boxes of the CSV writer, the conjugation check and
+# the sup norm, half in each box: bounds the temporaries (the pair's values,
+# bit patterns, cell indices, magnitude texts, cell table, tokens, box texts,
+# differences) to a few MB
 _CHUNK_ROWS = 1 << 14
-# the writer's separator tokens of a nonnegative or NaN and of a negative value cell
-_SIGN = np.array([",", ",-"], dtype=object)
 
 
-def _boxes(blocks: int, n: int):
-    """(a, b, s, e) per box of `blocks` k0 blocks of n spatial momenta: blocks
-    a..b at momenta s..e.  A box is _CHUNK_ROWS // n whole blocks or, when one
-    block is larger than that, at most _CHUNK_ROWS momenta of one block."""
-    per = _CHUNK_ROWS // n
+def _mirror_pairs(nk0: int, n: int):
+    """(lower, mirror) per mirror pair of boxes of nk0 k0 blocks of n spatial
+    momenta, in the file order of the lower boxes.  A lower box (a, b, s, e)
+    is blocks a..b of the first nk0 // 2 at momenta s..e: _CHUNK_ROWS // 2 // n
+    whole blocks or, when one block is larger than that, at most
+    _CHUNK_ROWS // 2 momenta of one block.  Its mirror (nk0 - b, nk0 - a, s, e)
+    holds the same momenta at the negated k0, block nk0 - 1 - i mirroring i."""
+    half = _CHUNK_ROWS // 2
+    per = half // n
     if per:
-        for a in range(0, blocks, per):
-            yield a, min(a + per, blocks), 0, n
+        lower = ((a, min(a + per, nk0 // 2), 0, n) for a in range(0, nk0 // 2, per))
     else:
-        for a in range(blocks):
-            for s in range(0, n, _CHUNK_ROWS):
-                yield a, a + 1, s, min(s + _CHUNK_ROWS, n)
+        lower = ((a, a + 1, s, min(s + half, n))
+                 for a in range(nk0 // 2) for s in range(0, n, half))
+    for a, b, s, e in lower:
+        yield (a, b, s, e), (nk0 - b, nk0 - a, s, e)
 
 
-def _runs(boxes: list) -> list:
-    """boxes cut into contiguous runs of near-equal length, one per CPU this
-    process may use but at most one per box; one run where os.fork or
+def _runs(pairs: list) -> list:
+    """pairs cut into contiguous runs of near-equal length, one per CPU this
+    process may use but at most one per pair; one run where os.fork or
     os.sched_getaffinity does not exist."""
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    n = max(1, min(cpus, len(boxes)))
-    return [boxes[i * len(boxes) // n:(i + 1) * len(boxes) // n] for i in range(n)]
+    n = max(1, min(cpus, len(pairs)))
+    return [pairs[i * len(pairs) // n:(i + 1) * len(pairs) // n] for i in range(n)]
+
+
+def _spool(texts, tmp, out=None) -> np.ndarray:
+    """Write the (lower, mirror) texts of a run's pairs: each mirror text to
+    tmp as ASCII bytes, each lower text to out, or to tmp when out is None.
+    Returns the bytes each text took in tmp, lower and mirror of each pair in
+    turn, as int64 (0 for a text written to out)."""
+    sizes = []
+    for lower, mirror in texts:
+        if out is None:
+            sizes.append(tmp.write(lower.encode("ascii")))
+        else:
+            out.write(lower)
+            sizes.append(0)
+        sizes.append(tmp.write(mirror.encode("ascii")))
+    return np.array(sizes, np.int64)
 
 
 def _fork_run(texts, tmp) -> int:
-    """Fork a child that writes the ASCII bytes of the texts to tmp; returns
+    """Fork a child that spools the (lower, mirror) texts of a run's pairs to
+    tmp, both texts of each pair in turn, followed by _spool's sizes; returns
     its pid.  The child leaves through os._exit whatever happens, status 0
     once the bytes are flushed, 1 with its traceback on stderr if anything
     raised: it never unwinds into the caller's code, and so never flushes or
@@ -341,8 +361,7 @@ def _fork_run(texts, tmp) -> int:
         return pid
     code = 1
     try:
-        for text in texts:
-            tmp.write(text.encode("ascii"))
+        tmp.write(_spool(texts, tmp).tobytes())
         tmp.flush()
         code = 0
     except BaseException:
@@ -357,7 +376,8 @@ class PropagatorGrid:
     frequency k0[i] at every spatial momentum, k0 strictly increasing and
     k0[nk0 - 1 - i] exactly -k0[i].  box(a, b, s, e) returns a new
     (b - a, e - s, 2, 2) array of blocks a..b at spatial momenta s..e;
-    to_csv, conjugation_defect and sup_norm walk the rows in _boxes of it.
+    to_csv, conjugation_defect and sup_norm walk the rows in _mirror_pairs
+    of boxes.
     """
 
     grid: GridSpec
@@ -410,23 +430,21 @@ class PropagatorGrid:
     def sup_norm(self) -> float:
         """max |entry| over all rows (NaN if any entry is NaN; 0.0 without rows)."""
         worst = 0.0
-        for box in _boxes(self.k0.size, self.grid.L ** 3):
+        for box in chain.from_iterable(_mirror_pairs(self.k0.size, self.grid.L ** 3)):
             worst = np.max(np.abs(self.box(*box)), initial=worst)
         return float(worst)
 
     def conjugation_defect(self) -> float:
         """max |value(-k0, kbar) - value(k0, kbar)^dagger| over all rows.
 
-        Each row is paired with its mirror by position; a row whose difference
-        holds a NaN is ignored.
+        Each row is paired with its mirror by position (_mirror_pairs); a row
+        whose difference holds a NaN is ignored.
         """
-        nk0 = self.k0.size
         # the lower half's differences are the upper half's, negated and
-        # transposed; blocks a..b mirror blocks nk0-b..nk0-a, reversed
+        # transposed; a mirror box holds its lower box's blocks reversed
         worst = 0.0
-        for a, b, s, e in _boxes(nk0 // 2, self.grid.L ** 3):
-            mirror = self.box(nk0 - b, nk0 - a, s, e)[::-1]
-            diff = mirror - self.box(a, b, s, e).conj().swapaxes(2, 3)
+        for lower, mirror in _mirror_pairs(self.k0.size, self.grid.L ** 3):
+            diff = self.box(*mirror)[::-1] - self.box(*lower).conj().swapaxes(2, 3)
             worst = float(np.fmax.reduce(np.abs(diff).max(axis=(2, 3)), axis=None,
                                          initial=worst))
         return worst
@@ -439,40 +457,56 @@ class PropagatorGrid:
         per block, which starts each row, and one "k1,k2,k3" per spatial
         momentum.  A value's repr is its magnitude's (the sign bit cleared)
         with "-" in front when the sign bit is set and it is not NaN, which
-        repr writes as "nan" whatever its sign.  So each box calls repr once
-        per distinct magnitude, and every value cell is two tokens: "," or
-        ",-", then the magnitude's text.
+        repr writes as "nan" whatever its sign.  The rows are walked in mirror
+        pairs of boxes (_mirror_pairs), whose magnitudes are the same where
+        value(-k0) = value(k0)^dagger: each pair calls repr once per distinct
+        magnitude of its two boxes, and every value cell is one token, "," or
+        ",-" then the magnitude's text.  The bytes never depend on the
+        symmetry holding.
 
-        The boxes are cut into contiguous runs, one per CPU the process may
-        use (_runs).  This process formats run 0 straight into the buffer;
-        each later run is formatted by a forked child into its own temporary
-        file, which is copied in after run 0, in run order, 1 MiB at a time.
+        The pairs are cut into contiguous runs, one per CPU the process may
+        use (_runs).  This process formats run 0, its lower boxes straight
+        into the buffer and its mirror boxes into a temporary file; each later
+        run is formatted by a forked child into its own temporary file, both
+        boxes of each pair in turn, then the byte size of each text.  Once run
+        0 is written and every child has exited, the texts in the files are
+        copied in box by box in file order, the lower boxes and then the
+        mirror boxes, each by block and then spatial start, 1 MiB at a time.
         A failed run raises RuntimeError naming it; no child or temporary
         file outlives the call.
         """
         kbar = self.grid.spatial_momenta()
         lead = np.array([f"\r\n{k!r}," for k in self.k0.tolist()], dtype=object)
         spatial = np.array([",".join(map(repr, k)) for k in kbar.tolist()], dtype=object)
-        runs = _runs(list(_boxes(self.k0.size, kbar.shape[0])))
-        temps, pids = [], {}  # per later run its file, and its child until reaped
+        runs = _runs(list(_mirror_pairs(self.k0.size, kbar.shape[0])))
+        temps, pids = [], {}  # per run its file, and per later run its child until reaped
         try:
-            for i, run in enumerate(runs[1:], 1):
+            for _ in runs:
                 temps.append(tempfile.TemporaryFile())
-                pids[i] = _fork_run(self._box_texts(run, lead, spatial), temps[-1])
+            for i, run in enumerate(runs[1:], 1):
+                pids[i] = _fork_run(self._pair_texts(run, lead, spatial), temps[i])
             buf.write(",".join(_CSV_HEADER))
             try:
-                for text in self._box_texts(runs[0], lead, spatial):
-                    buf.write(text)
+                sizes = [_spool(self._pair_texts(runs[0], lead, spatial), temps[0], buf)]
             except Exception as exc:
                 raise RuntimeError(f"to_csv run 0 of {len(runs)} failed: {exc!r}") from exc
-            for i, tmp in enumerate(temps, 1):
+            for i, tmp in enumerate(temps[1:], 1):
                 status = os.waitpid(pids.pop(i), 0)[1]
                 if status:
                     raise RuntimeError(f"to_csv run {i} of {len(runs)} failed: its child "
                                        f"exited with {os.waitstatus_to_exitcode(status)}")
-                tmp.seek(0)
-                while chunk := tmp.read(1 << 20):
-                    buf.write(chunk.decode("ascii"))
+                tmp.seek(-16 * len(runs[i]), os.SEEK_END)
+                sizes.append(np.frombuffer(tmp.read(), np.int64))
+            # sorted boxes are in file order, lower before mirror; run 0's
+            # lower texts, already written, take 0 bytes of its file
+            texts = []  # (box, run, offset, size) of each box's text
+            for i, (run, size) in enumerate(zip(runs, sizes)):
+                texts += zip(chain.from_iterable(run), [i] * size.size,
+                             (np.cumsum(size) - size).tolist(), size.tolist())
+            for _, i, at, size in sorted(texts):
+                temps[i].seek(at)
+                for lo in range(0, size, 1 << 20):
+                    buf.write(temps[i].read(min(1 << 20, size - lo)).decode("ascii"))
             buf.write("\r\n")
         finally:
             for pid in pids.values():
@@ -481,19 +515,26 @@ class PropagatorGrid:
             for tmp in temps:
                 tmp.close()
 
-    def _box_texts(self, boxes, lead, spatial):
-        """The CSV text of each box in turn: its rows, each led by "\\r\\n"."""
-        for a, b, s, e in boxes:
-            vals = self.box(a, b, s, e).reshape(-1, 4).view(float)
+    def _pair_texts(self, pairs, lead, spatial):
+        """The CSV texts (lower, mirror) of each mirror pair of boxes in turn:
+        each box's rows, each led by "\\r\\n"."""
+        for boxes in pairs:
+            vals = np.concatenate([self.box(*box).reshape(-1, 4) for box in boxes]).view(float)
             mag, cell = np.unique(np.abs(vals).view(np.uint64), return_inverse=True)
             text = np.array(list(map(repr, mag.view(float).tolist())), dtype=object)
-            tokens = np.empty((b - a, e - s, 18), dtype=object)
-            tokens[..., 0] = lead[a:b, None]
-            tokens[..., 1] = spatial[s:e]
-            tokens = tokens.reshape(-1, 18)
-            tokens[:, 2::2] = _SIGN[(np.signbit(vals) & ~np.isnan(vals)).view(np.int8)]
-            tokens[:, 3::2] = text[cell.reshape(vals.shape)]
-            yield "".join(tokens.ravel().tolist())
+            table = np.concatenate(["," + text, ",-" + text])
+            cells = table[cell.reshape(vals.shape)
+                          + mag.size * (np.signbit(vals) & ~np.isnan(vals))]
+            texts, at = [], 0
+            for a, b, s, e in boxes:
+                tokens = np.empty((b - a, e - s, 10), dtype=object)
+                tokens[..., 0] = lead[a:b, None]
+                tokens[..., 1] = spatial[s:e]
+                rows = (b - a) * (e - s)
+                tokens.reshape(rows, 10)[:, 2:] = cells[at:at + rows]
+                texts.append("".join(tokens.ravel().tolist()))
+                at += rows
+            yield tuple(texts)
 
     @classmethod
     def from_csv(cls, path_or_buf, grid: GridSpec) -> "PropagatorGrid":

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -277,7 +278,8 @@ def test_conjugation_defect_matches_dict_oracle(p_star):
 
 @pytest.mark.parametrize("chunk_rows", [5, 27, 100])
 def test_conjugation_defect_pairs_boxes_like_the_oracle(monkeypatch, p_star, chunk_rows):
-    # boxes of 5 of a block's 27 momenta, of one block and of three blocks
+    # pairs of 5, 27 and 100 rows: boxes of 2 and of 13 of a block's 27
+    # momenta, and of one block
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
     pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
     defect = pg.conjugation_defect()
@@ -434,9 +436,10 @@ def test_conjugation_defect_on_built_grids(L, beta, M, r, t, t_perp, t_prime):
 @_on_built_grids
 def test_built_grid_matches_its_table(chunk_rows, L, beta, M, r, t, t_perp, t_prime):
     # a built grid computes each box when a pass walks it; the table of its
-    # rows slices them.  5-row boxes split every block of L >= 2, 100-row
-    # boxes hold whole blocks.  The built grid is written on one CPU, its
-    # table on three: up to two forked children write the later runs
+    # rows slices them.  Pairs of 5 rows, boxes of 2, split every block of
+    # L >= 2; pairs of 100 rows hold whole blocks up to L = 3.  The built grid
+    # is written on one CPU, its table on three: up to two forked children
+    # write the later runs
     grid = GridSpec(L=L, beta=beta, M=M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
@@ -455,8 +458,9 @@ def test_built_grid_matches_its_table(chunk_rows, L, beta, M, r, t, t_perp, t_pr
 
 
 def test_to_csv_bytes_match_csv_writer(monkeypatch, cpus, p_star):
-    # 5-row boxes, two per block: the special rows 0 and 9 fall in the first
-    # and second box, and on three CPUs runs 1 and 2 are written by children
+    # pairs of 2-row boxes, four per lower block: the special rows 0 and 9
+    # fall in the first and fifth pair, and on three CPUs runs 1 and 2 are
+    # written by children
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 5)
     built = build_propagator_grid(GridSpec(L=2, beta=4.0, M=3), p_star)
     values = built.values
@@ -487,6 +491,77 @@ def _csv_writer_bytes(pg):
         w.writerow([repr(float(c)) for c in kk]
                    + [repr(float(f(e))) for e in v.ravel() for f in (np.real, np.imag)])
     return out.getvalue()
+
+
+def test_to_csv_formats_each_mirror_magnitude_once(monkeypatch, cpus, p_star):
+    # pairs of one-block boxes, written on one CPU so that every repr call is
+    # counted here: one per momentum component of the 27 spatial texts, then
+    # one per distinct magnitude of each pair of blocks i and nk0 - 1 - i (the
+    # k0 leads are f-string !r, which does not call the name repr).  The grid
+    # is exactly conjugation symmetric, so each box alone has the same
+    # magnitudes as its pair: formatting the boxes one by one costs twice that
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", 100)
+    cpus(1)
+    calls = []
+    monkeypatch.setattr(propagator, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    pg = build_propagator_grid(GridSpec(L=3, beta=4.0, M=3), p_star)
+    assert pg.conjugation_defect() == 0.0
+    got = io.StringIO(newline="")
+    pg.to_csv(got)
+    assert got.getvalue() == _csv_writer_bytes(pg)
+    nk0 = pg.k0.size
+    mags = np.abs(pg.values.reshape(nk0, -1).view(float)).view(np.uint64)
+    pairs = sum(np.unique(np.concatenate([mags[i], mags[nk0 - 1 - i]])).size
+                for i in range(nk0 // 2))
+    assert len(calls) == 3 * 27 + pairs
+    assert sum(np.unique(m).size for m in mags) == 2 * pairs
+
+
+@pytest.mark.parametrize("grid, chunk_rows, n_pairs", [
+    (GridSpec(L=2, beta=4.0, M=3), 1 << 14, 1),
+    (GridSpec(L=1, beta=0.3, M=0), 1 << 14, 0),
+    (GridSpec(L=1, beta=4.0, M=3), 5, 5),
+    (GridSpec(L=3, beta=4.0, M=3), 20, 30),
+], ids=["one pair", "no rows", "L = 1", "split blocks"])
+def test_to_csv_edge_layouts_match_csv_writer(monkeypatch, cpus, p_star, grid, chunk_rows,
+                                              n_pairs):
+    # one pair of 80-row boxes, fewer pairs than CPUs; the grid without rows;
+    # 1-row blocks, two per box; and boxes of 10 of a block's 27 momenta,
+    # whose 30 pairs put a block in two runs on three CPUs, so the mirror
+    # texts of different runs interleave in the file
+    monkeypatch.setattr(propagator, "_CHUNK_ROWS", chunk_rows)
+    pg = build_propagator_grid(grid, p_star)
+    pairs = list(propagator._mirror_pairs(pg.k0.size, grid.L ** 3))
+    assert len(pairs) == n_pairs
+    want = _csv_writer_bytes(pg)
+    for n in (1, 2, 3, 4):
+        cpus(n)
+        got = io.StringIO(newline="")
+        pg.to_csv(got)
+        assert got.getvalue() == want
+    if n_pairs == 30:
+        cpus(3)
+        first, second = ({lower[0] for lower, _ in run} for run in propagator._runs(pairs)[:2])
+        assert first & second
+
+
+def test_readme_grid_csv_pinned_sha256(p_star):
+    # the README grid (1,334,144 rows, 82 pairs) on the host's CPUs, hashed as
+    # it is written, with no file on disk.  The sha256 was computed by running
+    # the writer of commit 8e4fc2c, which formatted every box on its own
+    class Sha:
+        def __init__(self):
+            self.sha = hashlib.sha256()
+
+        def write(self, text):
+            self.sha.update(text.encode())
+
+    pg = build_propagator_grid(GridSpec(L=4, beta=8.0, M=12), p_star)
+    assert len(list(propagator._mirror_pairs(pg.k0.size, 64))) == 82
+    out = Sha()
+    pg.to_csv(out)
+    assert out.sha.hexdigest() == \
+        "f60a071aa7ae1863bf2017616ce19df48d406d2dbb647ddca5dd70653073f058"
 
 
 _SPECIAL_GRID = GridSpec(L=2, beta=4.0, M=2)  # 10 blocks of 8 rows
@@ -520,9 +595,10 @@ def temp_files(monkeypatch):
 
 
 def test_to_csv_across_chunks_and_repeated_values(monkeypatch, cpus, temp_files, p_star):
-    # 7-row chunks cross many chunk boundaries, most of them inside a k0 block.
-    # On n CPUs the 20 boxes are cut into n runs and n - 1 children are
-    # forked, which leave no process and no open temporary file behind
+    # pairs of 3-row boxes cross many box boundaries, most of them inside a
+    # k0 block.  On n CPUs the 15 pairs are cut into n runs, each with its
+    # temporary file, and n - 1 children are forked, which leave no process
+    # and no open temporary file behind
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
     forked, fork_run = [], propagator._fork_run
     monkeypatch.setattr(propagator, "_fork_run",
@@ -538,16 +614,17 @@ def test_to_csv_across_chunks_and_repeated_values(monkeypatch, cpus, temp_files,
         assert len(forked) == n - 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-    assert len(temp_files) == 3 and all(f.closed for f in temp_files)
+    assert len(temp_files) == 1 + 2 + 3 and all(f.closed for f in temp_files)
     assert want.count("\r\n") == len(pg) + 1
     assert "-nan" not in want
 
 
-@pytest.mark.parametrize("block, run", [(0, 0), (4, 1), (9, 2), (6, 1)])
+@pytest.mark.parametrize("block, run", [(0, 0), (9, 0), (4, 2), (6, 1)])
 def test_to_csv_names_a_failed_run(monkeypatch, cpus, temp_files, capfd, p_star, block, run):
-    # on three CPUs the 20 boxes of 7 special rows (two per k0 block) are cut
-    # into runs of boxes 0-5, 6-12 and 13-19: blocks 0-2 are written here,
-    # blocks 3-6 and 6-9 by two children.  A box of the given block raises;
+    # on three CPUs the 15 pairs of 3-row boxes of special rows (three per
+    # lower k0 block) are cut into runs of pairs 0-4, 5-9 and 10-14: blocks
+    # 0-1 and their mirrors 8-9 are written here, blocks 1-3 and 6-8 by one
+    # child, blocks 3-4 and 5-6 by another.  A box of the given block raises;
     # block 6 lies in runs 1 and 2, and the first failed run is named
     monkeypatch.setattr(propagator, "_CHUNK_ROWS", 7)
     cpus(3)
@@ -562,7 +639,7 @@ def test_to_csv_names_a_failed_run(monkeypatch, cpus, temp_files, capfd, p_star,
         dataclasses.replace(pg, box=box).to_csv(io.StringIO(newline=""))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert len(temp_files) == 2 and all(f.closed for f in temp_files)
+    assert len(temp_files) == 3 and all(f.closed for f in temp_files)
     if run == 0:
         assert isinstance(failed.value.__cause__, ValueError)
     else:  # the child's traceback goes to stderr
