@@ -21,8 +21,10 @@ metric's bound in BENCHMARK.json:
 
 Each side's job times go to `job_wall_s`: per job, the median of its wall
 time over every pass of that side's paired untraced runs, so the jobs that
-moved can be named without a traced run.  Traced runs (trace 1) are copied as
-their per-layer metrics.  The machine record is copied once; runs from
+moved can be named without a traced run.  Each side's traced runs (trace 1)
+go to `traced`: per per-layer metric, its median over every traced run of
+that side that reports it, one run's figure being too noisy to compare; their
+seeds go to `traced_seeds`.  The machine record is copied once; runs from
 different machines are refused.
 """
 
@@ -57,6 +59,15 @@ def job_medians(records) -> dict:
             for j in (p or {}).get("jobs", ()):  # set-up probes run no jobs; None died
                 times.setdefault(j["name"], []).append(j["wall_s"])
     return {name: statistics.median(t) for name, t in sorted(times.items())}
+
+
+def traced_medians(records) -> dict:
+    """{per-layer metric: median of its value over the records that report it}."""
+    values = {}
+    for rec in records:
+        for name, m in rec["metrics"].items():
+            values.setdefault(name, []).append(m["value"])
+    return {name: statistics.median(v) for name, v in sorted(values.items())}
 
 
 def compare(pairs, bound: float) -> dict:
@@ -107,9 +118,12 @@ def main(argv=None) -> int:
             if vals:
                 entry["metrics"][m] = {"unit": pairs[0][1]["metrics"][m]["unit"],
                                        "pairs": vals, **compare(vals, bound)}
-        entry["traced"] = {side: {k: v["value"] for k, v in runs[k2]["metrics"].items()}
-                           for side, runs in (("parent", parent), ("change", change))
-                           for k2 in sorted(k for k in runs if k[0] == wl and k[2] == 1)[:1]}
+        entry["traced"], entry["traced_seeds"] = {}, {}
+        for side, runs in (("parent", parent), ("change", change)):
+            traced = [runs[k] for k in sorted(runs) if k[0] == wl and k[2] == 1]
+            if traced:
+                entry["traced"][side] = traced_medians(traced)
+                entry["traced_seeds"][side] = [r["seed"] for r in traced]
         bench["workloads"][wl] = entry
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0

@@ -63,10 +63,10 @@ H_MIN_FLOOR = -40
 
 #: Largest flow.n_k the flow subcommands accept.  Bands are tables on (k0,
 #: box orbit) over 3-D boxes, so memory grows as n_k^3.  At n_k = 64 `flow`
-#: peaks at 143 MB on the README model, and at 149, 248 and 270 MB at t_perp
+#: peaks at 127 MB on the README model, and at 131, 178 and 177 MB at t_perp
 #: = 1, 2 and 8 (t' = 2 t_perp, r = 1/2), where the bridge band's box is wider
-#: in k3; at h_min = -40 at 303 MB on the README model and 363 MB at t_perp =
-#: 8, the worst case (VmHWM, two runs each within 0.2 MB, 2-core Xeon).
+#: in k3; at h_min = -40 at 286 MB on the README model and 345 MB at t_perp =
+#: 8, the worst case (VmHWM, two runs each within 0.3 MB, 2-core Xeon).
 MAX_N_K = 64
 
 

@@ -147,8 +147,8 @@ def mass_vector(k1, k2, k3, p: HoppingParams, v=None, v3=None, regime: int = 1,
         wp = weyl_points(p)
         if wp is None:
             raise ValueError("regime-2 mass vector needs semimetal parameters")
-        eprime = p.t_perp * math.cos(wp.p_F) * (np.cos(k3) - 1.0) + E
-        m3 = -omega * v3 * np.sin(k3) + eprime
+        m3 = p.t_perp * math.cos(wp.p_F) * (np.cos(k3) - 1.0) + E  # E'
+        m3 += -omega * v3 * np.sin(k3)  # in place on a box; a + b is b + a, bit for bit
     return v * np.sin(kp), v * np.sin(km), m3
 
 

@@ -54,6 +54,12 @@ from .lattice import HoppingParams, _orbit_key, band_energy, mass_vector, pauli,
 from .propagator import _paired_sums
 
 MIN_BAND_POINTS = 100
+#: Cells of a band table that band_grid fills at once, in whole k0 rows (at
+#: least one): a block's argument, cutoff ramp, valley split and clip are the
+#: only table-sized temporaries of a build.  Much larger blocks would hold whole
+#: flow tables (the n_k = 24 bridge band is 13 x 10,290) and give the memory
+#: back; much smaller ones cost numpy calls per row.
+_BLOCK_CELLS = 1 << 14
 #: Fewest position samples per axis that resolve 4 octaves of decay.
 MIN_X_POINTS = 9
 
@@ -311,6 +317,34 @@ def _band_bounds_r2(h, c, p, cutoff, p_F):
     return emax, 2.0 * dpm, min(1.5 * k3max, math.pi)
 
 
+def _band_table(k0, k12, k3s, h, regime, omega, c, p, cutoff, lower):
+    """(key, lam2, table, support) of band_grid's box (axes k12, k12, k3s; k0 the
+    positive half): its orbit columns (lattice._orbit_key), lambda^2 at one point
+    per column, the table of chi_h(e) - lower at (k0, column), filled _BLOCK_CELLS
+    at a time, and the box's points of nonzero weight over both halves of k0.
+    Every column array, the valley split's among them, is freed on return."""
+    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in (k12.size, k3s.size))
+    key, (i1, i2, i3) = _orbit_key(f12, f3 if regime == 1 else np.arange(k3s.size))
+    cols = (k12[i1], k12[i2], k3s[i3])  # one point per column, whose whole orbit it stands for
+    m = mass_vector(*cols, p, c.v, c.v3, regime, omega)
+    lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+    arg, ramp = _chi_arg(h, regime, cutoff), shell_cutoff if lower == "chain" else smooth_cutoff
+    # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
+    live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
+    split = _valley_split(*cols, h, _regime2_couplings(c, p), p, cutoff) if live.any() else None
+    table, positive = np.empty((k0.size, lam2.size)), np.zeros(lam2.size, int)
+    rows = max(1, _BLOCK_CELLS // lam2.size)
+    for lo in range(0, k0.size, rows):
+        block, k0b, lv = table[lo:lo + rows], k0[lo:lo + rows, None], live[lo:lo + rows]
+        block[:] = ramp(arg * np.sqrt(k0b ** 2 + lam2))
+        if lv.any():
+            low = split(k0b[lv])
+            block[lv] = np.clip(block[lv] - (low[+1] + low[-1]), 0.0, None)
+        positive += np.sum(block > 0, axis=0)
+    # both halves of the k0 axis, times each column's multiplicity on the box
+    return key, lam2, table, 2 * int(np.bincount(key.ravel(), minlength=lam2.size) @ positive)
+
+
 def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingParams,
               cutoff: CutoffSpec, *, n: int, n3: int | None = None,
               h_star: int | None = None, lower="chain") -> BandGrid:
@@ -330,6 +364,12 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
     (-p_F, pi - p_F) for valley +1, which is built, and (p_F - pi, p_F) for
     valley -1, its mirror image.  The topmost regime-2 scale has the
     two-component cutoff chibar(b0 2^-h* e) as its upper edge.
+
+    The table is filled _BLOCK_CELLS cells (whole k0 rows, at least one) at a
+    time and `moments` straight from the column sums.  Beyond the arrays the
+    band keeps, a build's temporaries are one table block, the k0 reduction's
+    buffer (propagator._paired_sums, table-sized, freed before `moments` is
+    made) and one box-sized array, the box's m3.
     """
     if regime == 2 and omega == -1:
         return band_grid(h, 2, 1, c, p, cutoff, n=n, n3=n3, h_star=h_star, lower=lower).mirror()
@@ -355,27 +395,19 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
         fields = dict(snap_offset=wp.p_F - p_F_snap, k3_origin=omega * wp.p_F)
     k0s = _axis_values(d0, -emax - d0, emax + d0, fermionic=True)
     k12 = _axis_values(d12, -ext12 - d12, ext12 + d12)
-    f12, f3 = (np.minimum(np.arange(k), np.arange(k)[::-1]) for k in (k12.size, k3s.size))
-    key, (i1, i2, i3) = _orbit_key(f12, f3 if regime == 1 else np.arange(k3s.size))
-    cols = (k12[i1], k12[i2], k3s[i3])  # one point per column, whose whole orbit it stands for
-    m = mass_vector(*cols, p, c.v, c.v3, regime, omega)
-    lam2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
     k0 = k0s[k0s.size // 2:]  # the positive half; the other is its exact mirror
-    s = _chi_arg(h, regime, cutoff) * np.sqrt(k0[:, None] ** 2 + lam2)
-    table = shell_cutoff(s) if lower == "chain" else smooth_cutoff(s)
-    # chi_{h-1} of the valley split is 0 where its argument at e = |k0| reaches 2
-    live = np.zeros(k0.size, bool) if lower != "valleys" else _chi_arg(h - 1, 2, cutoff) * k0 < 2.0
-    if live.any():
-        low = _valley_split(k0[live, None], *cols, h, _regime2_couplings(c, p), p, cutoff)
-        table[live] = np.clip(table[live] - (low[+1] + low[-1]), 0.0, None)
-    sums = ((cell / c.Z) * _paired_sums(k0, np.full((1, k0.size), 2.0), lam2, table)[0])[key]
-    # both halves of the k0 axis, times each column's multiplicity on the box
-    support = 2 * int(np.bincount(key.ravel(), minlength=lam2.size) @ np.sum(table > 0, axis=0))
+    key, lam2, table, support = _band_table(k0, k12, k3s, h, regime, omega, c, p, cutoff, lower)
+    sums = (cell / c.Z) * _paired_sums(k0, np.full((1, k0.size), 2.0), lam2, table)[0]
     moments = np.empty((3,) + key.shape)
+    # mode="raise" would buffer a box-sized copy; every key is a column by construction
+    np.take(sums, key, out=moments[0], mode="clip")
+    del sums  # before the box's m3, the one box-sized temporary of a build
     bg = BandGrid(h, regime, omega, k0s, k12, k12, k3s, table, lam2, key, moments, support,
                   cell, emax, c, p, **fields)
-    for out, mi in zip(moments, bg.mass_arrays()):  # separable: mi broadcasts
-        np.multiply(sums, mi, out=out)
+    m1, m2, m3 = bg.mass_arrays()  # separable: m1, m2 broadcast
+    np.multiply(moments[0], m2, out=moments[1])
+    np.multiply(moments[0], m3, out=moments[2])
+    moments[0] *= m1
     for arr in (table, lam2, key, moments):
         arr.flags.writeable = False
     return bg
@@ -383,21 +415,22 @@ def band_grid(h: int, regime: int, omega: int, c: RunningCouplings, p: HoppingPa
 
 # --- quasi-particle split --------------------------------------------------
 
-def _valley_split(k0, k1, k2, k3, h_star, c: RunningCouplings, p: HoppingParams,
-                  cutoff: CutoffSpec) -> dict:
-    """{omega: theta(omega k3) chi_{h*-1}(kk)} for absolute k3 in [-pi, pi].
+def _valley_split(k1, k2, k3, h_star, c: RunningCouplings, p: HoppingParams,
+                  cutoff: CutoffSpec):
+    """k0 -> {omega: theta(omega k3) chi_{h*-1}(kk)} for absolute k3 in [-pi, pi].
 
     chi_{h*-1} is the regime-2 cutoff of valley omega at k3' = k3 - omega p_F;
-    theta(0) = 1/2 keeps the sum rule exact.  Broadcasts over arrays.
+    theta(0) = 1/2 keeps the sum rule exact.  Broadcasts over arrays.  theta
+    and the mass vectors do not depend on k0: they are evaluated here, once
+    for every k0 the returned function is called with.
     """
     p_F = weyl_points(p).p_F
     arg = _chi_arg(h_star - 1, 2, cutoff)
-    out = {}
-    for omega in (+1, -1):
-        theta = np.where(omega * k3 > 0, 1.0, np.where(k3 == 0.0, 0.5, 0.0))
-        m = mass_vector(k1, k2, k3 - omega * p_F, p, c.v, c.v3, 2, omega)
-        out[omega] = theta * smooth_cutoff(arg * band_energy(k0, m))
-    return out
+    valleys = {omega: (np.where(omega * k3 > 0, 1.0, np.where(k3 == 0.0, 0.5, 0.0)),
+                       mass_vector(k1, k2, k3 - omega * p_F, p, c.v, c.v3, 2, omega))
+               for omega in (+1, -1)}
+    return lambda k0: {omega: theta * smooth_cutoff(arg * band_energy(k0, m))
+                       for omega, (theta, m) in valleys.items()}
 
 
 def quasiparticle_split(kk, h_star: int, c: RunningCouplings, p: HoppingParams,
@@ -410,7 +443,7 @@ def quasiparticle_split(kk, h_star: int, c: RunningCouplings, p: HoppingParams,
     if check:
         disconnection_check(p, h_star, c, cutoff)
     k0, k1, k2, k3 = kk
-    split = _valley_split(k0, k1, k2, math.remainder(k3, 2.0 * np.pi), h_star, c, p, cutoff)
+    split = _valley_split(k1, k2, math.remainder(k3, 2.0 * np.pi), h_star, c, p, cutoff)(k0)
     return {omega: float(w) for omega, w in split.items()}
 
 
@@ -425,7 +458,7 @@ def disconnection_check(p: HoppingParams, h_star: int, c: RunningCouplings,
     if weyl_points(p) is None:
         raise ConfigurationError("disconnection check needs semimetal parameters")
     ks = np.linspace(-0.5, 0.5, 9)
-    split = _valley_split(0.0, ks[:, None], ks, 0.0, h_star, c, p, cutoff)
+    split = _valley_split(ks[:, None], ks, 0.0, h_star, c, p, cutoff)(0.0)
     chi = 2.0 * np.maximum(split[+1], split[-1])
     if np.any(chi > 0):
         raise ConfigurationError(

@@ -41,6 +41,23 @@ def test_pairs_by_seed_and_copies_machine(tmp_path):
     assert entry["traced"] == {"change": {"cutoff.smooth_cutoff.self_s": 0.01}}
 
 
+def test_traced_metrics_are_medians_over_every_traced_run_per_side(tmp_path):
+    for side, runs in (("p", {901: (0.5, 7.0), 902: (0.25, 9.0)}),
+                       ("c", {903: (0.125, 8.0), 904: (0.375, None)})):
+        _record(tmp_path / side, "flow_sweep", 1, 0, {"wall_s": 1.0})
+        for seed, (self_s, calls) in runs.items():
+            metrics = {"multiscale.band_grid.self_s": self_s}
+            if calls is not None:  # a metric one traced run lacks
+                metrics["multiscale.band_grid.calls"] = calls
+            _record(tmp_path / side, "flow_sweep", seed, 1, metrics)
+    assert _export(tmp_path).returncode == 0
+    entry = json.loads((tmp_path / "b.json").read_text())["workloads"]["flow_sweep"]
+    assert entry["traced_seeds"] == {"parent": [901, 902], "change": [903, 904]}
+    assert entry["traced"] == {
+        "parent": {"multiscale.band_grid.calls": 8.0, "multiscale.band_grid.self_s": 0.375},
+        "change": {"multiscale.band_grid.calls": 8.0, "multiscale.band_grid.self_s": 0.25}}
+
+
 def _passes(*walls):
     """A set-up probe, a worker that died, then one pass per {job: wall_s}."""
     return [{"setup_s": 0.2}, None] + [

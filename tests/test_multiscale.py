@@ -293,30 +293,39 @@ def _bridge_oracle(bg, cut):
 
 @pytest.mark.parametrize("name", ["regime 1", "regime 2", "insulator tail", "chain bridge",
                                   "bridge", "mirror", "live bridge"])
-def test_band_columns_are_the_distinct_lambda2_of_the_box(p_star, name):
+def test_band_columns_are_the_distinct_lambda2_of_the_box(p_star, name, monkeypatch):
     """Each band's columns are the orbits of its box under k1 -> -k1, k2 -> -k2,
     k1 <-> k2 (and k3 -> -k3 in regime 1), numbered 0.. with none missing, and
     each column's lambda^2 (`lam2`) is the box's lambda^2 on every point of that
     column, bit for bit.  Off the bridge the orbits are exactly the distinct
     lambda^2 of the box; on both bridges (b0 = 30, and the default b0 at t_perp
     = 1, n = 48) the table is the per-point valley-split oracle on its live k0
-    slices."""
+    slices.  The band is the same, byte for byte, whether band_grid fills its
+    table one k0 row at a time or whole (_BLOCK_CELLS)."""
     cut = ms.default_cutoff(p_star)
     if name == "chain bridge":  # default b0: no live valley slice
-        bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star, cut, n=10, n3=96,
-                          lower="valleys")
+        def build():
+            return ms.band_grid(0, 1, 1, ms.initial_couplings(p_star), p_star, cut, n=10,
+                                n3=96, lower="valleys")
     elif name == "live bridge":
         p = build_params(1.0, 1.0, 2.0, r=0.5)
         cut = ms.default_cutoff(p)
-        bg = ms.band_grid(0, 1, 1, ms.initial_couplings(p), p, cut, n=48, lower="valleys")
+
+        def build():
+            return ms.band_grid(0, 1, 1, ms.initial_couplings(p), p, cut, n=48, lower="valleys")
+    elif name == "mirror":  # valley -1 carries valley +1's columns unchanged
+        def build():
+            return _oracle_band(p_star, "regime 2").mirror()
+    else:
+        if name == "bridge":
+            cut = ms.CutoffSpec(a0=p_star.a0, b0=30.0)
+
+        def build():
+            return _oracle_band(p_star, name)
+    bg = build()
+    if name == "live bridge":
         k0 = ms._chi_arg(-1, 2, cut) * bg.k0s[bg.k0s.size // 2:]
         assert k0[0] < 2.0 < k0[-1]  # the valley split is live on some k0 slices, not all
-    elif name == "mirror":  # valley -1 carries valley +1's columns unchanged
-        bg = _oracle_band(p_star, "regime 2").mirror()
-    elif name == "bridge":
-        bg, cut = _oracle_band(p_star, name), ms.CutoffSpec(a0=p_star.a0, b0=30.0)
-    else:
-        bg = _oracle_band(p_star, name)
     m1, m2, m3 = bg.mass_arrays()
     lam2 = m1 ** 2 + m2 ** 2 + m3 ** 2
     assert bg.lam2[bg.key].tobytes() == lam2.tobytes()
@@ -330,6 +339,12 @@ def test_band_columns_are_the_distinct_lambda2_of_the_box(p_star, name):
         assert np.array_equal(bg.table[:, key], _bridge_oracle(bg, cut))
     else:
         assert bg.table.shape[1] == np.unique(lam2).size
+    for cells in (1, bg.table.size):  # one k0 row per block; the whole table in one
+        monkeypatch.setattr(ms, "_BLOCK_CELLS", cells)
+        other = build()
+        for field in ("table", "lam2", "key", "moments"):
+            assert getattr(other, field).tobytes() == getattr(bg, field).tobytes(), field
+        assert other.support_points == bg.support_points
 
 
 def _constant_on_columns(x, key):
@@ -350,7 +365,7 @@ def test_lambda2_and_valley_split_are_constant_on_orbit_columns(band, hop, r, zv
     valley split are constant bit for bit on every orbit column, for admissible
     hoppings (t_prime large enough for the theorem window), couplings and scales."""
     t, t_perp, u = hop
-    r = abs(r) + 1e-3 if band != "regime 1" else r  # regime 2 and the bridge need a semimetal
+    r = max(abs(r), 1e-3) if band != "regime 1" else r  # regime 2 and the bridge need a semimetal
     p = build_params(t, t_perp, t_perp * (1.75 + u), r=r)
     c = ms.RunningCouplings(*zv, nu=0.0, h=0)
     h_star = ms.crossover_scale(p)
@@ -362,9 +377,9 @@ def test_lambda2_and_valley_split_are_constant_on_orbit_columns(band, hop, r, zv
     else:
         cut = ms.CutoffSpec(a0=p.a0, b0=b0)
         bg = ms.band_grid(h_star, 1, 1, c, p, cut, n=n, n3=n3, lower="valleys")
-        split = ms._valley_split(bg.k0s[bg.k0s.size // 2:, None, None, None],
-                                 bg.k1s[:, None, None], bg.k2s[None, :, None], bg.k3s, h_star,
-                                 ms._regime2_couplings(c, p), p, cut)
+        split = ms._valley_split(bg.k1s[:, None, None], bg.k2s[None, :, None], bg.k3s, h_star,
+                                 ms._regime2_couplings(c, p), p, cut)(
+            bg.k0s[bg.k0s.size // 2:, None, None, None])
         assert _constant_on_columns(split[+1] + split[-1], bg.key)
     m1, m2, m3 = bg.mass_arrays()
     assert _constant_on_columns(m1 ** 2 + m2 ** 2 + m3 ** 2, bg.key)
@@ -389,6 +404,28 @@ def test_live_bridge_band_costs_what_its_chain_band_costs():
             tracemalloc.stop()
     assert np.sum(ms._chi_arg(-1, 2, cut) * bg.k0s[bg.k0s.size // 2:] < 2.0) == 3
     assert peaks["valleys"] <= 1.2 * peaks[None]
+
+
+def test_band_build_holds_one_table_block_and_one_box_beyond_the_band():
+    """band_grid fills its table _BLOCK_CELLS at a time (whole k0 rows, at least
+    one) and the box's moments straight from the column sums, so a build's traced
+    peak, less the arrays the band keeps, is at most one table block plus one
+    box-sized array (the box's m3).  On the live bridge band at t, t_perp, t' = 1,
+    8, 16, r = 1/2, n = 32, n3 = 256 (17 x 22,059 table, 35 x 35 x 257 box, one
+    row a block) measured: 2.69 MB against 2.70 MB; the whole-table build, with
+    about five table-sized and two box-sized temporaries, 10.9 MB."""
+    p = build_params(1.0, 8.0, 16.0, r=0.5)
+    cut, c = ms.default_cutoff(p), ms.initial_couplings(p)
+    ms.band_grid(0, 1, 1, c, p, cut, n=32, n3=256, lower="valleys")  # first-call allocations
+    tracemalloc.start()
+    try:
+        bg = ms.band_grid(0, 1, 1, c, p, cut, n=32, n3=256, lower="valleys")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (bg.table, bg.lam2, bg.key, bg.moments))
+    block = max(1, ms._BLOCK_CELLS // bg.lam2.size) * bg.lam2.size
+    assert peak - kept <= 8 * (block + bg.key.size)
 
 
 def test_quasiparticle_split_sum_rule(p_star):
